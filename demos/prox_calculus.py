@@ -1,5 +1,6 @@
-"""Tour of the proximal calculus: closed-form proxes, conjugates through the
-Moreau decomposition, and the projections every solver step is built from.
+"""Tour of the proximal calculus: closed-form proxes, conjugate proxes as
+dual-ball projections checked against the Moreau decomposition, and the
+projections every solver step is built from.
 
 Run:  python demos/prox_calculus.py
 """
@@ -9,10 +10,10 @@ from proxsplit import (
     BallIndicator,
     BoxIndicator,
     EuclideanNorm,
+    L21Norm,
     LineIndicator,
     WeightedL1,
     distance_to_set,
-    project_pixel_discs,
     prox,
     prox_conjugate,
 )
@@ -34,7 +35,7 @@ x = np.array([2.0, -0.5, 0.9])
 print(f"prox of ||.||_1 at {x} with gamma=1:", prox(l1, 1.0, x))
 
 print()
-print("=== conjugates come free via the Moreau decomposition ===")
+print("=== conjugate proxes: dual-ball projections, Moreau as the check ===")
 norm = EuclideanNorm()
 # the conjugate of the Euclidean norm is the unit-ball indicator, so its
 # prox is the unit-ball projection
@@ -55,5 +56,7 @@ print("distance from the origin to the shifted disc:", distance_to_set(ball, [0.
 
 print()
 print("=== the per-pixel disc projection used by the TV dual ===")
-p, q = project_pixel_discs(1.0, [3.0, 0.3], [4.0, 0.2])
+# L21Norm(weight, n_pairs) holds the p fields, then the q fields; its
+# conjugate prox projects each (p, q) pair onto the disc of radius weight
+p, q = L21Norm(1.0, 2).conjugate_prox(np.array([3.0, 0.3, 4.0, 0.2]), 1.0).reshape(2, -1)
 print("pairs (3,4) and (0.3,0.2) projected onto unit discs:", list(zip(p, q)))

@@ -60,7 +60,6 @@ from .prox import (
     TiltedFn,
     WeightedL1,
     distance_to_set,
-    project_pixel_discs,
     prox,
     prox_conjugate,
 )

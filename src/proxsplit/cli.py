@@ -232,6 +232,82 @@ class RunConfig:
     custom: Optional[dict] = None
 
 
+def _integer(value) -> int:
+    if isinstance(value, int):
+        return value
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(number)
+
+
+def _number_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return [float(v) for v in value]
+
+
+def _of_type(kind):
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"not a {kind.__name__}")
+        return value
+
+    return check
+
+
+_NUMBER = (float, "a number")
+_INTEGER = (_integer, "an integer")
+_NUMBERS = (_number_list, "a list of numbers")
+_PATH = (_of_type(str), "a path string")
+
+# Converter and expected kind of each typed key; build_run and run rely on
+# the converted types. experiment and algorithm are checked by value.
+_VALUE_TYPES = {
+    "tau": _NUMBER,
+    "sigma": _NUMBER,
+    "sigmas": _NUMBERS,
+    "lambda": _NUMBER,
+    "iters": _INTEGER,
+    "log_stride": _INTEGER,
+    "residual_tol": _NUMBER,
+    "x0": _NUMBERS,
+    "error_c": _NUMBER,
+    "error_p": _NUMBER,
+    "error_seed": _INTEGER,
+    "output_csv": _PATH,
+    "output_pgm": _PATH,
+    "alpha1": _NUMBER,
+    "alpha2": _NUMBER,
+    "kernel_size": _INTEGER,
+    "kernel_std": _NUMBER,
+    "noise_std": _NUMBER,
+    "noise_seed": _INTEGER,
+    "image": _PATH,
+    "image_size": _INTEGER,
+    "custom": (_of_type(dict), "a JSON object"),
+}
+
+
+def _convert_values(raw: dict) -> dict:
+    """Convert each typed value, raising a ConfigError that names the key.
+
+    A null value selects the key's default.
+    """
+    out = {}
+    for key, value in raw.items():
+        if value is None:
+            continue
+        if key in _VALUE_TYPES:
+            convert, expected = _VALUE_TYPES[key]
+            try:
+                value = convert(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}") from None
+        out[key] = value
+    return out
+
+
 def load_config(path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -242,9 +318,9 @@ def load_config(path) -> RunConfig:
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "experiment" not in raw:
+    kwargs = _convert_values(raw)
+    if "experiment" not in kwargs:
         raise ConfigError("config must set 'experiment'")
-    kwargs = dict(raw)
     if "lambda" in kwargs:
         kwargs["lam"] = kwargs.pop("lambda")
     cfg = RunConfig(**kwargs)
@@ -258,6 +334,8 @@ def load_config(path) -> RunConfig:
 
 
 def _parse_set(spec: dict, dim: int):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"custom geometry: each set must be a JSON object, got {spec!r}")
     kind = spec.get("type")
     if kind == "ball":
         return BallIndicator(spec["center"], spec["radius"])
@@ -277,6 +355,10 @@ def _custom_heron(block: dict) -> HeronSpec:
         obstacles = tuple(_parse_set(s, dim) for s in block["obstacles"])
     except KeyError as exc:
         raise ConfigError(f"custom geometry missing field {exc}") from None
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed 'custom' geometry: {exc}") from None
     return HeronSpec(constraint=constraint, obstacles=obstacles, dim=dim)
 
 

@@ -161,10 +161,7 @@ class StepConfig:
             raise ValueError("max_iters must be a positive integer")
         if self.bound_budget <= 0.0:
             raise ValueError("bound_budget must be strictly positive")
-        for n in range(self.max_iters):
-            lam = float(self.lambda_schedule(n))
-            if not 0.0 < lam < 2.0:
-                raise ValueError(f"relaxation out of (0, 2) at n={n}: {lam}")
+        self.check_relaxation(0, self.max_iters)
         if self.norm_bounds is not None:
             if len(self.norm_bounds) != len(self.sigmas):
                 raise ValueError("norm_bounds and sigmas must have equal length")
@@ -174,6 +171,14 @@ class StepConfig:
 
     def lam(self, n: int) -> float:
         return float(self.lambda_schedule(n))
+
+    def check_relaxation(self, start: int, stop: int) -> None:
+        """Raise ValueError unless lambda_n lies in (0, 2) for start <= n < stop."""
+        schedule = self.lambda_schedule
+        for n in range(start, stop):
+            lam = float(schedule(n))
+            if not 0.0 < lam < 2.0:
+                raise ValueError(f"relaxation out of (0, 2) at n={n}: {lam}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Proximal maps for the function zoo used by the solvers and experiments.
 
 Every function here is proper, closed and convex with a closed-form prox, so
-resolvents never need an inner iterative solve. Conjugate proxes come for
-free through the Moreau decomposition; subclasses only implement ``prox``.
+resolvents never need an inner iterative solve. Subclasses implement
+``prox``; the conjugate prox falls back to the Moreau decomposition, and the
+norms and the point indicator, whose conjugate proxes are projections onto
+their dual balls (or shifts), override it with those closed forms.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ __all__ = [
     "TiltedFn",
     "prox",
     "prox_conjugate",
-    "project_pixel_discs",
     "distance_to_set",
 ]
 
@@ -39,7 +40,12 @@ class ProxFn:
         raise NotImplementedError
 
     def conjugate_prox(self, x: np.ndarray, gamma: float) -> np.ndarray:
-        """Prox of ``gamma * f*`` at x, via Moreau's decomposition."""
+        """Prox of ``gamma * f*`` at x.
+
+        The generic route is Moreau's decomposition,
+        ``x - gamma * prox(x / gamma, 1 / gamma)``; subclasses with a closed
+        form override it, and tests use this route as their reference.
+        """
         x = np.asarray(x, dtype=float)
         return x - gamma * self.prox(x / gamma, 1.0 / gamma)
 
@@ -136,6 +142,13 @@ class PointIndicator(ProxFn):
             return np.zeros_like(x)
         return np.broadcast_to(self.point, x.shape).astype(float)
 
+    def conjugate_prox(self, x, gamma):
+        """The conjugate is the linear map <point, .>: its prox shifts by -gamma * point."""
+        x = np.asarray(x, dtype=float)
+        if self.is_origin:
+            return x
+        return x - gamma * self.point
+
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
         target = np.zeros_like(x) if self.point is None else self.point
@@ -154,11 +167,19 @@ class WeightedL1(ProxFn):
         if self.weight <= 0.0:
             raise ValueError("weight must be strictly positive")
         self.shift = np.asarray(shift, dtype=float)
+        self._shifted = bool(np.any(self.shift))
 
     def prox(self, x, gamma):
         x = np.asarray(x, dtype=float)
         z = x - self.shift
         return self.shift + _soft_threshold(z, gamma * self.weight)
+
+    def conjugate_prox(self, x, gamma):
+        """Clip of x - gamma * shift onto the dual box [-weight, weight]."""
+        x = np.asarray(x, dtype=float)
+        if self._shifted:
+            x = x - gamma * self.shift
+        return np.clip(x, -self.weight, self.weight)
 
     def __call__(self, x) -> float:
         return self.weight * float(np.abs(np.asarray(x, dtype=float) - self.shift).sum())
@@ -173,6 +194,14 @@ class EuclideanNorm(ProxFn):
         if n <= gamma:
             return np.zeros_like(x)
         return (1.0 - gamma / n) * x
+
+    def conjugate_prox(self, x, gamma):
+        """Projection onto the closed unit ball, the dual ball of the norm."""
+        x = np.asarray(x, dtype=float)
+        n = np.linalg.norm(x)
+        if n <= 1.0:
+            return x
+        return x / n
 
     def __call__(self, x) -> float:
         return float(np.linalg.norm(np.asarray(x, dtype=float)))
@@ -208,6 +237,19 @@ class L21Norm(ProxFn):
         factor[mask] = 1.0 - t / r[mask]
         return np.concatenate([factor * p, factor * q])
 
+    def conjugate_prox(self, x, gamma):
+        """Per-pair radial projection onto discs of radius ``weight``.
+
+        Pairs already inside their disc (including the boundary) are fixed
+        points, so the map is exactly idempotent.
+        """
+        x = np.asarray(x, dtype=float)
+        p, q = self._split(x)
+        scale = self.weight / np.maximum(self.weight, np.hypot(p, q))
+        # One broadcast product scales both fields: a single output pass, no
+        # concatenation copy.
+        return (x.reshape(2, -1) * scale).reshape(-1)
+
     def __call__(self, x) -> float:
         p, q = self._split(x)
         return self.weight * float(np.hypot(p, q).sum())
@@ -237,27 +279,11 @@ def prox(f: ProxFn, gamma: float, x) -> np.ndarray:
 
 
 def prox_conjugate(f: ProxFn, gamma: float, x) -> np.ndarray:
-    """Prox of gamma * f* at x, computed as x - gamma * prox(f, 1/gamma, x/gamma)."""
+    """Prox of gamma * f* at x: the closed form where ``f`` has one, else
+    x - gamma * prox(f, 1/gamma, x/gamma)."""
     if gamma <= 0.0:
         raise ValueError("gamma must be strictly positive")
     return f.conjugate_prox(np.asarray(x, dtype=float), float(gamma))
-
-
-def project_pixel_discs(alpha: float, p, q):
-    """Per-pixel radial projection of (p, q) pairs onto discs of radius alpha.
-
-    Pairs already inside their disc (including the boundary) are fixed
-    points, so the map is exactly idempotent.
-    """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be strictly positive")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("p and q must have identical shape")
-    r = np.hypot(p, q)
-    scale = alpha / np.maximum(alpha, r)
-    return p * scale, q * scale
 
 
 def distance_to_set(omega: ProxFn, x) -> float:

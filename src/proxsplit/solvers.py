@@ -13,8 +13,6 @@ evaluation and share the prox-backed constructor :func:`make_prox_problem`.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -257,35 +255,11 @@ class Alg2State:
         return cls(x=x, y=y, v=v, gammas=gamma_weights(spec, cfg), n=0)
 
 
-_EXECUTORS: dict = {}
-
-
-def _n_threads() -> int:
-    raw = os.environ.get("PROXSPLIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_terms(fn, m: int) -> list:
-    # Per-term work is independent; reductions over the results are always
-    # accumulated afterwards in ascending term order, so threaded execution
-    # is bit-identical to the sequential loop.
-    t = _n_threads()
-    if t <= 1 or m <= 1:
-        return [fn(i) for i in range(m)]
-    ex = _EXECUTORS.get(t)
-    if ex is None:
-        ex = ThreadPoolExecutor(max_workers=t)
-        _EXECUTORS[t] = ex
-    return list(ex.map(fn, range(m)))
-
-
-def _accumulate(parts, dim: int) -> np.ndarray:
-    acc = np.zeros(dim)
-    for part in parts:
-        acc += part
+def _adjoint_sum(spec: ProblemSpec, blocks) -> np.ndarray:
+    """sum_i L_i^* blocks[i], accumulated in ascending term order."""
+    acc = np.zeros(spec.dim)
+    for term, block in zip(spec.terms, blocks, strict=True):
+        acc += term.L.adjoint(block)
     return acc
 
 
@@ -303,45 +277,35 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     tau = cfg.tau
     lam = cfg.lam(n)
     x, v = state.x, state.v
-    m = spec.m
     exact = errs is None or errs.is_exact
 
-    adj_v = _map_terms(lambda i: spec.terms[i].L.adjoint(v[i]), m)
-    p1 = spec.res_a(tau, x - 0.5 * tau * _accumulate(adj_v, spec.dim) + tau * spec.z)
+    p1 = spec.res_a(tau, x - 0.5 * tau * _adjoint_sum(spec, v) + tau * spec.z)
     if not exact:
         p1 = p1 + errs.a(n)
     w1 = 2.0 * p1 - x
 
-    def first_pass(i):
-        term = spec.terms[i]
+    p2s = []
+    for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         p2 = term.res_b_conj(s, v[i] + 0.5 * s * term.L.apply(w1) - s * term.r)
         if not exact:
             p2 = p2 + errs.b(i, n)
-        return p2
+        p2s.append(p2)
+    w2s = [2.0 * p2 - v[i] for i, p2 in enumerate(p2s)]
 
-    p2s = _map_terms(first_pass, m)
-    w2s = [2.0 * p2s[i] - v[i] for i in range(m)]
-
-    adj_w2 = _map_terms(lambda i: spec.terms[i].L.adjoint(w2s[i]), m)
-    z1 = w1 - 0.5 * tau * _accumulate(adj_w2, spec.dim)
+    z1 = w1 - 0.5 * tau * _adjoint_sum(spec, w2s)
     x_new = x + lam * (z1 - p1)
     u = 2.0 * z1 - w1
 
-    def second_pass(i):
-        term = spec.terms[i]
+    v_new = []
+    res_sq = _sq(z1 - p1)
+    for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         z2 = term.res_d_conj(s, w2s[i] + 0.5 * s * term.L.apply(u))
         if not exact:
             z2 = z2 + errs.d(i, n)
-        return z2
-
-    z2s = _map_terms(second_pass, m)
-    v_new = [v[i] + lam * (z2s[i] - p2s[i]) for i in range(m)]
-
-    res_sq = _sq(z1 - p1)
-    for i in range(m):
-        res_sq += _sq(z2s[i] - p2s[i])
+        v_new.append(v[i] + lam * (z2 - p2s[i]))
+        res_sq += _sq(z2 - p2s[i])
     residual = lam * math.sqrt(res_sq)
 
     return Alg1State(
@@ -360,46 +324,40 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     tau = cfg.tau
     lam = cfg.lam(n)
     x, y, v = state.x, state.y, state.v
-    m = spec.m
     exact = errs is None or errs.is_exact
 
-    adj_v = _map_terms(lambda i: spec.terms[i].L.adjoint(v[i]), m)
-    p1 = spec.res_a(tau, x - tau * (_accumulate(adj_v, spec.dim) - spec.z))
+    p1 = spec.res_a(tau, x - tau * (_adjoint_sum(spec, v) - spec.z))
     if not exact:
         p1 = p1 + errs.a(n)
     x_new = x + lam * (p1 - x)
     u = 2.0 * p1 - x
 
-    def per_term(i):
-        term = spec.terms[i]
+    y_new, v_new, p3s = [], [], []
+    res_sq = _sq(p1 - x)
+    for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         g = state.gammas[i]
         p2 = term.res_d(g, y[i] + g * v[i])
         if not exact:
             p2 = p2 + errs.d(i, n)
-        y_i = y[i] + lam * (p2 - y[i])
+        y_new.append(y[i] + lam * (p2 - y[i]))
         p3 = term.res_b_conj(s, v[i] + s * (term.L.apply(u) - (2.0 * p2 - y[i]) - term.r))
         if not exact:
             p3 = p3 + errs.b(i, n)
-        v_i = v[i] + lam * (p3 - v[i])
-        return p2, y_i, p3, v_i
-
-    results = _map_terms(per_term, m)
-
-    res_sq = _sq(p1 - x)
-    for i, (p2, _, p3, _) in enumerate(results):
+        v_new.append(v[i] + lam * (p3 - v[i]))
+        p3s.append(p3)
         res_sq += _sq(p2 - y[i])
         res_sq += _sq(p3 - v[i])
     residual = lam * math.sqrt(res_sq)
 
     return Alg2State(
         x=x_new,
-        y=BlockVector([r[1] for r in results]),
-        v=BlockVector([r[3] for r in results]),
+        y=BlockVector(y_new),
+        v=BlockVector(v_new),
         gammas=state.gammas,
         n=n + 1,
         p1=p1,
-        duals=BlockVector([r[2] for r in results]),
+        duals=BlockVector(p3s),
         residual=residual,
     )
 
@@ -418,39 +376,34 @@ def dr2_reduced_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSch
     tau = cfg.tau
     lam = cfg.lam(n)
     x, v = state.x, state.v
-    m = spec.m
     exact = errs is None or errs.is_exact
 
-    adj_v = _map_terms(lambda i: spec.terms[i].L.adjoint(v[i]), m)
-    p1 = spec.res_a(tau, x - tau * (_accumulate(adj_v, spec.dim) - spec.z))
+    p1 = spec.res_a(tau, x - tau * (_adjoint_sum(spec, v) - spec.z))
     if not exact:
         p1 = p1 + errs.a(n)
     x_new = x + lam * (p1 - x)
     u = 2.0 * p1 - x
 
-    def per_term(i):
-        term = spec.terms[i]
+    v_new, p3s = [], []
+    res_sq = _sq(p1 - x)
+    for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         p3 = term.res_b_conj(s, v[i] + s * (term.L.apply(u) - term.r))
         if not exact:
             p3 = p3 + errs.b(i, n)
-        return p3, v[i] + lam * (p3 - v[i])
-
-    results = _map_terms(per_term, m)
-
-    res_sq = _sq(p1 - x)
-    for i, (p3, _) in enumerate(results):
+        v_new.append(v[i] + lam * (p3 - v[i]))
+        p3s.append(p3)
         res_sq += _sq(p3 - v[i])
     residual = lam * math.sqrt(res_sq)
 
     return Alg2State(
         x=x_new,
         y=state.y,
-        v=BlockVector([r[1] for r in results]),
+        v=BlockVector(v_new),
         gammas=state.gammas,
         n=n + 1,
         p1=p1,
-        duals=BlockVector([r[0] for r in results]),
+        duals=BlockVector(p3s),
         residual=residual,
     )
 
@@ -491,7 +444,8 @@ def run(
     (when an evaluator is given) and the relaxed update norm. Rows are kept
     every ``log_stride`` steps plus the final one. ``n_iters`` overrides
     ``cfg.max_iters``; ``n_iters = 0`` evaluates a single step from the
-    start without applying it. A finite ``residual_tol`` stops the run once
+    start without applying it. A relaxation outside (0, 2) at any iteration
+    the run may take raises ValueError before the first sweep. A finite ``residual_tol`` stops the run once
     the update norm drops below it (a non-finite tolerance never stops).
     Non-finite iterates abort with a :class:`DivergenceError` naming the
     first offending quantity.
@@ -504,6 +458,8 @@ def run(
         raise ValueError("n_iters must be nonnegative")
     if log_stride < 1:
         raise ValueError("log_stride must be at least 1")
+    # StepConfig checked n < max_iters; n_iters may reach beyond it.
+    cfg.check_relaxation(cfg.max_iters, n_iters)
 
     if variant == DR1:
         state = Alg1State.initial(spec, x0, v0)
@@ -541,10 +497,8 @@ def run(
 def metric_apply_dr1(spec: ProblemSpec, cfg: StepConfig, x, v: BlockVector):
     """Apply the self-adjoint metric operator of the two-pass scheme."""
     x = as_vector(x)
-    m = spec.m
-    adj_v = [spec.terms[i].L.adjoint(v[i]) for i in range(m)]
-    out_x = x / cfg.tau - 0.5 * _accumulate(adj_v, spec.dim)
-    out_v = [v[i] / cfg.sigmas[i] - 0.5 * spec.terms[i].L.apply(x) for i in range(m)]
+    out_x = x / cfg.tau - 0.5 * _adjoint_sum(spec, v)
+    out_v = [v[i] / cfg.sigmas[i] - 0.5 * term.L.apply(x) for i, term in enumerate(spec.terms)]
     return out_x, BlockVector(out_v)
 
 

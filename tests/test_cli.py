@@ -91,6 +91,26 @@ class TestConfig:
             load_config(path)
 
 
+    @pytest.mark.parametrize(
+        "key, body",
+        [
+            ("sigmas", {"experiment": "heron1", "sigmas": 5}),
+            ("custom", {"experiment": "custom", "tau": 0.3, "sigma": 0.5, "custom": [1]}),
+            ("iters", {"experiment": "heron1", "iters": [1]}),
+            ("residual_tol", {"experiment": "heron1", "residual_tol": "x"}),
+        ],
+    )
+    def test_malformed_value_type_is_named_config_error(self, tmp_path, capsys, key, body):
+        # run and validate alike exit 2 naming the key, never with a traceback
+        out = tmp_path / "out.csv"
+        path = _write_config(tmp_path, output_csv=str(out), **body)
+        for command in ("run", "validate"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(key) in err
+        assert not out.exists()
+
+
 class TestRunCommand:
     def test_heron1_final_row_matches_published_value(self, tmp_path):
         csv = tmp_path / "out.csv"

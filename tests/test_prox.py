@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxsplit.prox import (
     BallIndicator,
@@ -10,10 +12,10 @@ from proxsplit.prox import (
     L21Norm,
     LineIndicator,
     PointIndicator,
+    ProxFn,
     TiltedFn,
     WeightedL1,
     distance_to_set,
-    project_pixel_discs,
     prox,
     prox_conjugate,
 )
@@ -140,18 +142,93 @@ class TestProjections:
                 assert np.abs(once - twice).max() <= tol
 
     def test_pixel_discs(self):
-        p, q = project_pixel_discs(1.0, [0.0, 3.0, 0.3], [0.0, 4.0, 0.2])
-        assert np.allclose(p, [0.0, 0.6, 0.3])
-        assert np.allclose(q, [0.0, 0.8, 0.2])
-        # idempotent, including on the boundary
-        p2, q2 = project_pixel_discs(1.0, p, q)
-        assert np.array_equal(p, p2) and np.array_equal(q, q2)
-        pb, qb = project_pixel_discs(5.0, [3.0], [4.0])
-        assert np.array_equal(pb, [3.0]) and np.array_equal(qb, [4.0])
+        # L21Norm's conjugate prox projects each (p, q) pair onto the disc of
+        # radius weight, whatever gamma
+        f = L21Norm(1.0, 3)
+        for gamma in (0.1, 1.0, 10.0):
+            pq = f.conjugate_prox([0.0, 3.0, 0.3, 0.0, 4.0, 0.2], gamma)
+            assert np.allclose(pq, [0.0, 0.6, 0.3, 0.0, 0.8, 0.2])
+            # idempotent, including on the boundary
+            assert np.array_equal(f.conjugate_prox(pq, gamma), pq)
+        boundary = np.array([3.0, 4.0])
+        assert np.array_equal(L21Norm(5.0, 1).conjugate_prox(boundary, 1.0), boundary)
 
     def test_pixel_discs_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            project_pixel_discs(1.0, [1.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="expected dim 4"):
+            L21Norm(1.0, 2).conjugate_prox([1.0, 2.0, 1.0], 1.0)
+
+
+_DUAL_BALLS = ("l1", "norm", "l21")
+_ALL_CLOSED_FORMS = _DUAL_BALLS + ("l1-shift", "point-origin", "point")
+_ENTRY = st.floats(-50.0, 50.0)
+# Relative offsets from the dual-ball boundary, down to a few ulps.
+_EDGE_OFFSET = st.sampled_from([0.0, 4e-16, -4e-16, 1e-12, -1e-12, 1e-6, -1e-6])
+
+
+def _vector(draw, dim, elements=_ENTRY):
+    return np.array(draw(st.lists(elements, min_size=dim, max_size=dim)))
+
+
+@st.composite
+def _conjugate_cases(draw, kinds):
+    """(f, x, gamma) for a function with a closed-form conjugate prox; with
+    ``on_edge`` x is moved onto or next to the boundary of the dual ball."""
+    kind = draw(st.sampled_from(kinds))
+    n_pairs = draw(st.integers(1, 4))
+    dim = 2 * n_pairs
+    x = _vector(draw, dim)
+    gamma = draw(st.floats(0.05, 20.0))
+    on_edge = draw(st.booleans())
+    radius = draw(st.floats(0.01, 10.0))
+
+    def edge(r):
+        return r * (1.0 + draw(_EDGE_OFFSET))
+
+    if kind in ("l1", "l1-shift"):
+        shift = _vector(draw, dim, st.floats(-10.0, 10.0)) if kind == "l1-shift" else 0.0
+        f = WeightedL1(radius, shift=shift)
+        if on_edge:
+            # the clip argument x - gamma * shift sits at +-weight
+            signs = np.where(_vector(draw, dim, st.booleans()), 1.0, -1.0)
+            x = gamma * f.shift + signs * edge(radius)
+    elif kind == "norm":
+        f = EuclideanNorm()
+        n = np.linalg.norm(x)
+        # rescaling a near-zero vector would overflow to inf
+        if on_edge and n > 1e-6:
+            x = x * (edge(1.0) / n)
+    elif kind == "l21":
+        f = L21Norm(radius, n_pairs)
+        r = np.hypot(x[:n_pairs], x[n_pairs:])
+        if on_edge and np.all(r > 1e-6):
+            x = x * np.tile(edge(radius) / r, 2)
+    elif kind == "point-origin":
+        f = PointIndicator(draw(st.sampled_from([None, np.zeros(dim)])))
+    else:
+        point = _vector(draw, dim)
+        f = PointIndicator(point if np.any(point) else np.ones(dim))
+    return f, x, gamma
+
+
+class TestClosedFormConjugates:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_conjugate_cases(_ALL_CLOSED_FORMS))
+    def test_matches_moreau_route(self, case):
+        f, x, gamma = case
+        got = f.conjugate_prox(x, gamma)
+        ref = ProxFn.conjugate_prox(f, x, gamma)
+        assert got.shape == x.shape
+        assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(x).max())
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_conjugate_cases(_DUAL_BALLS))
+    def test_dual_ball_projections_idempotent(self, case):
+        f, x, gamma = case
+        once = f.conjugate_prox(x, gamma)
+        twice = f.conjugate_prox(once, gamma)
+        # equal up to representation: boundary points may move by ulps
+        tol = 4 * np.finfo(float).eps * (1.0 + np.abs(once).max())
+        assert np.abs(once - twice).max() <= tol
 
 
 class TestDistance:

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -288,6 +287,21 @@ class TestRunSemantics:
         log = run(prob, cfg, variant="dr1", n_iters=12, residual_tol=math.inf, x0=np.array([5.0, 2.0]))
         assert len(log) == 12
 
+    def test_relaxation_checked_beyond_max_iters(self):
+        # StepConfig only checks n < max_iters; a longer run must not use an
+        # unchecked lambda (this one ran to a residual of 6e7 unnoticed)
+        _, prob, _ = self._setup()
+        cfg = StepConfig(
+            tau=0.24,
+            sigmas=(0.1,) * 8,
+            lambda_schedule=lambda n: 1.8 if n < 5 else 5.0,
+            max_iters=5,
+        )
+        for variant in ("dr1", "dr2"):
+            with pytest.raises(ValueError, match=r"n=5: 5\.0"):
+                run(prob, cfg, variant=variant, n_iters=20, x0=np.array([5.0, 2.0]))
+        assert len(run(prob, cfg, variant="dr1", n_iters=5, x0=np.array([5.0, 2.0]))) == 5
+
     def test_residual_tol_stops_early(self):
         _, prob, cfg = self._setup()
         log = run(prob, cfg, variant="dr1", n_iters=10_000, residual_tol=1e-9, x0=np.array([5.0, 2.0]))
@@ -334,23 +348,6 @@ class TestRunSemantics:
         log_none = run(prob, cfg, variant="dr1", errs=None, n_iters=20, x0=x0)
         log_exact = run(prob, cfg, variant="dr1", errs=ErrorSchedule.exact(), n_iters=20, x0=x0)
         for a, b in zip(log_none, log_exact):
-            assert np.array_equal(a.primal, b.primal)
-            assert a.step_residual == b.step_residual
-
-    def test_thread_env_bit_identical(self):
-        _, prob, cfg = self._setup()
-        x0 = np.array([5.0, 2.0])
-        base = run(prob, cfg, variant="dr1", n_iters=15, x0=x0)
-        old = os.environ.get("PROXSPLIT_THREADS")
-        os.environ["PROXSPLIT_THREADS"] = "4"
-        try:
-            threaded = run(prob, cfg, variant="dr1", n_iters=15, x0=x0)
-        finally:
-            if old is None:
-                del os.environ["PROXSPLIT_THREADS"]
-            else:
-                os.environ["PROXSPLIT_THREADS"] = old
-        for a, b in zip(base, threaded):
             assert np.array_equal(a.primal, b.primal)
             assert a.step_residual == b.step_residual
 
