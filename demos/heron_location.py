@@ -13,16 +13,16 @@ from proxsplit import StepConfig, heron1, heron2, heron3, heron_build, heron_obj
 
 CASES = [
     ("disc constraint, 8 unit squares", heron1, (5.0, -2.0), {
-        "dr1": dict(tau=0.24, sigma=0.5, lam=1.8, budget=4.0),
-        "dr2": dict(tau=0.24, sigma=0.1, lam=1.8, budget=0.25),
+        "dr1": dict(tau=0.24, sigma=0.5, lam=1.8),
+        "dr2": dict(tau=0.24, sigma=0.1, lam=1.8),
     }),
     ("ball constraint in 3-D, 5 cubes", heron2, (0.0, 2.0, 0.0), {
-        "dr1": dict(tau=0.99, sigma=0.4, lam=1.8, budget=4.0),
-        "dr2": dict(tau=0.59, sigma=0.05, lam=1.8, budget=0.25),
+        "dr1": dict(tau=0.99, sigma=0.4, lam=1.8),
+        "dr2": dict(tau=0.59, sigma=0.05, lam=1.8),
     }),
     ("line constraint, 5 squares", heron3, (-1.0, 6.0), {
-        "dr1": dict(tau=3.99, sigma=0.1, lam=1.7, budget=4.0),
-        "dr2": dict(tau=0.49, sigma=0.1, lam=1.7, budget=0.25),
+        "dr1": dict(tau=3.99, sigma=0.1, lam=1.7),
+        "dr2": dict(tau=0.49, sigma=0.1, lam=1.7),
     }),
 ]
 
@@ -34,7 +34,7 @@ for title, builder, x0, params in CASES:
     for variant, p in params.items():
         cfg = StepConfig(
             tau=p["tau"], sigmas=(p["sigma"],) * prob.m,
-            lambda_schedule=p["lam"], max_iters=51, bound_budget=p["budget"],
+            lambda_schedule=p["lam"], max_iters=51,
         )
         log = run(prob, cfg, variant=variant, log_objective=obj, n_iters=51, x0=np.array(x0))
         rows = {r.n: r for r in log}

@@ -10,7 +10,7 @@ Run:  python demos/inexact_and_diagnostics.py
 import numpy as np
 
 from proxsplit import (
-    Alg1State,
+    State,
     StepConfig,
     dr1_step,
     heron1,
@@ -41,12 +41,12 @@ for row in log:
 
 print()
 print("=== monotone approach in the metric-induced norm ===")
-state = Alg1State.initial(problem, x0=x0)
+state = State.initial(problem, cfg, x0=x0)
 for _ in range(5000):
     state = dr1_step(problem, cfg, None, state)
 x_lim, v_lim = state.x, state.v
 
-state = Alg1State.initial(problem, x0=x0)
+state = State.initial(problem, cfg, x0=x0)
 prev = vnorm_dr1(problem, cfg, state.x - x_lim, state.v - v_lim)
 monotone = True
 for k in range(1, 201):

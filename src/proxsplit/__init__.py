@@ -68,18 +68,17 @@ from .solvers import (
     DR1,
     DR2,
     DR2_REDUCED,
-    Alg1State,
-    Alg2State,
     DivergenceError,
     ProblemSpec,
+    State,
     Term,
     dr1_step,
-    dr2_reduced_step,
     dr2_step,
     gamma_weights,
     make_prox_problem,
     metric_apply_dr1,
     metric_rho_dr1,
+    preflight,
     run,
     validate_steps,
     vnorm_dr1,

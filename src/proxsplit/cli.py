@@ -4,7 +4,7 @@ artifact emission.
 Subcommands
 -----------
 run <config.json>       execute the configured experiment, write artifacts
-validate <config.json>  check the configuration and step-size budget only
+validate <config.json>  make the checks run makes before its first sweep
 norms <config.json>     print power-iteration norm estimates vs declared bounds
 
 Exit codes: 0 success, 2 invalid configuration or step sizes (violation
@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -49,8 +49,9 @@ from .solvers import (
     DR2_REDUCED,
     BUDGETS,
     DivergenceError,
+    preflight,
     run,
-    validate_steps,
+    validate_steps,  # noqa: F401  (bench/workloads.py wraps cli.validate_steps in traced runs)
     weighted_bound_sum,
 )
 
@@ -424,14 +425,7 @@ def build_run(cfg: RunConfig) -> PreparedRun:
         if cfg.lam is not None:
             overrides["lambda_schedule"] = float(cfg.lam)
         if overrides:
-            step_cfg = StepConfig(
-                tau=overrides.get("tau", step_cfg.tau),
-                sigmas=overrides.get("sigmas", step_cfg.sigmas),
-                lambda_schedule=overrides.get("lambda_schedule", step_cfg.lambda_schedule),
-                max_iters=step_cfg.max_iters,
-                bound_budget=step_cfg.bound_budget,
-                norm_bounds=step_cfg.norm_bounds,
-            )
+            step_cfg = replace(step_cfg, **overrides)
         return PreparedRun(
             config=cfg,
             variant=variant,
@@ -466,14 +460,7 @@ def build_run(cfg: RunConfig) -> PreparedRun:
         sigmas = (float(sigma),) * problem.m
     lam = cfg.lam if cfg.lam is not None else defaults["lam"]
     iters = 100 if cfg.iters is None else int(cfg.iters)
-    budget = BUDGETS[variant]
-    step_cfg = StepConfig(
-        tau=float(tau),
-        sigmas=sigmas,
-        lambda_schedule=float(lam),
-        max_iters=max(iters, 1),
-        bound_budget=budget,
-    )
+    step_cfg = StepConfig(tau=float(tau), sigmas=sigmas, lambda_schedule=float(lam), max_iters=max(iters, 1))
     x0 = cfg.x0 if cfg.x0 is not None else defaults["x0"]
     return PreparedRun(
         config=cfg,
@@ -521,7 +508,6 @@ def _write_csv(path, log, prepared: PreparedRun) -> None:
 def cmd_run(config_path) -> int:
     cfg = load_config(config_path)
     prepared = build_run(cfg)
-    validate_steps(prepared.problem, prepared.step_config, prepared.variant)
     log = run(
         prepared.problem,
         prepared.step_config,
@@ -553,7 +539,7 @@ def cmd_run(config_path) -> int:
 def cmd_validate(config_path) -> int:
     cfg = load_config(config_path)
     prepared = build_run(cfg)
-    validate_steps(prepared.problem, prepared.step_config, prepared.variant)
+    preflight(prepared.problem, prepared.step_config, prepared.variant, prepared.iters, prepared.log_stride, prepared.x0)
     total = weighted_bound_sum(prepared.problem, prepared.step_config)
     budget = BUDGETS[prepared.variant]
     print(
@@ -580,7 +566,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("run", "execute a configured experiment and write artifacts"),
-        ("validate", "check configuration and step-size budget"),
+        ("validate", "make the checks run makes before its first sweep"),
         ("norms", "print operator norm estimates vs declared bounds"),
     ):
         p = sub.add_parser(name, help=helptext)

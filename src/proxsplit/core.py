@@ -131,27 +131,22 @@ class StepConfig:
     """Step sizes, relaxation schedule and iteration budget for a solver run.
 
     ``lambda_schedule`` may be given as a constant or as a total function of
-    the iteration counter. When ``norm_bounds`` (declared operator-norm
-    bounds, one per term) are supplied, construction enforces the strict
-    budget inequality ``tau * sum_i sigmas[i] * norm_bounds[i]**2 <
-    bound_budget``.
+    the iteration counter. Construction checks positivity and that every
+    relaxation before ``max_iters`` lies in (0, 2). The step-size budget
+    ``tau * sum_i sigmas[i] * ||L_i||**2`` depends on the problem and the
+    variant, so it is checked by ``proxsplit.solvers.validate_steps``.
     """
 
     tau: float
     sigmas: tuple
     lambda_schedule: Callable[[int], float]
     max_iters: int
-    bound_budget: float = 4.0
-    norm_bounds: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in np.atleast_1d(self.sigmas)))
         object.__setattr__(self, "lambda_schedule", _as_schedule(self.lambda_schedule))
         object.__setattr__(self, "max_iters", int(self.max_iters))
-        object.__setattr__(self, "bound_budget", float(self.bound_budget))
-        if self.norm_bounds is not None:
-            object.__setattr__(self, "norm_bounds", tuple(float(b) for b in self.norm_bounds))
 
         if self.tau <= 0.0:
             raise ValueError("tau must be strictly positive")
@@ -159,15 +154,7 @@ class StepConfig:
             raise ValueError("every sigma must be strictly positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if self.bound_budget <= 0.0:
-            raise ValueError("bound_budget must be strictly positive")
         self.check_relaxation(0, self.max_iters)
-        if self.norm_bounds is not None:
-            if len(self.norm_bounds) != len(self.sigmas):
-                raise ValueError("norm_bounds and sigmas must have equal length")
-            total = self.tau * sum(s * b * b for s, b in zip(self.sigmas, self.norm_bounds))
-            if not total < self.bound_budget:
-                raise StepSizeError(total, self.bound_budget)
 
     def lam(self, n: int) -> float:
         return float(self.lambda_schedule(n))

@@ -22,7 +22,7 @@ from .prox import (
     WeightedL1,
     distance_to_set,
 )
-from .solvers import DR1, DR2_REDUCED, ProblemSpec, make_prox_problem
+from .solvers import BUDGETS, DR1, DR2, DR2_REDUCED, ProblemSpec, make_prox_problem
 
 __all__ = [
     "HeronSpec",
@@ -73,6 +73,13 @@ class HeronSpec:
             raise ValueError("at least one obstacle set is required")
         if not self.constraint.is_indicator or not all(o.is_indicator for o in self.obstacles):
             raise ValueError("constraint and obstacles must be indicator functions")
+        shapes = ((), (self.dim,))
+        for i, s in enumerate((self.constraint, *self.obstacles)):
+            for a in vars(s).values():
+                # Centers, bounds, bases and directions: a scalar or a point of R^dim.
+                if isinstance(a, np.ndarray) and a.shape not in shapes:
+                    name = f"obstacle {i - 1}" if i else "constraint"
+                    raise ValueError(f"{name} is not a set in dimension {self.dim}")
 
 
 def heron1() -> HeronSpec:
@@ -246,30 +253,24 @@ def deblur_build(spec: DeblurSpec) -> ProblemSpec:
     return make_prox_problem(f, z, terms)
 
 
+# Published (sigmas, lambda) of the deblurring experiment per variant.
+_DEBLUR_RECIPES = {
+    DR1: ((1.0, 1.0, 0.05), 1.5),
+    DR2: ((1.0, 0.05, 0.05), 1.6),
+    DR2_REDUCED: ((1.0, 0.05, 0.05), 1.6),
+}
+
+
 def deblur_step_config(problem: ProblemSpec, variant: str, max_iters: int = 200) -> StepConfig:
     """Published step-size recipes for the deblurring experiment.
 
-    tau is set to (budget / sum_i sigma_i ||L_i||^2) - 0.01 using the
-    declared norm bounds, which keeps the product strictly inside the
+    tau is set to (BUDGETS[variant] / sum_i sigma_i ||L_i||^2) - 0.01 using
+    the declared norm bounds, which keeps the product strictly inside the
     variant's budget.
     """
-    if variant == DR1:
-        sigmas = (1.0, 1.0, 0.05)
-        lam = 1.5
-        budget = 4.0
-    elif variant in (DR2_REDUCED, "dr2"):
-        sigmas = (1.0, 0.05, 0.05)
-        lam = 1.6
-        budget = 1.0
-    else:
+    if variant not in _DEBLUR_RECIPES:
         raise ValueError(f"unknown variant {variant!r}")
+    sigmas, lam = _DEBLUR_RECIPES[variant]
     denom = sum(s * t.L.norm_bound ** 2 for s, t in zip(sigmas, problem.terms, strict=True))
-    tau = budget / denom - 0.01
-    return StepConfig(
-        tau=tau,
-        sigmas=sigmas,
-        lambda_schedule=lam,
-        max_iters=max_iters,
-        bound_budget=budget,
-        norm_bounds=tuple(t.L.norm_bound for t in problem.terms),
-    )
+    tau = BUDGETS[variant] / denom - 0.01
+    return StepConfig(tau=tau, sigmas=sigmas, lambda_schedule=lam, max_iters=max_iters)

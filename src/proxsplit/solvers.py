@@ -1,13 +1,16 @@
 """Primal-dual Douglas-Rachford iterations in resolvent-generic form.
 
-Two schemes are provided. The first evaluates each linear term and its
+Two sweeps are provided. :func:`dr1_step` evaluates each linear term and its
 adjoint twice per sweep and accesses the resolvents of the primal operator
-and of the inverses of both dual operators. The second evaluates each linear
-term and its adjoint only once, at the price of an extra dual block. A
-reduced variant of the second scheme applies when every parallel-sum slot is
-the zero-point reduction; it admits a larger step-size budget.
+and of the inverses of both dual operators. :func:`dr2_step` evaluates each
+linear term and its adjoint only once, at the price of an extra dual block
+``y``. When every parallel-sum slot is the zero-point reduction, ``y`` stays
+at zero: the reduced variant is :func:`dr2_step` on a :class:`State` without
+``y``, and admits a larger step-size budget.
 
-Both schemes tolerate summable additive errors after each resolvent
+Every variant iterates one :class:`State`. The step-size budget of each
+variant lives in :data:`BUDGETS` and is checked by :func:`validate_steps`
+alone. Both sweeps tolerate summable additive errors after each resolvent
 evaluation and share the prox-backed constructor :func:`make_prox_problem`.
 """
 from __future__ import annotations
@@ -37,8 +40,7 @@ __all__ = [
     "BUDGETS",
     "Term",
     "ProblemSpec",
-    "Alg1State",
-    "Alg2State",
+    "State",
     "DivergenceError",
     "make_prox_problem",
     "validate_steps",
@@ -46,7 +48,7 @@ __all__ = [
     "gamma_weights",
     "dr1_step",
     "dr2_step",
-    "dr2_reduced_step",
+    "preflight",
     "run",
     "metric_apply_dr1",
     "vnorm_dr1",
@@ -165,10 +167,16 @@ def weighted_bound_sum(spec: ProblemSpec, cfg: StepConfig, bounds=None) -> float
     return cfg.tau * sum(s * b * b for s, b in zip(cfg.sigmas, bounds, strict=True))
 
 
+def _require_reduction(spec: ProblemSpec) -> None:
+    if not all(t.d_is_zero for t in spec.terms):
+        raise ValueError("reduced scheme requires the zero-point reduction in every term")
+
+
 def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1, strict: bool = False) -> None:
     """Check the strict step-size budget of the chosen variant.
 
-    Raises :class:`StepSizeError` carrying the computed sum and the budget on
+    This is the one place the budget is checked. Raises
+    :class:`StepSizeError` carrying the computed sum and the budget on
     violation. ``strict`` re-validates with power-iteration norm estimates in
     place of the declared bounds.
     """
@@ -176,8 +184,8 @@ def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1, stric
         raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(BUDGETS)}")
     if len(cfg.sigmas) != spec.m:
         raise ValueError(f"expected {spec.m} sigmas, got {len(cfg.sigmas)}")
-    if variant == DR2_REDUCED and not all(t.d_is_zero for t in spec.terms):
-        raise ValueError("reduced scheme requires the zero-point reduction in every term")
+    if variant == DR2_REDUCED:
+        _require_reduction(spec)
     budget = BUDGETS[variant]
     total = weighted_bound_sum(spec, cfg)
     if not total < budget:
@@ -204,55 +212,46 @@ def _as_block(value, signature) -> BlockVector:
 
 
 @dataclass(frozen=True)
-class Alg1State:
-    """Iterate bundle of the two-pass scheme, plus the producing step's records.
+class State:
+    """Iterate of any variant, plus the records of the step that produced it.
 
+    ``x`` is the primal iterate and ``v`` the dual block. ``y`` is the extra
+    dual block of the single-pass scheme and ``gammas`` its per-term
+    resolvent weights; both exist only for ``dr2`` and are None for ``dr1``
+    and for ``dr2-reduced``, which is ``dr2`` with ``y`` held at zero.
     ``p1``, ``duals`` and ``residual`` describe the step that produced this
-    state: the primal resolvent output, the first-pass dual resolvent
-    outputs, and the relaxed update norm in the product space.
+    state: the primal resolvent output, the dual resolvent outputs
+    (first-pass ones for ``dr1``) and the relaxed update norm in the product
+    space.
     """
 
     x: np.ndarray
     v: BlockVector
+    y: Optional[BlockVector] = None
+    gammas: Optional[tuple] = None
     n: int = 0
     p1: Optional[np.ndarray] = None
     duals: Optional[BlockVector] = None
     residual: Optional[float] = None
 
     @classmethod
-    def initial(cls, spec: ProblemSpec, x0=None, v0=None) -> "Alg1State":
+    def initial(cls, spec: ProblemSpec, cfg: StepConfig, variant: str = DR1, x0=None, v0=None, y0=None) -> "State":
+        """Starting state of ``variant``; ``y0`` is read by ``dr2`` only.
+
+        Raises ValueError when a starting block does not match the problem
+        dimensions, or for ``dr2-reduced`` when some parallel-sum slot is not
+        the zero-point reduction.
+        """
+        sig = spec.block_signature
         x = np.zeros(spec.dim) if x0 is None else as_vector(x0)
-        v = _as_block(v0, spec.block_signature)
-        if x.shape[0] != spec.dim or v.signature != spec.block_signature:
+        v = _as_block(v0, sig)
+        y = _as_block(y0, sig) if variant == DR2 else None
+        if x.shape[0] != spec.dim or v.signature != sig or (y is not None and y.signature != sig):
             raise ValueError("starting point does not match the problem dimensions")
-        return cls(x=x, v=v, n=0)
-
-
-@dataclass(frozen=True)
-class Alg2State:
-    """Iterate bundle of the single-pass scheme (extra dual block y)."""
-
-    x: np.ndarray
-    y: BlockVector
-    v: BlockVector
-    gammas: tuple
-    n: int = 0
-    p1: Optional[np.ndarray] = None
-    duals: Optional[BlockVector] = None
-    residual: Optional[float] = None
-
-    @classmethod
-    def initial(cls, spec: ProblemSpec, cfg: StepConfig, x0=None, y0=None, v0=None) -> "Alg2State":
-        x = np.zeros(spec.dim) if x0 is None else as_vector(x0)
-        y = _as_block(y0, spec.block_signature)
-        v = _as_block(v0, spec.block_signature)
-        if (
-            x.shape[0] != spec.dim
-            or y.signature != spec.block_signature
-            or v.signature != spec.block_signature
-        ):
-            raise ValueError("starting point does not match the problem dimensions")
-        return cls(x=x, y=y, v=v, gammas=gamma_weights(spec, cfg), n=0)
+        if variant == DR2_REDUCED:
+            _require_reduction(spec)
+        gammas = gamma_weights(spec, cfg) if y is not None else None
+        return cls(x=x, v=v, y=y, gammas=gammas)
 
 
 def _adjoint_sum(spec: ProblemSpec, blocks) -> np.ndarray:
@@ -267,7 +266,7 @@ def _sq(u) -> float:
     return float(np.dot(u, u))
 
 
-def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], state: Alg1State) -> Alg1State:
+def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], state: State) -> State:
     """One sweep of the two-pass scheme (two evaluations of each L_i and L_i*).
 
     Error vectors, when scheduled, are added right after the corresponding
@@ -308,7 +307,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         res_sq += _sq(z2 - p2s[i])
     residual = lam * math.sqrt(res_sq)
 
-    return Alg1State(
+    return State(
         x=x_new,
         v=BlockVector(v_new),
         n=n + 1,
@@ -318,8 +317,12 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     )
 
 
-def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], state: Alg2State) -> Alg2State:
-    """One sweep of the single-pass scheme (one evaluation of each L_i and L_i*)."""
+def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], state: State) -> State:
+    """One sweep of the single-pass scheme (one evaluation of each L_i and L_i*).
+
+    A state without ``y`` runs the reduced scheme: the ``y`` block and its
+    resolvent are skipped, which is the full sweep with ``y`` held at zero.
+    """
     n = state.n
     tau = cfg.tau
     lam = cfg.lam(n)
@@ -332,63 +335,21 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     x_new = x + lam * (p1 - x)
     u = 2.0 * p1 - x
 
-    y_new, v_new, p3s = [], [], []
-    res_sq = _sq(p1 - x)
-    for i, term in enumerate(spec.terms):
-        s = cfg.sigmas[i]
-        g = state.gammas[i]
-        p2 = term.res_d(g, y[i] + g * v[i])
-        if not exact:
-            p2 = p2 + errs.d(i, n)
-        y_new.append(y[i] + lam * (p2 - y[i]))
-        p3 = term.res_b_conj(s, v[i] + s * (term.L.apply(u) - (2.0 * p2 - y[i]) - term.r))
-        if not exact:
-            p3 = p3 + errs.b(i, n)
-        v_new.append(v[i] + lam * (p3 - v[i]))
-        p3s.append(p3)
-        res_sq += _sq(p2 - y[i])
-        res_sq += _sq(p3 - v[i])
-    residual = lam * math.sqrt(res_sq)
-
-    return Alg2State(
-        x=x_new,
-        y=BlockVector(y_new),
-        v=BlockVector(v_new),
-        gammas=state.gammas,
-        n=n + 1,
-        p1=p1,
-        duals=BlockVector(p3s),
-        residual=residual,
-    )
-
-
-def dr2_reduced_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], state: Alg2State) -> Alg2State:
-    """Reduced single-pass sweep for problems whose parallel-sum slots all
-    carry the zero-point reduction.
-
-    With the extra dual block started at zero the full scheme keeps it at
-    zero, so the sweep drops it; the admissible budget grows to 1. The
-    trajectory matches :func:`dr2_step` bit for bit on configs both accept.
-    """
-    if not all(t.d_is_zero for t in spec.terms):
-        raise ValueError("reduced scheme requires the zero-point reduction in every term")
-    n = state.n
-    tau = cfg.tau
-    lam = cfg.lam(n)
-    x, v = state.x, state.v
-    exact = errs is None or errs.is_exact
-
-    p1 = spec.res_a(tau, x - tau * (_adjoint_sum(spec, v) - spec.z))
-    if not exact:
-        p1 = p1 + errs.a(n)
-    x_new = x + lam * (p1 - x)
-    u = 2.0 * p1 - x
-
+    y_new = None if y is None else []
     v_new, p3s = [], []
     res_sq = _sq(p1 - x)
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
-        p3 = term.res_b_conj(s, v[i] + s * (term.L.apply(u) - term.r))
+        target = term.L.apply(u)
+        if y is not None:
+            g = state.gammas[i]
+            p2 = term.res_d(g, y[i] + g * v[i])
+            if not exact:
+                p2 = p2 + errs.d(i, n)
+            y_new.append(y[i] + lam * (p2 - y[i]))
+            res_sq += _sq(p2 - y[i])
+            target = target - (2.0 * p2 - y[i])
+        p3 = term.res_b_conj(s, v[i] + s * (target - term.r))
         if not exact:
             p3 = p3 + errs.b(i, n)
         v_new.append(v[i] + lam * (p3 - v[i]))
@@ -396,10 +357,10 @@ def dr2_reduced_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSch
         res_sq += _sq(p3 - v[i])
     residual = lam * math.sqrt(res_sq)
 
-    return Alg2State(
+    return State(
         x=x_new,
-        y=state.y,
         v=BlockVector(v_new),
+        y=None if y is None else BlockVector(y_new),
         gammas=state.gammas,
         n=n + 1,
         p1=p1,
@@ -408,10 +369,19 @@ def dr2_reduced_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSch
     )
 
 
-_STEPS = {DR1: dr1_step, DR2: dr2_step, DR2_REDUCED: dr2_reduced_step}
+_STEPS = {DR1: dr1_step, DR2: dr2_step, DR2_REDUCED: dr2_step}
 
 
-def _check_state(state, k: int) -> None:
+def _check_state(state: State, k: int) -> None:
+    """Raise DivergenceError naming the first non-finite quantity of step k.
+
+    The residual sums the squared change of every block, so when it is
+    finite and the blocks it changed were finite, every new block is finite
+    and nothing is scanned. The first step is always scanned, since the
+    starting point may hold non-finite values.
+    """
+    if k > 0 and math.isfinite(state.residual):
+        return
     if not np.all(np.isfinite(state.p1)):
         raise DivergenceError("p1", k)
     for i, block in enumerate(state.duals):
@@ -419,9 +389,29 @@ def _check_state(state, k: int) -> None:
             raise DivergenceError(f"dual resolvent output, term {i}", k)
     if not np.all(np.isfinite(state.x)):
         raise DivergenceError("x", k)
-    for i, block in enumerate(state.v):
-        if not np.all(np.isfinite(block)):
-            raise DivergenceError(f"v, term {i}", k)
+    for name, blocks in (("v", state.v), ("y", state.y if state.y is not None else ())):
+        for i, block in enumerate(blocks):
+            if not np.all(np.isfinite(block)):
+                raise DivergenceError(f"{name}, term {i}", k)
+
+
+def preflight(
+    spec: ProblemSpec, cfg: StepConfig, variant: str, n_iters: int, log_stride: int = 1, x0=None, v0=None, y0=None
+) -> State:
+    """The checks :func:`run` makes before its first sweep; returns the start.
+
+    Checks the step-size budget, the relaxation at every iteration the run
+    may take, ``n_iters``, ``log_stride`` and the starting point, raising
+    :class:`StepSizeError` or ValueError.
+    """
+    validate_steps(spec, cfg, variant)
+    if n_iters < 0:
+        raise ValueError("n_iters must be nonnegative")
+    if log_stride < 1:
+        raise ValueError("log_stride must be at least 1")
+    # StepConfig checked n < max_iters; n_iters may reach beyond it.
+    cfg.check_relaxation(cfg.max_iters, n_iters)
+    return State.initial(spec, cfg, variant, x0, v0, y0)
 
 
 def run(
@@ -444,27 +434,15 @@ def run(
     (when an evaluator is given) and the relaxed update norm. Rows are kept
     every ``log_stride`` steps plus the final one. ``n_iters`` overrides
     ``cfg.max_iters``; ``n_iters = 0`` evaluates a single step from the
-    start without applying it. A relaxation outside (0, 2) at any iteration
-    the run may take raises ValueError before the first sweep. A finite ``residual_tol`` stops the run once
+    start without applying it. Before the first sweep, :func:`preflight`
+    checks the budget, the relaxation at every iteration the run may take
+    and the starting point. A finite ``residual_tol`` stops the run once
     the update norm drops below it (a non-finite tolerance never stops).
     Non-finite iterates abort with a :class:`DivergenceError` naming the
     first offending quantity.
     """
-    validate_steps(spec, cfg, variant)
-    if n_iters is None:
-        n_iters = cfg.max_iters
-    n_iters = int(n_iters)
-    if n_iters < 0:
-        raise ValueError("n_iters must be nonnegative")
-    if log_stride < 1:
-        raise ValueError("log_stride must be at least 1")
-    # StepConfig checked n < max_iters; n_iters may reach beyond it.
-    cfg.check_relaxation(cfg.max_iters, n_iters)
-
-    if variant == DR1:
-        state = Alg1State.initial(spec, x0, v0)
-    else:
-        state = Alg2State.initial(spec, cfg, x0, y0, v0)
+    n_iters = cfg.max_iters if n_iters is None else int(n_iters)
+    state = preflight(spec, cfg, variant, n_iters, log_stride, x0, v0, y0)
     step = _STEPS[variant]
 
     log = IterateLog()

@@ -46,10 +46,8 @@ from proxsplit.prox import (
     prox_conjugate,
 )
 from proxsplit.solvers import (
-    Alg1State,
-    Alg2State,
+    State,
     dr1_step,
-    dr2_reduced_step,
     dr2_step,
     make_prox_problem,
     run,
@@ -84,7 +82,7 @@ def test_criterion_1_heron1_golden():
     # The published iterate table certifies its own start through the k=0 row
     # (projection of the start and matching objective value), which places it
     # at (5, -2); the k=10 comparison therefore runs from there.
-    cfg2 = StepConfig(tau=0.24, sigmas=(0.1,) * 8, lambda_schedule=1.8, max_iters=11, bound_budget=0.25)
+    cfg2 = StepConfig(tau=0.24, sigmas=(0.1,) * 8, lambda_schedule=1.8, max_iters=11)
     log2 = run(prob, cfg2, variant="dr2", log_objective=obj, n_iters=11, x0=np.array([5.0, -2.0]))
     r10 = _row(log2, 10)
     err2_p = np.abs(r10.primal - np.array([3.441673, -1.253641])).max()
@@ -109,7 +107,7 @@ def test_criterion_2_heron2_golden():
     err1_p = np.abs(r50.primal - target).max()
     err1_v = abs(r50.objective - 22.23480)
 
-    cfg2 = StepConfig(tau=0.59, sigmas=(0.05,) * 5, lambda_schedule=1.8, max_iters=51, bound_budget=0.25)
+    cfg2 = StepConfig(tau=0.59, sigmas=(0.05,) * 5, lambda_schedule=1.8, max_iters=51)
     log2 = run(prob, cfg2, variant="dr2", log_objective=obj, n_iters=51, x0=x0)
     s50 = _row(log2, 50)
     err2_p = np.abs(s50.primal - target).max()
@@ -131,7 +129,7 @@ def test_criterion_3_heron3_golden():
     r50 = _row(log1, 50)
     err1 = max(np.abs(r50.primal - target).max(), abs(r50.objective - 42.882115))
 
-    cfg2 = StepConfig(tau=0.49, sigmas=(0.1,) * 5, lambda_schedule=1.7, max_iters=51, bound_budget=0.25)
+    cfg2 = StepConfig(tau=0.49, sigmas=(0.1,) * 5, lambda_schedule=1.7, max_iters=51)
     log2 = run(prob, cfg2, variant="dr2", log_objective=obj, n_iters=51, x0=x0)
     s50 = _row(log2, 50)
     err2 = max(np.abs(s50.primal - target).max(), abs(s50.objective - 42.882115))
@@ -219,12 +217,12 @@ def test_criterion_7_fejer_monotonicity():
     cfg = StepConfig(tau=0.24, sigmas=(0.5,) * 8, lambda_schedule=1.8, max_iters=10_000)
     x0 = np.array([5.0, 2.0])
 
-    state = Alg1State.initial(prob, x0=x0)
+    state = State.initial(prob, cfg, x0=x0)
     for _ in range(10_000):
         state = dr1_step(prob, cfg, None, state)
     x_lim, v_lim = state.x, state.v
 
-    state = Alg1State.initial(prob, x0=x0)
+    state = State.initial(prob, cfg, x0=x0)
     dists = []
     for _ in range(500):
         dists.append(vnorm_dr1(prob, cfg, state.x - x_lim, state.v - v_lim))
@@ -239,12 +237,12 @@ def test_criterion_7_fejer_monotonicity():
 
 def test_criterion_8_residual_decay():
     configs = {
-        (1, "dr1"): dict(tau=0.24, sigma=0.5, lam=1.8, budget=4.0),
-        (1, "dr2"): dict(tau=0.24, sigma=0.1, lam=1.8, budget=0.25),
-        (2, "dr1"): dict(tau=0.99, sigma=0.4, lam=1.8, budget=4.0),
-        (2, "dr2"): dict(tau=0.59, sigma=0.05, lam=1.8, budget=0.25),
-        (3, "dr1"): dict(tau=3.99, sigma=0.1, lam=1.7, budget=4.0),
-        (3, "dr2"): dict(tau=0.49, sigma=0.1, lam=1.7, budget=0.25),
+        (1, "dr1"): dict(tau=0.24, sigma=0.5, lam=1.8),
+        (1, "dr2"): dict(tau=0.24, sigma=0.1, lam=1.8),
+        (2, "dr1"): dict(tau=0.99, sigma=0.4, lam=1.8),
+        (2, "dr2"): dict(tau=0.59, sigma=0.05, lam=1.8),
+        (3, "dr1"): dict(tau=3.99, sigma=0.1, lam=1.7),
+        (3, "dr2"): dict(tau=0.49, sigma=0.1, lam=1.7),
     }
     starts = {1: [5.0, 2.0], 2: [0.0, 2.0, 0.0], 3: [-1.0, 6.0]}
     results = {}
@@ -252,7 +250,7 @@ def test_criterion_8_residual_decay():
         spec, prob, _ = _heron_setup(which)
         cfg = StepConfig(
             tau=c["tau"], sigmas=(c["sigma"],) * prob.m, lambda_schedule=c["lam"],
-            max_iters=10_000, bound_budget=c["budget"],
+            max_iters=10_000,
         )
         log = run(
             prob, cfg, variant=variant, n_iters=10_000, residual_tol=1e-8,
@@ -290,7 +288,7 @@ def test_criterion_10_operator_call_accounting():
     ]
     prob = make_prox_problem(BallIndicator(np.zeros(dim), 1.0), np.zeros(dim), terms)
     cfg = StepConfig(tau=0.2, sigmas=(0.2,) * 4, lambda_schedule=1.5, max_iters=n_steps)
-    state = Alg1State.initial(prob)
+    state = State.initial(prob, cfg)
     for _ in range(n_steps):
         state = dr1_step(prob, cfg, None, state)
     ok1 = all(op.n_apply == 2 * n_steps and op.n_adjoint == 2 * n_steps for op in counters1)
@@ -301,7 +299,7 @@ def test_criterion_10_operator_call_accounting():
         for op in counters2
     ]
     prob = make_prox_problem(BallIndicator(np.zeros(dim), 1.0), np.zeros(dim), terms)
-    state = Alg2State.initial(prob, cfg)
+    state = State.initial(prob, cfg, "dr2")
     for _ in range(n_steps):
         state = dr2_step(prob, cfg, None, state)
     ok2 = all(op.n_apply == n_steps and op.n_adjoint == n_steps for op in counters2)
@@ -352,12 +350,12 @@ def test_criterion_12_reduced_scheme_equivalence():
     prob = make_prox_problem(f, 0.1 * np.ones(dim), terms)
     cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=100)
     x0 = np.array([0.9, -0.4, 0.2])
-    full = Alg2State.initial(prob, cfg, x0=x0)
-    red = Alg2State.initial(prob, cfg, x0=x0)
+    full = State.initial(prob, cfg, "dr2", x0=x0)
+    red = State.initial(prob, cfg, "dr2-reduced", x0=x0)
     identical = True
     for _ in range(100):
         full = dr2_step(prob, cfg, None, full)
-        red = dr2_reduced_step(prob, cfg, None, red)
+        red = dr2_step(prob, cfg, None, red)
         identical = identical and np.array_equal(full.x, red.x)
         identical = identical and all(
             np.array_equal(a, b) for a, b in zip(full.v, red.v)

@@ -244,6 +244,34 @@ class TestOtherCommands:
         assert main(["validate", path]) == 2
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            dict(experiment="heron1", x0=[1, 2, 3]),
+            dict(experiment="heron1", log_stride=0),
+            dict(
+                experiment="custom",
+                tau=0.3,
+                sigma=0.5,
+                custom={
+                    "dim": 2,
+                    "constraint": {"type": "ball", "center": [0, 0, 0], "radius": 1.0},
+                    "obstacles": [{"type": "box", "center": [3, 0], "side": 1.0}],
+                },
+            ),
+        ],
+        ids=["x0-dimension", "log_stride-zero", "custom-set-dimension"],
+    )
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, body):
+        path = _write_config(tmp_path, output_csv=str(tmp_path / "out.csv"), **body)
+        assert main(["validate", path]) == 2
+        validate_err = capsys.readouterr().err
+        assert main(["run", path]) == 2
+        run_err = capsys.readouterr().err
+        assert validate_err.startswith("error: ")
+        assert validate_err == run_err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_norms_reports_estimates(self, tmp_path, capsys):
         path = _write_config(tmp_path, experiment="deblur", image_size=32)
         assert main(["norms", path]) == 0

@@ -13,6 +13,8 @@ from proxsplit.core import (
     dot,
     make_power_error_schedule,
 )
+from proxsplit.problems import heron1, heron_build
+from proxsplit.solvers import validate_steps
 
 
 class TestDot:
@@ -68,13 +70,15 @@ class TestBlockVector:
 
 class TestStepConfig:
     def test_budget_strictness(self):
-        # exactly at the boundary is rejected, strictly inside accepted
-        kw = dict(sigmas=(0.5,) * 8, lambda_schedule=1.8, max_iters=10, norm_bounds=(1.0,) * 8)
-        StepConfig(tau=0.24, bound_budget=4.0, **kw)
-        with pytest.raises(StepSizeError):
-            StepConfig(tau=1.0, bound_budget=4.0, **kw)  # 4.0 exactly
-        with pytest.raises(StepSizeError):
-            StepConfig(tau=1.001, bound_budget=4.0, **kw)
+        # construction does not check the budget; validate_steps rejects
+        # exactly at the boundary and beyond, and accepts strictly inside
+        prob = heron_build(heron1())
+        kw = dict(sigmas=(0.5,) * 8, lambda_schedule=1.8, max_iters=10)
+        validate_steps(prob, StepConfig(tau=0.24, **kw), "dr1")  # 0.96 < 4
+        for tau in (1.0, 1.001):  # 4.0 exactly, 4.004
+            cfg = StepConfig(tau=tau, **kw)
+            with pytest.raises(StepSizeError):
+                validate_steps(prob, cfg, "dr1")
 
     def test_positivity(self):
         with pytest.raises(ValueError):

@@ -68,12 +68,12 @@ SETUPS = {
 }
 
 PARAMS = {
-    ("h1", "dr1"): dict(tau=0.24, sigma=0.5, lam=1.8, budget=4.0),
-    ("h1", "dr2"): dict(tau=0.24, sigma=0.1, lam=1.8, budget=0.25),
-    ("h2", "dr1"): dict(tau=0.99, sigma=0.4, lam=1.8, budget=4.0),
-    ("h2", "dr2"): dict(tau=0.59, sigma=0.05, lam=1.8, budget=0.25),
-    ("h3", "dr1"): dict(tau=3.99, sigma=0.1, lam=1.7, budget=4.0),
-    ("h3", "dr2"): dict(tau=0.49, sigma=0.1, lam=1.7, budget=0.25),
+    ("h1", "dr1"): dict(tau=0.24, sigma=0.5, lam=1.8),
+    ("h1", "dr2"): dict(tau=0.24, sigma=0.1, lam=1.8),
+    ("h2", "dr1"): dict(tau=0.99, sigma=0.4, lam=1.8),
+    ("h2", "dr2"): dict(tau=0.59, sigma=0.05, lam=1.8),
+    ("h3", "dr1"): dict(tau=3.99, sigma=0.1, lam=1.7),
+    ("h3", "dr2"): dict(tau=0.49, sigma=0.1, lam=1.7),
 }
 
 # values are printed with 6 decimals for the planar examples, 5 for the
@@ -93,7 +93,6 @@ def test_table_rows(key):
         sigmas=(p["sigma"],) * prob.m,
         lambda_schedule=p["lam"],
         max_iters=51,
-        bound_budget=p["budget"],
     )
     log = run(
         prob,

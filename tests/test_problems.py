@@ -7,6 +7,7 @@ from proxsplit.core import StepConfig
 from proxsplit.linops import HaarOp, gradient_apply
 from proxsplit.problems import (
     PAPER_WAVELET_NORM_BOUND,
+    HeronSpec,
     box_from_center,
     deblur_build,
     deblur_objective,
@@ -22,8 +23,8 @@ from proxsplit.problems import (
     synthetic_image,
     tv,
 )
-from proxsplit.prox import prox_conjugate
-from proxsplit.solvers import run, validate_steps, weighted_bound_sum
+from proxsplit.prox import BallIndicator, BoxIndicator, LineIndicator, prox_conjugate
+from proxsplit.solvers import BUDGETS, run, validate_steps, weighted_bound_sum
 
 RNG = np.random.default_rng(2024)
 
@@ -78,6 +79,19 @@ class TestHeronGeometry:
     def test_box_from_center(self):
         b = box_from_center([2.0, -1.0], 1.0)
         assert np.allclose(b.prox(np.array([5.0, -5.0]), 1.0), [2.5, -1.5])
+
+    def test_sets_must_lie_in_dim(self):
+        square = box_from_center([0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="constraint is not a set in dimension 2"):
+            HeronSpec(constraint=BallIndicator([0.0, 0.0, 0.0], 1.0), obstacles=(square,), dim=2)
+        with pytest.raises(ValueError, match="obstacle 1 is not a set in dimension 2"):
+            HeronSpec(
+                constraint=LineIndicator([0.0, 0.0], [1.0, 0.0]),
+                obstacles=(square, box_from_center([0.0, 0.0, 0.0], 1.0)),
+                dim=2,
+            )
+        # bounds given as scalars describe a box in any dimension
+        HeronSpec(constraint=BoxIndicator(-1.0, 1.0), obstacles=(square,), dim=2)
 
     def test_converged_primal_feasible(self):
         # the logged primal comes out of the constraint projection
@@ -162,6 +176,11 @@ class TestDeblurObjective:
         cfg = StepConfig(tau=tau, sigmas=(s1, s2, s3), lambda_schedule=1.6, max_iters=5)
         validate_steps(prob, cfg, "dr2-reduced")
 
+    @pytest.mark.parametrize("variant", sorted(BUDGETS))
+    def test_step_config_within_its_budget(self, variant):
+        prob = deblur_build(make_deblur_spec(shape=(16, 16)))
+        validate_steps(prob, deblur_step_config(prob, variant), variant)
+
     def test_builder_shapes(self):
         dspec = make_deblur_spec(shape=(16, 16))
         prob = deblur_build(dspec)
@@ -222,7 +241,7 @@ class TestDeblurRuns:
     def test_feasible_primal(self):
         dspec = make_deblur_spec(shape=(16, 16))
         prob = deblur_build(dspec)
-        cfg = deblur_step_config(prob, "dr2", max_iters=20)
+        cfg = deblur_step_config(prob, "dr2-reduced", max_iters=20)
         log = run(prob, cfg, variant="dr2-reduced", n_iters=20, x0=dspec.observed.ravel())
         assert log.final.primal.min() >= 0.0
         assert log.final.primal.max() <= 1.0

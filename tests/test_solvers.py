@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxsplit.core import BlockVector, ErrorSchedule, StepConfig, StepSizeError
-from proxsplit.linops import CountingOp, IdentityOp, MatrixOp
+from proxsplit.linops import CountingOp, IdentityOp, LinOp, MatrixOp
 from proxsplit.problems import heron1, heron_build, heron_objective
 from proxsplit.prox import (
     BallIndicator,
@@ -14,13 +14,11 @@ from proxsplit.prox import (
     WeightedL1,
 )
 from proxsplit.solvers import (
-    Alg1State,
-    Alg2State,
     DivergenceError,
     ProblemSpec,
+    State,
     Term,
     dr1_step,
-    dr2_reduced_step,
     dr2_step,
     gamma_weights,
     make_prox_problem,
@@ -79,12 +77,17 @@ class TestValidateSteps:
         validate_steps(prob, ok2, "dr2")  # 0.192 < 0.25
 
     def test_boundary_is_rejected(self):
+        # exactly at the boundary is rejected, strictly inside accepted
         prob = heron_build(heron1())
-        cfg = StepConfig(tau=1.0, sigmas=(0.5,) * 8, lambda_schedule=1.0, max_iters=5)
+        kw = dict(sigmas=(0.5,) * 8, lambda_schedule=1.0, max_iters=5)
+        validate_steps(prob, StepConfig(tau=0.24, **kw), "dr1")  # 0.96 < 4
+        cfg = StepConfig(tau=1.0, **kw)
         with pytest.raises(StepSizeError) as err:
             validate_steps(prob, cfg, "dr1")  # 4.0 exactly
         assert err.value.total == pytest.approx(4.0)
         assert err.value.budget == 4.0
+        with pytest.raises(StepSizeError):
+            validate_steps(prob, StepConfig(tau=1.001, **kw), "dr1")  # 4.004
 
     def test_variant_budgets_differ(self):
         prob = _point_norm_problem()
@@ -143,7 +146,7 @@ class TestFixedPoints:
         cfg = StepConfig(tau=tau, sigmas=(sigma,), lambda_schedule=1.3, max_iters=5)
         v = np.array([0.5, 0.0])
         x = tau * v / (tau * sigma - 2.0)
-        state = Alg1State(x=x, v=BlockVector([v]), n=0)
+        state = State(x=x, v=BlockVector([v]))
         new = dr1_step(prob, cfg, None, state)
         assert np.abs(new.x - x).max() <= 1e-12
         assert np.abs(new.v[0] - v).max() <= 1e-12
@@ -153,9 +156,7 @@ class TestFixedPoints:
         prob = _point_norm_problem(2)
         cfg = StepConfig(tau=0.2, sigmas=(0.5,), lambda_schedule=1.3, max_iters=5)
         v = BlockVector([np.array([0.5, 0.0])])
-        state = Alg2State(
-            x=np.zeros(2), y=BlockVector.zeros((2,)), v=v, gammas=gamma_weights(prob, cfg), n=0
-        )
+        state = State(x=np.zeros(2), v=v, y=BlockVector.zeros((2,)), gammas=gamma_weights(prob, cfg))
         new = dr2_step(prob, cfg, None, state)
         assert np.abs(new.x).max() <= 1e-12
         assert np.abs(new.v[0] - v[0]).max() <= 1e-12
@@ -172,7 +173,7 @@ class TestOperatorAccounting:
     def test_dr1_two_evaluations_each(self):
         prob, ops = self._counting_problem()
         cfg = StepConfig(tau=0.2, sigmas=(0.3,) * 3, lambda_schedule=1.5, max_iters=10)
-        state = Alg1State.initial(prob)
+        state = State.initial(prob, cfg)
         for _ in range(7):
             state = dr1_step(prob, cfg, None, state)
         for op in ops:
@@ -182,7 +183,7 @@ class TestOperatorAccounting:
     def test_dr2_one_evaluation_each(self):
         prob, ops = self._counting_problem()
         cfg = StepConfig(tau=0.2, sigmas=(0.2,) * 3, lambda_schedule=1.5, max_iters=10)
-        state = Alg2State.initial(prob, cfg)
+        state = State.initial(prob, cfg, "dr2")
         for _ in range(7):
             state = dr2_step(prob, cfg, None, state)
         for op in ops:
@@ -204,11 +205,12 @@ class TestReducedScheme:
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=101)
         validate_steps(prob, cfg, "dr2")
         x0 = np.array([0.9, -0.4, 0.2])
-        full = Alg2State.initial(prob, cfg, x0=x0)
-        red = Alg2State.initial(prob, cfg, x0=x0)
+        full = State.initial(prob, cfg, "dr2", x0=x0)
+        red = State.initial(prob, cfg, "dr2-reduced", x0=x0)
+        assert full.y is not None and red.y is None
         for _ in range(100):
             full = dr2_step(prob, cfg, None, full)
-            red = dr2_reduced_step(prob, cfg, None, red)
+            red = dr2_step(prob, cfg, None, red)
             assert np.array_equal(full.x, red.x)
             for a, b in zip(full.v, red.v):
                 assert np.array_equal(a, b)
@@ -225,17 +227,16 @@ class TestReducedScheme:
     def test_reduced_rejects_non_reduced_spec(self):
         prob = heron_build(heron1())
         cfg = StepConfig(tau=0.02, sigmas=(0.1,) * 8, lambda_schedule=1.0, max_iters=5)
-        state = Alg2State.initial(prob, cfg)
-        with pytest.raises(ValueError):
-            dr2_reduced_step(prob, cfg, None, state)
+        with pytest.raises(ValueError, match="zero-point reduction"):
+            State.initial(prob, cfg, "dr2-reduced")
 
     def test_reduced_fixed_point(self):
         prob = self._reduced_problem()
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=2001)
-        state = Alg2State.initial(prob, cfg, x0=np.zeros(3))
+        state = State.initial(prob, cfg, "dr2-reduced", x0=np.zeros(3))
         for _ in range(2000):
-            state = dr2_reduced_step(prob, cfg, None, state)
-        again = dr2_reduced_step(prob, cfg, None, state)
+            state = dr2_step(prob, cfg, None, state)
+        again = dr2_step(prob, cfg, None, state)
         assert np.abs(again.x - state.x).max() <= 1e-11
 
 
@@ -341,6 +342,51 @@ class TestRunSemantics:
         with pytest.raises(DivergenceError) as err:
             run(bad, cfg, variant="dr1", n_iters=5)
         assert "p1" in str(err.value)
+
+    def test_nonfinite_start_named_at_first_step(self):
+        # L^* ignores the second dual coordinate and every resolvent clips,
+        # so the first update norm is finite while v keeps the infinity
+        class KeepFirst(LinOp):
+            def __init__(self):
+                super().__init__(2, 2, 1.0)
+
+            def apply(self, x):
+                return np.array([x[0], 0.0])
+
+            def adjoint(self, y):
+                return np.array([y[0], 0.0])
+
+        clip = lambda s, y: np.clip(y, -1.0, 1.0)
+        bad = ProblemSpec(
+            res_a=clip,
+            z=np.zeros(2),
+            terms=(Term(L=KeepFirst(), res_b_conj=clip, res_d_conj=clip, res_d=clip, r=np.zeros(2)),),
+        )
+        cfg = StepConfig(tau=0.1, sigmas=(0.1,), lambda_schedule=1.0, max_iters=5)
+        with pytest.raises(DivergenceError) as err:
+            run(bad, cfg, variant="dr1", n_iters=5, v0=[np.array([0.0, np.inf])])
+        assert (err.value.quantity, err.value.iteration) == ("v, term 0", 0)
+
+    def test_divergence_in_y_names_quantity(self):
+        # only the extra dual block of the single-pass scheme goes non-finite
+        bad = ProblemSpec(
+            res_a=lambda t, x: x,
+            z=np.zeros(2),
+            terms=(
+                Term(
+                    L=IdentityOp(2),
+                    res_b_conj=lambda s, y: np.zeros_like(y),
+                    res_d_conj=lambda s, y: y,
+                    res_d=lambda g, y: np.full_like(y, np.nan),
+                    r=np.zeros(2),
+                ),
+            ),
+        )
+        cfg = StepConfig(tau=0.1, sigmas=(0.1,), lambda_schedule=1.0, max_iters=5)
+        with pytest.raises(DivergenceError) as err:
+            run(bad, cfg, variant="dr2", n_iters=5)
+        assert err.value.quantity == "y, term 0"
+        assert err.value.iteration == 0
 
     def test_error_schedule_zero_bit_identical(self):
         _, prob, cfg = self._setup()
