@@ -32,6 +32,7 @@ from .linops import (
     op_norm_estimate,
 )
 from .problems import (
+    HERON_SETUPS,
     DeblurSpec,
     HeronSpec,
     box_from_center,
@@ -43,6 +44,7 @@ from .problems import (
     heron3,
     heron_build,
     heron_objective,
+    heron_step_config,
     isnr,
     l21_norm,
     make_deblur_spec,

@@ -10,9 +10,12 @@ norms <config.json>     print power-iteration norm estimates vs declared bounds
 Exit codes: 0 success, 2 invalid configuration or step sizes (violation
 report on stderr), 3 divergence (non-finite iterate).
 
-Configuration keys and their defaults are documented in CONFIG_KEYS; unknown
-keys are rejected. Defaults follow the published initializations of each
-experiment wherever those are given.
+CONFIG_KEYS is the configuration schema: each key's type, the experiments
+that read it and its help. Unknown keys, and keys the chosen experiment does
+not read, are rejected. An unset key takes the experiment's own default,
+applied where the experiment is built: the published heron set-ups in
+problems.HERON_SETUPS, the deblur step recipe in deblur_step_config and the
+deblur model defaults in the signature of make_deblur_spec.
 """
 from __future__ import annotations
 
@@ -29,16 +32,15 @@ from .core import ErrorSchedule, StepConfig, StepSizeError, make_power_error_sch
 from .linops import op_norm_estimate
 from .prox import BallIndicator, BoxIndicator, LineIndicator
 from .problems import (
+    HERON_SETUPS,
     HeronSpec,
     box_from_center,
     deblur_build,
     deblur_objective,
     deblur_step_config,
-    heron1,
-    heron2,
-    heron3,
     heron_build,
     heron_objective,
+    heron_step_config,
     isnr,
     make_deblur_spec,
     synthetic_image,
@@ -166,86 +168,23 @@ def pgm_write(image, path, maxval: int = 255, binary: bool = True) -> None:
 # Configuration
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = {
-    "experiment": "one of heron1, heron2, heron3, deblur, custom",
-    "algorithm": "one of dr1, dr2, dr2-reduced (default dr1)",
-    "tau": "primal step size (default: experiment table)",
-    "sigma": "scalar dual step size applied to every term",
-    "sigmas": "per-term dual step sizes (overrides sigma)",
-    "lambda": "constant relaxation in (0, 2) (default: experiment table)",
-    "iters": "iteration count (default 100 heron, 200 deblur; 0 = probe only)",
-    "log_stride": "log every k-th iteration (default 1 heron, 10 deblur)",
-    "residual_tol": "stop once the update norm falls below this (default none)",
-    "x0": "starting primal point (heron/custom only)",
-    "error_c": "error-schedule magnitude (default 0 = exact)",
-    "error_p": "error-schedule decay exponent > 1 (default 2)",
-    "error_seed": "error-schedule direction seed (default 0)",
-    "output_csv": "iterate log path (default <experiment>_<algorithm>.csv)",
-    "output_pgm": "reconstruction path, deblur only (default ..._recon.pgm)",
-    "alpha1": "TV weight (deblur, default 3e-3)",
-    "alpha2": "wavelet-l1 weight (deblur, default 2e-5)",
-    "kernel_size": "blur kernel size, odd (deblur, default 9)",
-    "kernel_std": "blur kernel standard deviation (deblur, default 4)",
-    "noise_std": "additive noise standard deviation (deblur, default 1e-3)",
-    "noise_seed": "noise generator seed (deblur, default 0)",
-    "image": "clean PGM to degrade and restore (default: 64x64 synthetic scene)",
-    "image_size": "side of the synthetic scene (deblur, default 64)",
-    "custom": "geometry block for experiment=custom",
-}
-
-_HERON_DEFAULTS = {
-    ("heron1", DR1): dict(tau=0.24, sigma=0.5, lam=1.8, x0=(5.0, 2.0)),
-    ("heron1", DR2): dict(tau=0.24, sigma=0.1, lam=1.8, x0=(5.0, 2.0)),
-    ("heron2", DR1): dict(tau=0.99, sigma=0.4, lam=1.8, x0=(0.0, 2.0, 0.0)),
-    ("heron2", DR2): dict(tau=0.59, sigma=0.05, lam=1.8, x0=(0.0, 2.0, 0.0)),
-    ("heron3", DR1): dict(tau=3.99, sigma=0.1, lam=1.7, x0=(-1.0, 6.0)),
-    ("heron3", DR2): dict(tau=0.49, sigma=0.1, lam=1.7, x0=(-1.0, 6.0)),
-}
-
-_HERON_BUILDERS = {"heron1": heron1, "heron2": heron2, "heron3": heron3}
-
-
-@dataclass
-class RunConfig:
-    experiment: str
-    algorithm: str = DR1
-    tau: Optional[float] = None
-    sigma: Optional[float] = None
-    sigmas: Optional[list] = None
-    lam: Optional[float] = None
-    iters: Optional[int] = None
-    log_stride: Optional[int] = None
-    residual_tol: Optional[float] = None
-    x0: Optional[list] = None
-    error_c: float = 0.0
-    error_p: float = 2.0
-    error_seed: int = 0
-    output_csv: Optional[str] = None
-    output_pgm: Optional[str] = None
-    alpha1: float = 3e-3
-    alpha2: float = 2e-5
-    kernel_size: int = 9
-    kernel_std: float = 4.0
-    noise_std: float = 1e-3
-    noise_seed: int = 0
-    image: Optional[str] = None
-    image_size: int = 64
-    custom: Optional[dict] = None
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
 
 
 def _integer(value) -> int:
-    if isinstance(value, int):
-        return value
-    number = float(value)
+    number = _number(value)
     if not number.is_integer():
         raise ValueError(f"{value!r} is not an integer")
-    return int(number)
+    return value if isinstance(value, int) else int(number)
 
 
 def _number_list(value) -> list:
     if not isinstance(value, list):
         raise TypeError("not a list")
-    return [float(v) for v in value]
+    return [_number(v) for v in value]
 
 
 def _of_type(kind):
@@ -257,59 +196,54 @@ def _of_type(kind):
     return check
 
 
-_NUMBER = (float, "a number")
+_NAME = (_of_type(str), "a string")  # its value is checked in load_config
+_NUMBER = (_number, "a number")
 _INTEGER = (_integer, "an integer")
 _NUMBERS = (_number_list, "a list of numbers")
 _PATH = (_of_type(str), "a path string")
 
-# Converter and expected kind of each typed key; build_run and run rely on
-# the converted types. experiment and algorithm are checked by value.
-_VALUE_TYPES = {
-    "tau": _NUMBER,
-    "sigma": _NUMBER,
-    "sigmas": _NUMBERS,
-    "lambda": _NUMBER,
-    "iters": _INTEGER,
-    "log_stride": _INTEGER,
-    "residual_tol": _NUMBER,
-    "x0": _NUMBERS,
-    "error_c": _NUMBER,
-    "error_p": _NUMBER,
-    "error_seed": _INTEGER,
-    "output_csv": _PATH,
-    "output_pgm": _PATH,
-    "alpha1": _NUMBER,
-    "alpha2": _NUMBER,
-    "kernel_size": _INTEGER,
-    "kernel_std": _NUMBER,
-    "noise_std": _NUMBER,
-    "noise_seed": _INTEGER,
-    "image": _PATH,
-    "image_size": _INTEGER,
-    "custom": (_of_type(dict), "a JSON object"),
+_HERONS = (*HERON_SETUPS, "custom")
+_DEBLUR = ("deblur",)
+_EVERY = _HERONS + _DEBLUR
+
+# The configuration schema: key -> (converter, expected kind, the experiments
+# that read it, help). build_run and run rely on the converted types; a key
+# the chosen experiment does not read is rejected. Defaults not stated here
+# are the experiment's own: the published heron set-ups (HERON_SETUPS), the
+# deblur step recipe (deblur_step_config) and model (make_deblur_spec).
+CONFIG_KEYS = {
+    "experiment": (*_NAME, _EVERY, "one of heron1, heron2, heron3, deblur, custom"),
+    "algorithm": (*_NAME, _EVERY, "one of dr1, dr2, dr2-reduced (default dr1)"),
+    "tau": (*_NUMBER, _EVERY, "primal step size (default: published, required for custom)"),
+    "sigma": (*_NUMBER, _EVERY, "scalar dual step size applied to every term"),
+    "sigmas": (*_NUMBERS, _EVERY, "per-term dual step sizes (overrides sigma)"),
+    "lambda": (*_NUMBER, _EVERY, "constant relaxation in (0, 2) (default: published, 1.8 for custom)"),
+    "iters": (*_INTEGER, _EVERY, "iteration count (default 100 heron, 200 deblur; 0 = probe only)"),
+    "log_stride": (*_INTEGER, _EVERY, "log every k-th iteration (default 1 heron, 10 deblur)"),
+    "residual_tol": (*_NUMBER, _EVERY, "stop once the update norm falls below this (default none)"),
+    "x0": (*_NUMBERS, _HERONS, "starting primal point (default: published, origin for custom)"),
+    "error_c": (*_NUMBER, _EVERY, "error-schedule magnitude (default 0 = exact)"),
+    "error_p": (*_NUMBER, _EVERY, "error-schedule decay exponent > 1 (default 2)"),
+    "error_seed": (*_INTEGER, _EVERY, "error-schedule direction seed (default 0)"),
+    "output_csv": (*_PATH, _EVERY, "iterate log path (default <experiment>_<algorithm>.csv)"),
+    "output_pgm": (*_PATH, _DEBLUR, "reconstruction path (default <experiment>_<algorithm>_recon.pgm)"),
+    "alpha1": (*_NUMBER, _DEBLUR, "TV weight"),
+    "alpha2": (*_NUMBER, _DEBLUR, "wavelet-l1 weight"),
+    "kernel_size": (*_INTEGER, _DEBLUR, "blur kernel size, odd"),
+    "kernel_std": (*_NUMBER, _DEBLUR, "blur kernel standard deviation"),
+    "noise_std": (*_NUMBER, _DEBLUR, "additive noise standard deviation"),
+    "noise_seed": (*_INTEGER, _DEBLUR, "noise generator seed"),
+    "image": (*_PATH, _DEBLUR, "clean PGM to degrade and restore (default: synthetic scene)"),
+    "image_size": (*_INTEGER, _DEBLUR, "side of the synthetic scene"),
+    "custom": (_of_type(dict), "a JSON object", ("custom",), "ball/box/line geometry block"),
 }
 
-
-def _convert_values(raw: dict) -> dict:
-    """Convert each typed value, raising a ConfigError that names the key.
-
-    A null value selects the key's default.
-    """
-    out = {}
-    for key, value in raw.items():
-        if value is None:
-            continue
-        if key in _VALUE_TYPES:
-            convert, expected = _VALUE_TYPES[key]
-            try:
-                value = convert(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}") from None
-        out[key] = value
-    return out
+# Keys forwarded to make_deblur_spec, whose signature holds their defaults.
+_DEBLUR_MODEL_KEYS = ("alpha1", "alpha2", "kernel_size", "kernel_std", "noise_std", "noise_seed")
 
 
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
+    """The keys a JSON config sets, each converted; a null value means unset."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -319,22 +253,31 @@ def load_config(path) -> RunConfig:
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = _convert_values(raw)
-    if "experiment" not in kwargs:
+    cfg = {}
+    for key, value in raw.items():
+        if value is None:
+            continue
+        convert, expected, _, _ = CONFIG_KEYS[key]
+        try:
+            cfg[key] = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}") from None
+    if "experiment" not in cfg:
         raise ConfigError("config must set 'experiment'")
-    if "lambda" in kwargs:
-        kwargs["lam"] = kwargs.pop("lambda")
-    cfg = RunConfig(**kwargs)
-    if cfg.experiment not in ("heron1", "heron2", "heron3", "deblur", "custom"):
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    if cfg.algorithm not in (DR1, DR2, DR2_REDUCED):
-        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-    if cfg.experiment == "custom" and cfg.custom is None:
+    experiment = cfg["experiment"]
+    if experiment not in _EVERY:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    if cfg.get("algorithm") not in (None, DR1, DR2, DR2_REDUCED):
+        raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
+    unread = [key for key in cfg if experiment not in CONFIG_KEYS[key][2]]
+    if unread:
+        raise ConfigError(f"experiment {experiment!r} does not read config keys: {', '.join(map(repr, unread))}")
+    if experiment == "custom" and "custom" not in cfg:
         raise ConfigError("experiment=custom requires the 'custom' geometry block")
     return cfg
 
 
-def _parse_set(spec: dict, dim: int):
+def _parse_set(spec: dict):
     if not isinstance(spec, dict):
         raise ConfigError(f"custom geometry: each set must be a JSON object, got {spec!r}")
     kind = spec.get("type")
@@ -352,8 +295,8 @@ def _parse_set(spec: dict, dim: int):
 def _custom_heron(block: dict) -> HeronSpec:
     try:
         dim = int(block["dim"])
-        constraint = _parse_set(block["constraint"], dim)
-        obstacles = tuple(_parse_set(s, dim) for s in block["obstacles"])
+        constraint = _parse_set(block["constraint"])
+        obstacles = tuple(_parse_set(s) for s in block["obstacles"])
     except KeyError as exc:
         raise ConfigError(f"custom geometry missing field {exc}") from None
     except ConfigError:
@@ -367,10 +310,11 @@ def _custom_heron(block: dict) -> HeronSpec:
 class PreparedRun:
     """Everything needed to execute and post-process one configured run."""
 
-    config: RunConfig
+    config: dict
     variant: str
     problem: object
     step_config: StepConfig
+    errors: ErrorSchedule
     objective: object
     x0: Optional[np.ndarray]
     iters: int
@@ -388,98 +332,80 @@ def _pad_to_multiple(image: np.ndarray, multiple: int):
     return image, (pm, pn)
 
 
-def build_run(cfg: RunConfig) -> PreparedRun:
-    """Materialize problem, step sizes and objective from a configuration."""
-    variant = cfg.algorithm
-    if cfg.experiment == "deblur":
-        if cfg.image is not None:
-            clean = pgm_read(cfg.image)
+def build_run(cfg: dict) -> PreparedRun:
+    """Materialize problem, step sizes, error schedule and objective from a
+    loaded configuration, each unset key taking the experiment's default."""
+    experiment, variant = cfg["experiment"], cfg.get("algorithm", DR1)
+    dspec, pad = None, (0, 0)
+    if experiment == "deblur":
+        if "image" in cfg:
+            clean = pgm_read(cfg["image"])
+        elif "image_size" in cfg:
+            clean = synthetic_image((cfg["image_size"],) * 2)
         else:
-            size = int(cfg.image_size)
-            clean = synthetic_image((size, size))
+            clean = synthetic_image()
         clean, pad = _pad_to_multiple(clean, 16)
-        dspec = make_deblur_spec(
-            clean=clean,
-            kernel_size=cfg.kernel_size,
-            kernel_std=cfg.kernel_std,
-            noise_std=cfg.noise_std,
-            noise_seed=cfg.noise_seed,
-            alpha1=cfg.alpha1,
-            alpha2=cfg.alpha2,
-        )
+        dspec = make_deblur_spec(clean=clean, **{k: cfg[k] for k in _DEBLUR_MODEL_KEYS if k in cfg})
         problem = deblur_build(dspec)
         # Every parallel-sum slot is the zero-point reduction here, so the
         # single-pass algorithm runs in its reduced form with the larger
         # step-size budget.
         if variant == DR2:
             variant = DR2_REDUCED
-        iters = 200 if cfg.iters is None else int(cfg.iters)
-        step_cfg = deblur_step_config(problem, variant, max_iters=max(iters, 1))
-        overrides = {}
-        if cfg.tau is not None:
-            overrides["tau"] = float(cfg.tau)
-        if cfg.sigmas is not None:
-            overrides["sigmas"] = tuple(float(s) for s in cfg.sigmas)
-        elif cfg.sigma is not None:
-            overrides["sigmas"] = (float(cfg.sigma),) * problem.m
-        if cfg.lam is not None:
-            overrides["lambda_schedule"] = float(cfg.lam)
-        if overrides:
-            step_cfg = replace(step_cfg, **overrides)
-        return PreparedRun(
-            config=cfg,
-            variant=variant,
-            problem=problem,
-            step_config=step_cfg,
-            objective=lambda x, d=dspec: deblur_objective(d, x),
-            x0=dspec.observed.ravel(),
-            iters=iters,
-            log_stride=10 if cfg.log_stride is None else int(cfg.log_stride),
-            deblur_spec=dspec,
-            pad=pad,
-        )
-
-    if cfg.experiment == "custom":
-        hspec = _custom_heron(cfg.custom)
-        defaults = dict(tau=None, sigma=None, lam=1.8, x0=None)
+        iters, log_stride = cfg.get("iters", 200), cfg.get("log_stride", 10)
+        published = deblur_step_config(problem, variant, max_iters=max(iters, 1))
+        objective = lambda x, d=dspec: deblur_objective(d, x)
+        x0 = dspec.observed.ravel()
     else:
-        hspec = _HERON_BUILDERS[cfg.experiment]()
-        table_alg = DR1 if variant == DR1 else DR2
-        defaults = dict(_HERON_DEFAULTS[(cfg.experiment, table_alg)])
+        if experiment == "custom":
+            hspec, start = _custom_heron(cfg["custom"]), None
+        else:
+            build, start, _ = HERON_SETUPS[experiment]
+            hspec = build()
+        problem = heron_build(hspec)
+        iters, log_stride = cfg.get("iters", 100), cfg.get("log_stride", 1)
+        published = None if experiment == "custom" else heron_step_config(experiment, problem, variant, max(iters, 1))
+        objective = lambda x, h=hspec: heron_objective(h, x)
+        x0 = cfg.get("x0", start)
+        x0 = None if x0 is None else np.asarray(x0, dtype=float)
 
-    problem = heron_build(hspec)
-    tau = cfg.tau if cfg.tau is not None else defaults["tau"]
-    if tau is None:
+    overrides = {}
+    if "tau" in cfg:
+        overrides["tau"] = cfg["tau"]
+    if "sigmas" in cfg:
+        overrides["sigmas"] = tuple(cfg["sigmas"])
+    elif "sigma" in cfg:
+        overrides["sigmas"] = (cfg["sigma"],) * problem.m
+    if "lambda" in cfg:
+        overrides["lambda_schedule"] = cfg["lambda"]
+    if published is not None:
+        step_cfg = replace(published, **overrides) if overrides else published
+    elif "tau" not in overrides:  # a custom geometry has no published steps
         raise ConfigError("custom experiment requires 'tau'")
-    if cfg.sigmas is not None:
-        sigmas = tuple(float(s) for s in cfg.sigmas)
+    elif "sigmas" not in overrides:
+        raise ConfigError("custom experiment requires 'sigma' or 'sigmas'")
     else:
-        sigma = cfg.sigma if cfg.sigma is not None else defaults["sigma"]
-        if sigma is None:
-            raise ConfigError("custom experiment requires 'sigma' or 'sigmas'")
-        sigmas = (float(sigma),) * problem.m
-    lam = cfg.lam if cfg.lam is not None else defaults["lam"]
-    iters = 100 if cfg.iters is None else int(cfg.iters)
-    step_cfg = StepConfig(tau=float(tau), sigmas=sigmas, lambda_schedule=float(lam), max_iters=max(iters, 1))
-    x0 = cfg.x0 if cfg.x0 is not None else defaults["x0"]
+        step_cfg = StepConfig(**{"lambda_schedule": 1.8, "max_iters": max(iters, 1), **overrides})
+
+    error_c = cfg.get("error_c", 0.0)
+    if error_c == 0.0:
+        errors = ErrorSchedule.exact()
+    else:
+        dims = (problem.dim, problem.block_signature)
+        errors = make_power_error_schedule(error_c, cfg.get("error_p", 2.0), dims, cfg.get("error_seed", 0))
     return PreparedRun(
         config=cfg,
         variant=variant,
         problem=problem,
         step_config=step_cfg,
-        objective=lambda x, h=hspec: heron_objective(h, x),
-        x0=None if x0 is None else np.asarray(x0, dtype=float),
+        errors=errors,
+        objective=objective,
+        x0=x0,
         iters=iters,
-        log_stride=1 if cfg.log_stride is None else int(cfg.log_stride),
+        log_stride=log_stride,
+        deblur_spec=dspec,
+        pad=pad,
     )
-
-
-def _make_errors(prepared: PreparedRun) -> ErrorSchedule:
-    cfg = prepared.config
-    if cfg.error_c == 0.0:
-        return ErrorSchedule.exact()
-    dims = (prepared.problem.dim, prepared.problem.block_signature)
-    return make_power_error_schedule(cfg.error_c, cfg.error_p, dims, cfg.error_seed)
 
 
 def _fmt(x: float) -> str:
@@ -497,33 +423,34 @@ def _write_csv(path, log, prepared: PreparedRun) -> None:
         fh.write(",".join(cols) + "\n")
         for row in log:
             parts = [str(row.n), _fmt(row.objective), _fmt(row.step_residual)]
-            if dspec is not None and dspec.clean is not None:
+            if dspec is not None:
                 parts.append(_fmt(isnr(dspec.clean, dspec.observed, row.primal)))
-            elif dspec is not None:
-                parts.append("")
             parts.extend(_fmt(p) for p in row.primal)
             fh.write(",".join(parts) + "\n")
 
 
 def cmd_run(config_path) -> int:
-    cfg = load_config(config_path)
-    prepared = build_run(cfg)
-    log = run(
-        prepared.problem,
-        prepared.step_config,
-        errs=_make_errors(prepared),
-        variant=prepared.variant,
-        log_objective=prepared.objective,
-        n_iters=prepared.iters,
-        residual_tol=prepared.config.residual_tol,
-        log_stride=prepared.log_stride,
-        x0=prepared.x0,
-    )
-    csv_path = prepared.config.output_csv or f"{cfg.experiment}_{prepared.variant}.csv"
+    prepared = build_run(load_config(config_path))
+    cfg = prepared.config
+    # A diverging run ends with a DivergenceError naming the first non-finite
+    # quantity; numpy's overflow warnings on the way there only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = run(
+            prepared.problem,
+            prepared.step_config,
+            errs=prepared.errors,
+            variant=prepared.variant,
+            log_objective=prepared.objective,
+            n_iters=prepared.iters,
+            residual_tol=cfg.get("residual_tol"),
+            log_stride=prepared.log_stride,
+            x0=prepared.x0,
+        )
+    csv_path = cfg.get("output_csv") or f"{cfg['experiment']}_{prepared.variant}.csv"
     _write_csv(csv_path, log, prepared)
     out = [f"wrote {csv_path} ({len(log)} rows)"]
     if prepared.deblur_spec is not None:
-        pgm_path = prepared.config.output_pgm or f"{cfg.experiment}_{prepared.variant}_recon.pgm"
+        pgm_path = cfg.get("output_pgm") or f"{cfg['experiment']}_{prepared.variant}_recon.pgm"
         recon = log.final.primal.reshape(prepared.deblur_spec.observed.shape)
         pm, pn = prepared.pad
         if pm or pn:
@@ -537,21 +464,19 @@ def cmd_run(config_path) -> int:
 
 
 def cmd_validate(config_path) -> int:
-    cfg = load_config(config_path)
-    prepared = build_run(cfg)
+    prepared = build_run(load_config(config_path))
     preflight(prepared.problem, prepared.step_config, prepared.variant, prepared.iters, prepared.log_stride, prepared.x0)
     total = weighted_bound_sum(prepared.problem, prepared.step_config)
     budget = BUDGETS[prepared.variant]
     print(
-        f"ok: {cfg.experiment} {prepared.variant}, "
+        f"ok: {prepared.config['experiment']} {prepared.variant}, "
         f"tau*sum(sigma*bound^2) = {total:.9g} < {budget:.9g}"
     )
     return EXIT_OK
 
 
 def cmd_norms(config_path) -> int:
-    cfg = load_config(config_path)
-    prepared = build_run(cfg)
+    prepared = build_run(load_config(config_path))
     for i, term in enumerate(prepared.problem.terms):
         est = op_norm_estimate(term.L, iters=100, seed=0)
         print(f"term {i}: declared bound {term.L.norm_bound:.9g}, power-iteration estimate {est:.9g}")

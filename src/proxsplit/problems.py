@@ -33,6 +33,8 @@ __all__ = [
     "heron3",
     "heron_objective",
     "heron_build",
+    "HERON_SETUPS",
+    "heron_step_config",
     "tv",
     "l21_norm",
     "deblur_objective",
@@ -110,6 +112,24 @@ def heron3() -> HeronSpec:
         obstacles=tuple(box_from_center(c, 2.0) for c in centers),
         dim=2,
     )
+
+
+# Published set-up of each location experiment: its builder, its starting
+# point and its (tau, sigma, lambda) per scheme. The single-pass entry serves
+# dr2 and dr2-reduced alike; sigma applies to every term.
+HERON_SETUPS = {
+    "heron1": (heron1, (5.0, -2.0), {DR1: (0.24, 0.5, 1.8), DR2: (0.24, 0.1, 1.8)}),
+    "heron2": (heron2, (0.0, 2.0, 0.0), {DR1: (0.99, 0.4, 1.8), DR2: (0.59, 0.05, 1.8)}),
+    "heron3": (heron3, (-1.0, 6.0), {DR1: (3.99, 0.1, 1.7), DR2: (0.49, 0.1, 1.7)}),
+}
+
+
+def heron_step_config(name: str, problem: ProblemSpec, variant: str, max_iters: int = 100) -> StepConfig:
+    """Published step sizes of location experiment ``name`` under ``variant``."""
+    if variant not in (DR1, DR2, DR2_REDUCED):
+        raise ValueError(f"unknown variant {variant!r}")
+    tau, sigma, lam = HERON_SETUPS[name][2][DR1 if variant == DR1 else DR2]
+    return StepConfig(tau=tau, sigmas=(sigma,) * problem.m, lambda_schedule=lam, max_iters=max_iters)
 
 
 def heron_objective(spec: HeronSpec, x) -> float:

@@ -239,9 +239,12 @@ class State:
         """Starting state of ``variant``; ``y0`` is read by ``dr2`` only.
 
         Raises ValueError when a starting block does not match the problem
-        dimensions, or for ``dr2-reduced`` when some parallel-sum slot is not
-        the zero-point reduction.
+        dimensions, when ``y0`` is given to a variant without a ``y`` block,
+        or for ``dr2-reduced`` when some parallel-sum slot is not the
+        zero-point reduction.
         """
+        if y0 is not None and variant != DR2:
+            raise ValueError(f"y0 is read by dr2 only, not by {variant}")
         sig = spec.block_signature
         x = np.zeros(spec.dim) if x0 is None else as_vector(x0)
         v = _as_block(v0, sig)

@@ -47,6 +47,16 @@ def _read_csv(path):
     return header, rows
 
 
+CUSTOM = {
+    "dim": 2,
+    "constraint": {"type": "ball", "center": [0, 0], "radius": 1.0},
+    "obstacles": [
+        {"type": "box", "center": [3, 0], "side": 1.0},
+        {"type": "ball", "center": [0, 4], "radius": 0.5},
+    ],
+}
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = _write_config(tmp_path, experiment="heron1", algorithm="dr1", sigmaz=0.5)
@@ -67,20 +77,7 @@ class TestConfig:
         assert np.allclose(prepared.x0, [-1.0, 6.0])
 
     def test_custom_geometry(self, tmp_path):
-        path = _write_config(
-            tmp_path,
-            experiment="custom",
-            tau=0.3,
-            sigma=0.5,
-            custom={
-                "dim": 2,
-                "constraint": {"type": "ball", "center": [0, 0], "radius": 1.0},
-                "obstacles": [
-                    {"type": "box", "center": [3, 0], "side": 1.0},
-                    {"type": "ball", "center": [0, 4], "radius": 0.5},
-                ],
-            },
-        )
+        path = _write_config(tmp_path, experiment="custom", tau=0.3, sigma=0.5, custom=CUSTOM)
         prepared = build_run(load_config(path))
         assert prepared.problem.m == 2
         assert prepared.problem.dim == 2
@@ -98,12 +95,37 @@ class TestConfig:
             ("custom", {"experiment": "custom", "tau": 0.3, "sigma": 0.5, "custom": [1]}),
             ("iters", {"experiment": "heron1", "iters": [1]}),
             ("residual_tol", {"experiment": "heron1", "residual_tol": "x"}),
+            ("iters", {"experiment": "heron1", "iters": True}),
+            ("tau", {"experiment": "heron1", "tau": True}),
         ],
     )
     def test_malformed_value_type_is_named_config_error(self, tmp_path, capsys, key, body):
         # run and validate alike exit 2 naming the key, never with a traceback
         out = tmp_path / "out.csv"
         path = _write_config(tmp_path, output_csv=str(out), **body)
+        for command in ("run", "validate"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, body",
+        [
+            ("x0", {"experiment": "deblur", "image_size": 16, "x0": [0.0]}),
+            ("alpha1", {"experiment": "heron1", "alpha1": 0.1}),
+            ("image", {"experiment": "heron2", "image": "scene.pgm"}),
+            ("output_pgm", {"experiment": "heron3", "output_pgm": "recon.pgm"}),
+            ("kernel_size", {"experiment": "custom", "tau": 0.3, "sigma": 0.5, "kernel_size": 5, "custom": CUSTOM}),
+            ("custom", {"experiment": "heron1", "custom": CUSTOM}),
+            ("custom", {"experiment": "deblur", "image_size": 16, "custom": CUSTOM}),
+        ],
+    )
+    def test_key_the_experiment_does_not_read_is_named_config_error(self, tmp_path, capsys, key, body):
+        out = tmp_path / "out.csv"
+        path = _write_config(tmp_path, output_csv=str(out), **body)
+        with pytest.raises(ConfigError, match=repr(key)):
+            load_config(path)
         for command in ("run", "validate"):
             assert main([command, path]) == 2
             err = capsys.readouterr().err
@@ -124,6 +146,18 @@ class TestRunCommand:
         assert abs(float(rows[-1][1]) - 53.043627) <= 1e-5
         assert abs(float(rows[-1][3]) - 3.392688) <= 1e-5
         assert abs(float(rows[-1][4]) - (-1.190188)) <= 1e-5
+
+    def test_heron1_default_start_is_published(self, tmp_path, monkeypatch):
+        # the published example-1 table certifies its start through its k=0
+        # row: the point (5, -2) and the objective 54.418914 there
+        monkeypatch.chdir(tmp_path)
+        csv = tmp_path / "heron1_dr1.csv"
+        path = _write_config(tmp_path, experiment="heron1")
+        assert main(["run", path]) == 0
+        _, rows = _read_csv(csv)
+        assert rows[0][0] == "0"
+        assert [float(v) for v in rows[0][3:]] == [5.0, -2.0]
+        assert abs(float(rows[0][1]) - 54.418914) <= 1e-6
 
     def test_heron3_dr2_final_primal(self, tmp_path):
         csv = tmp_path / "out.csv"
@@ -193,6 +227,21 @@ class TestRunCommand:
         )
         assert main(["run", str(path)]) == 3
 
+    def test_divergence_prints_only_its_error_line(self, tmp_path):
+        # numpy overflow warnings on the way to the non-finite iterate stay
+        # off stderr; a child process sees the CLI's own warning state
+        path = _write_config(tmp_path, experiment="heron1", algorithm="dr2", x0=[1e308, 1e308])
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "proxsplit.cli", "run", path],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=_child_env(),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == ["error: non-finite value in x at iteration 0"]
+        assert proc.stdout == ""
+
     def test_unreadable_image_exit_code(self, tmp_path):
         bad = tmp_path / "broken.pgm"
         bad.write_bytes(b"P7 not a pgm")
@@ -259,8 +308,9 @@ class TestOtherCommands:
                     "obstacles": [{"type": "box", "center": [3, 0], "side": 1.0}],
                 },
             ),
+            dict(experiment="heron1", error_c=0.1, error_p=0.5),
         ],
-        ids=["x0-dimension", "log_stride-zero", "custom-set-dimension"],
+        ids=["x0-dimension", "log_stride-zero", "custom-set-dimension", "error-p-not-summable"],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, body):
         path = _write_config(tmp_path, output_csv=str(tmp_path / "out.csv"), **body)

@@ -230,6 +230,18 @@ class TestReducedScheme:
         with pytest.raises(ValueError, match="zero-point reduction"):
             State.initial(prob, cfg, "dr2-reduced")
 
+    @pytest.mark.parametrize("variant", ["dr1", "dr2-reduced"])
+    def test_y0_rejected_without_y_block(self, variant):
+        # only dr2 carries a y block; a start for it must not be dropped silently
+        prob = self._reduced_problem()
+        cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=5)
+        y0 = [np.ones(3), np.ones(3)]
+        State.initial(prob, cfg, "dr2", y0=y0)
+        with pytest.raises(ValueError, match="y0"):
+            State.initial(prob, cfg, variant, y0=y0)
+        with pytest.raises(ValueError, match="y0"):
+            run(prob, cfg, variant=variant, n_iters=2, y0=y0)
+
     def test_reduced_fixed_point(self):
         prob = self._reduced_problem()
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=2001)
