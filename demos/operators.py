@@ -11,9 +11,6 @@ from proxsplit import (
     GaussianBlurOp,
     GradientOp,
     HaarOp,
-    gradient_apply,
-    haar_adjoint,
-    haar_forward,
     op_norm_estimate,
     synthetic_image,
 )
@@ -22,7 +19,7 @@ rng = np.random.default_rng(1)
 
 print("=== forward differences with zero boundary rows ===")
 x = np.array([[0.0, 1.0], [2.0, 3.0]])
-p, q = gradient_apply(x)
+p, q = GradientOp(x.shape).apply(x).reshape(2, *x.shape)
 print("image:\n", x)
 print("vertical differences:\n", p)
 print("horizontal differences:\n", q)
@@ -42,9 +39,10 @@ for name, op in (
 print()
 print("=== the Haar transform is orthonormal ===")
 img = synthetic_image((32, 32))
-coeffs = haar_forward(img)
+haar = HaarOp(img.shape)
+coeffs = haar.apply(img)
 print(f"energy before {np.linalg.norm(img):.12f} vs after {np.linalg.norm(coeffs):.12f}")
-back = haar_adjoint(coeffs, (32, 32))
+back = haar.adjoint(coeffs).reshape(img.shape)
 print(f"reconstruction error: {np.abs(back - img).max():.2e}")
 
 print()

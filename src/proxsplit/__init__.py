@@ -25,10 +25,6 @@ from .linops import (
     LinOp,
     MatrixOp,
     gaussian_kernel,
-    gradient_adjoint,
-    gradient_apply,
-    haar_adjoint,
-    haar_forward,
     op_norm_estimate,
 )
 from .problems import (
@@ -46,10 +42,8 @@ from .problems import (
     heron_objective,
     heron_step_config,
     isnr,
-    l21_norm,
     make_deblur_spec,
     synthetic_image,
-    tv,
 )
 from .prox import (
     BallIndicator,

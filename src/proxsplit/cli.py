@@ -387,12 +387,10 @@ def build_run(cfg: dict) -> PreparedRun:
     else:
         step_cfg = StepConfig(**{"lambda_schedule": 1.8, "max_iters": max(iters, 1), **overrides})
 
-    error_c = cfg.get("error_c", 0.0)
-    if error_c == 0.0:
-        errors = ErrorSchedule.exact()
-    else:
-        dims = (problem.dim, problem.block_signature)
-        errors = make_power_error_schedule(error_c, cfg.get("error_p", 2.0), dims, cfg.get("error_seed", 0))
+    dims = (problem.dim, problem.block_signature)
+    errors = make_power_error_schedule(
+        cfg.get("error_c", 0.0), cfg.get("error_p", 2.0), dims, cfg.get("error_seed", 0)
+    )
     return PreparedRun(
         config=cfg,
         variant=variant,

@@ -181,7 +181,6 @@ class ErrorSchedule:
     a: Callable[[int], np.ndarray]
     b: Callable[[int, int], np.ndarray]
     d: Callable[[int, int], np.ndarray]
-    summability_exponent: float = math.inf
     is_exact: bool = False
 
     @staticmethod
@@ -190,7 +189,6 @@ class ErrorSchedule:
             a=lambda n: 0.0,
             b=lambda i, n: 0.0,
             d=lambda i, n: 0.0,
-            summability_exponent=math.inf,
             is_exact=True,
         )
 
@@ -210,18 +208,20 @@ def make_power_error_schedule(c: float, p: float, dims, seed: int) -> ErrorSched
     """Error vectors of norm exactly ``c * (n+1)**(-p)`` in seeded directions.
 
     ``dims`` is the space signature ``(primal_dim, block_dims)``. Requires
-    ``p > 1`` so that the generated norms are summable; ``c = 0`` returns the
-    exact schedule.
+    ``p > 1`` so that the generated norms are summable and a nonnegative
+    ``seed``; ``c = 0`` returns the exact schedule once all three are checked.
     """
     if p <= 1.0:
         raise ValueError("error schedule requires p > 1 (summability)")
     if c < 0.0:
         raise ValueError("c must be nonnegative")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"error schedule seed must be nonnegative, got {seed}")
     if c == 0.0:
         return ErrorSchedule.exact()
     dim_h = int(dims[0])
     g_dims = tuple(int(d) for d in dims[1])
-    seed = int(seed)
 
     def mag(n: int) -> float:
         return c * float(n + 1) ** (-p)
@@ -230,7 +230,6 @@ def make_power_error_schedule(c: float, p: float, dims, seed: int) -> ErrorSched
         a=lambda n: mag(n) * _seeded_unit((seed, 0, 0, n), dim_h),
         b=lambda i, n: mag(n) * _seeded_unit((seed, 1, i, n), g_dims[i]),
         d=lambda i, n: mag(n) * _seeded_unit((seed, 2, i, n), g_dims[i]),
-        summability_exponent=float(p),
         is_exact=False,
     )
 

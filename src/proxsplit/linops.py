@@ -20,10 +20,6 @@ __all__ = [
     "HaarOp",
     "GaussianBlurOp",
     "CountingOp",
-    "gradient_apply",
-    "gradient_adjoint",
-    "haar_forward",
-    "haar_adjoint",
     "gaussian_kernel",
     "op_norm_estimate",
 ]
@@ -81,41 +77,12 @@ class IdentityOp(LinOp):
         return np.asarray(y, dtype=float)
 
 
-def gradient_apply(image: np.ndarray):
-    """Forward-difference gradient of a 2-D image.
-
-    Returns the pair (vertical, horizontal) of difference fields, with the
-    last row of the first and last column of the second set to zero.
-    """
-    x = np.asarray(image, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    p[:-1, :] = x[1:, :] - x[:-1, :]
-    q[:, :-1] = x[:, 1:] - x[:, :-1]
-    return p, q
-
-
-def gradient_adjoint(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`gradient_apply` (a negative-divergence stencil)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 2:
-        raise ValueError("p and q must be 2-D fields of identical shape")
-    out = np.zeros_like(p)
-    out[1:, :] += p[:-1, :]
-    out[:-1, :] -= p[:-1, :]
-    out[:, 1:] += q[:, :-1]
-    out[:, :-1] -= q[:, :-1]
-    return out
-
-
 class GradientOp(LinOp):
     """Discrete image gradient as an operator on flat vectors.
 
-    Output is concat(vertical, horizontal). The classical bound on the
-    squared norm is 8, so norm_bound = sqrt(8).
+    Output is concat(vertical, horizontal) forward differences, with the last
+    row of the first and the last column of the second set to zero. The
+    classical bound on the squared norm is 8, so norm_bound = sqrt(8).
     """
 
     def __init__(self, shape):
@@ -124,95 +91,75 @@ class GradientOp(LinOp):
         self.shape = (m, n)
 
     def apply(self, x):
-        p, q = gradient_apply(np.asarray(x, dtype=float).reshape(self.shape))
-        return np.concatenate([p.ravel(), q.ravel()])
+        img = np.asarray(x, dtype=float).reshape(self.shape)
+        out = np.empty(self.out_dim)
+        p, q = out.reshape(2, *self.shape)
+        np.subtract(img[1:, :], img[:-1, :], out=p[:-1, :])
+        p[-1, :] = 0.0
+        np.subtract(img[:, 1:], img[:, :-1], out=q[:, :-1])
+        q[:, -1] = 0.0
+        return out
 
     def adjoint(self, y):
-        y = np.asarray(y, dtype=float)
-        half = self.in_dim
-        p = y[:half].reshape(self.shape)
-        q = y[half:].reshape(self.shape)
-        return gradient_adjoint(p, q).ravel()
+        """Negative divergence of the stacked (vertical, horizontal) fields."""
+        p, q = np.asarray(y, dtype=float).reshape(2, *self.shape)
+        out = np.zeros(self.shape)
+        out[1:, :] += p[:-1, :]
+        out[:-1, :] -= p[:-1, :]
+        out[:, 1:] += q[:, :-1]
+        out[:, :-1] -= q[:, :-1]
+        return out.ravel()
 
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def _haar_split(block: np.ndarray, axis: int) -> np.ndarray:
-    if axis == 0:
-        e, o = block[0::2, :], block[1::2, :]
-    else:
-        e, o = block[:, 0::2], block[:, 1::2]
-    return np.concatenate(((e + o) / _SQRT2, (e - o) / _SQRT2), axis=axis)
-
-
-def _haar_merge(block: np.ndarray, axis: int) -> np.ndarray:
-    out = np.empty_like(block)
-    if axis == 0:
-        h = block.shape[0] // 2
-        s, d = block[:h, :], block[h:, :]
-        out[0::2, :] = (s + d) / _SQRT2
-        out[1::2, :] = (s - d) / _SQRT2
-    else:
-        h = block.shape[1] // 2
-        s, d = block[:, :h], block[:, h:]
-        out[:, 0::2] = (s + d) / _SQRT2
-        out[:, 1::2] = (s - d) / _SQRT2
-    return out
-
-
-def _check_haar_dims(shape, levels: int):
-    m, n = (int(s) for s in shape)
-    step = 2 ** int(levels)
-    if m % step or n % step:
-        raise ValueError(f"grid dims {m}x{n} must be divisible by {step} for {levels} levels")
-    return m, n
-
-
-def haar_forward(image: np.ndarray, levels: int = 4) -> np.ndarray:
-    """Orthonormal multilevel 2-D Haar analysis, returned as a flat vector."""
-    x = np.asarray(image, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    m, n = _check_haar_dims(x.shape, levels)
-    c = x.copy()
-    cm, cn = m, n
-    for _ in range(levels):
-        c[:cm, :cn] = _haar_split(_haar_split(c[:cm, :cn], 0), 1)
-        cm //= 2
-        cn //= 2
-    return c.ravel()
-
-
-def haar_adjoint(coeffs: np.ndarray, shape, levels: int = 4) -> np.ndarray:
-    """Inverse (= adjoint, by orthonormality) of :func:`haar_forward`."""
-    m, n = _check_haar_dims(shape, levels)
-    c = np.asarray(coeffs, dtype=float).reshape(m, n).copy()
-    for k in range(levels - 1, -1, -1):
-        cm, cn = m >> k, n >> k
-        c[:cm, :cn] = _haar_merge(_haar_merge(c[:cm, :cn], 1), 0)
-    return c
+def _butterfly(a, b, s, d):
+    """Orthonormal Haar step: s = (a + b)/sqrt(2), d = (a - b)/sqrt(2)."""
+    np.divide(a + b, _SQRT2, out=s)
+    np.divide(a - b, _SQRT2, out=d)
 
 
 class HaarOp(LinOp):
-    """Multilevel 2-D Haar transform on flat vectors.
+    """Orthonormal multilevel 2-D Haar transform on flat vectors.
 
+    Each level splits the current top-left block along rows, then along
+    columns, into low-pass then high-pass halves; the adjoint is the inverse.
     The transform is orthonormal, so its true operator norm is 1; a smaller
     declared norm_bound may be passed to reproduce published step-size
     arithmetic that assumes one.
     """
 
     def __init__(self, shape, levels: int = 4, norm_bound: float = 1.0):
-        m, n = _check_haar_dims(shape, levels)
+        m, n = (int(s) for s in shape)
+        step = 2 ** int(levels)
+        if m % step or n % step:
+            raise ValueError(f"grid dims {m}x{n} must be divisible by {step} for {levels} levels")
         super().__init__(m * n, m * n, norm_bound)
         self.shape = (m, n)
         self.levels = int(levels)
 
     def apply(self, x):
-        return haar_forward(np.asarray(x, dtype=float).reshape(self.shape), self.levels)
+        c = np.array(x, dtype=float).reshape(self.shape)
+        w = np.empty_like(c)
+        m, n = self.shape
+        for k in range(self.levels):
+            cm, cn = m >> k, n >> k
+            hm, hn = cm // 2, cn // 2
+            _butterfly(c[0:cm:2, :cn], c[1:cm:2, :cn], w[:hm, :cn], w[hm:cm, :cn])
+            _butterfly(w[:cm, 0:cn:2], w[:cm, 1:cn:2], c[:cm, :hn], c[:cm, hn:cn])
+        return c.ravel()
 
     def adjoint(self, y):
-        return haar_adjoint(y, self.shape, self.levels).ravel()
+        c = np.array(y, dtype=float).reshape(self.shape)
+        w = np.empty_like(c)
+        m, n = self.shape
+        for k in reversed(range(self.levels)):
+            cm, cn = m >> k, n >> k
+            hm, hn = cm // 2, cn // 2
+            _butterfly(c[:cm, :hn], c[:cm, hn:cn], w[:cm, 0:cn:2], w[:cm, 1:cn:2])
+            _butterfly(w[:hm, :cn], w[hm:cm, :cn], c[0:cm:2, :cn], c[1:cm:2, :cn])
+        return c.ravel()
 
 
 def gaussian_kernel(size: int, std: float) -> np.ndarray:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,8 +36,6 @@ __all__ = [
     "heron_build",
     "HERON_SETUPS",
     "heron_step_config",
-    "tv",
-    "l21_norm",
     "deblur_objective",
     "isnr",
     "synthetic_image",
@@ -145,24 +144,6 @@ def heron_build(spec: HeronSpec) -> ProblemSpec:
     return make_prox_problem(spec.constraint, z, terms)
 
 
-def tv(image) -> float:
-    """Discrete isotropic total variation with single-difference boundary terms."""
-    x = np.asarray(image, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    dr = x[1:, :] - x[:-1, :]
-    dc = x[:, 1:] - x[:, :-1]
-    interior = np.hypot(dr[:, :-1], dc[:-1, :]).sum()
-    last_col = np.abs(dr[:, -1]).sum() if dr.size else 0.0
-    last_row = np.abs(dc[-1, :]).sum() if dc.size else 0.0
-    return float(interior + last_col + last_row)
-
-
-def l21_norm(p, q) -> float:
-    """Sum over entries of the Euclidean norm of (p, q) pairs."""
-    return float(np.hypot(np.asarray(p, dtype=float), np.asarray(q, dtype=float)).sum())
-
-
 @dataclass(frozen=True)
 class DeblurSpec:
     """Degraded image plus the operators and weights of the restoration model."""
@@ -186,17 +167,27 @@ class DeblurSpec:
         if self.alpha1 <= 0.0 or self.alpha2 <= 0.0:
             raise ValueError("regularization weights must be strictly positive")
 
+    @cached_property
+    def _model(self):
+        """The restoration model: the pixel box and the (operator, function)
+        pairs of the l1 data fit through the blur, the weighted wavelet l1 and
+        the weighted TV through the gradient. Built once per spec, because
+        the objective reads it at every logged row."""
+        return BoxIndicator(0.0, 1.0), (
+            (self.blur, WeightedL1(1.0, shift=self.observed.ravel())),
+            (self.wavelet, WeightedL1(self.alpha2)),
+            (self.grad, L21Norm(self.alpha1, self.observed.size)),
+        )
+
 
 def deblur_objective(spec: DeblurSpec, x) -> float:
-    """l1 data fit + weighted wavelet l1 + weighted TV, with the box constraint
-    returning the infinity sentinel beyond a 1e-12 slack."""
-    img = np.asarray(x, dtype=float).reshape(spec.observed.shape)
-    if img.min() < -1e-12 or img.max() > 1.0 + 1e-12:
+    """Value of the restoration model at x; the infinity sentinel outside the
+    pixel box (beyond the box indicator's membership slack)."""
+    f, terms = spec._model
+    x = np.asarray(x, dtype=float).ravel()
+    if f(x) == math.inf:
         return math.inf
-    flat = img.ravel()
-    data_fit = float(np.abs(spec.blur.apply(flat) - spec.observed.ravel()).sum())
-    wavelet_l1 = float(np.abs(spec.wavelet.apply(flat)).sum())
-    return data_fit + spec.alpha2 * wavelet_l1 + spec.alpha1 * tv(img)
+    return sum(g(L.apply(x)) for L, g in terms)
 
 
 def isnr(clean, observed, current) -> float:
@@ -234,6 +225,8 @@ def make_deblur_spec(
 ) -> DeblurSpec:
     """Synthesize a deblurring instance: blur the clean image, add seeded
     Gaussian noise, clip to the pixel range."""
+    if int(noise_seed) < 0:
+        raise ValueError(f"noise_seed must be nonnegative, got {noise_seed}")
     if clean is None:
         clean = synthetic_image(shape)
     clean = np.asarray(clean, dtype=float)
@@ -259,25 +252,16 @@ def deblur_build(spec: DeblurSpec) -> ProblemSpec:
     """Template instance with three composite terms: data fit through the
     blur, wavelet sparsity, and TV through the gradient; every parallel-sum
     slot takes the zero-point reduction."""
-    npix = spec.observed.size
-    f = BoxIndicator(0.0, 1.0)
-    g1 = WeightedL1(1.0, shift=spec.observed.ravel())
-    g2 = WeightedL1(spec.alpha2)
-    g3 = L21Norm(spec.alpha1, npix)
-    z = np.zeros(npix)
-    terms = [
-        (spec.blur, g1, None, np.zeros(npix)),
-        (spec.wavelet, g2, None, np.zeros(npix)),
-        (spec.grad, g3, None, np.zeros(2 * npix)),
-    ]
-    return make_prox_problem(f, z, terms)
+    f, terms = spec._model
+    z = np.zeros(spec.observed.size)
+    return make_prox_problem(f, z, [(L, g, None, np.zeros(L.out_dim)) for L, g in terms])
 
 
-# Published (sigmas, lambda) of the deblurring experiment per variant.
+# Published (sigmas, lambda) of the deblurring experiment per scheme; the
+# single-pass entry serves dr2 and dr2-reduced alike.
 _DEBLUR_RECIPES = {
     DR1: ((1.0, 1.0, 0.05), 1.5),
     DR2: ((1.0, 0.05, 0.05), 1.6),
-    DR2_REDUCED: ((1.0, 0.05, 0.05), 1.6),
 }
 
 
@@ -288,9 +272,9 @@ def deblur_step_config(problem: ProblemSpec, variant: str, max_iters: int = 200)
     the declared norm bounds, which keeps the product strictly inside the
     variant's budget.
     """
-    if variant not in _DEBLUR_RECIPES:
+    if variant not in (DR1, DR2, DR2_REDUCED):
         raise ValueError(f"unknown variant {variant!r}")
-    sigmas, lam = _DEBLUR_RECIPES[variant]
+    sigmas, lam = _DEBLUR_RECIPES[DR1 if variant == DR1 else DR2]
     denom = sum(s * t.L.norm_bound ** 2 for s, t in zip(sigmas, problem.terms, strict=True))
     tau = BUDGETS[variant] / denom - 0.01
     return StepConfig(tau=tau, sigmas=sigmas, lambda_schedule=lam, max_iters=max_iters)

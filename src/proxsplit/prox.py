@@ -182,7 +182,10 @@ class WeightedL1(ProxFn):
         return np.clip(x, -self.weight, self.weight)
 
     def __call__(self, x) -> float:
-        return self.weight * float(np.abs(np.asarray(x, dtype=float) - self.shift).sum())
+        x = np.asarray(x, dtype=float)
+        if self._shifted:
+            x = x - self.shift
+        return self.weight * float(np.abs(x).sum())
 
 
 class EuclideanNorm(ProxFn):

@@ -309,8 +309,19 @@ class TestOtherCommands:
                 },
             ),
             dict(experiment="heron1", error_c=0.1, error_p=0.5),
+            dict(experiment="heron1", error_p=0.5),
+            dict(experiment="heron1", error_c=0.1, error_seed=-1),
+            dict(experiment="deblur", image_size=16, noise_seed=-1),
         ],
-        ids=["x0-dimension", "log_stride-zero", "custom-set-dimension", "error-p-not-summable"],
+        ids=[
+            "x0-dimension",
+            "log_stride-zero",
+            "custom-set-dimension",
+            "error-p-not-summable",
+            "error-p-not-summable-exact",
+            "error-seed-negative",
+            "noise-seed-negative",
+        ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, body):
         path = _write_config(tmp_path, output_csv=str(tmp_path / "out.csv"), **body)

@@ -114,6 +114,11 @@ class TestErrorSchedule:
         with pytest.raises(ValueError):
             make_power_error_schedule(1.0, 0.5, (3, (2,)), seed=0)
 
+    def test_rejects_negative_seed(self):
+        for c in (0.0, 1.0):
+            with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+                make_power_error_schedule(c, 2.0, (3, (2,)), seed=-1)
+
     def test_norm_law(self):
         sched = make_power_error_schedule(1.0, 2.0, (4, (2, 3)), seed=3)
         assert np.linalg.norm(sched.a(3)) == pytest.approx(1.0 / 16.0, abs=1e-14)

@@ -11,10 +11,6 @@ from proxsplit.linops import (
     IdentityOp,
     MatrixOp,
     gaussian_kernel,
-    gradient_adjoint,
-    gradient_apply,
-    haar_adjoint,
-    haar_forward,
     op_norm_estimate,
 )
 
@@ -31,29 +27,52 @@ def _adjoint_identity(op, n_pairs=100, rel=1e-9):
         assert abs(lhs - rhs) <= rel * scale
 
 
+class TestOperatorContract:
+    """What every shipped operator promises the solvers."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            MatrixOp(RNG.standard_normal((7, 5))),
+            IdentityOp(6),
+            GradientOp((6, 9)),
+            HaarOp((2, 6), levels=1),
+            HaarOp((8, 12), levels=2),
+            HaarOp((16, 8), levels=3),
+            HaarOp((16, 48), levels=4),
+            GaussianBlurOp((12, 10)),
+        ],
+        ids=["matrix", "identity", "gradient-6x9", "haar1-2x6", "haar2-8x12", "haar3-16x8", "haar4-16x48", "blur"],
+    )
+    def test_adjoint_shape_and_input_untouched(self, op):
+        _adjoint_identity(op)
+        x = RNG.standard_normal(op.in_dim)
+        y = RNG.standard_normal(op.out_dim)
+        x_before, y_before = x.copy(), y.copy()
+        lx = op.apply(x)
+        lty = op.adjoint(y)
+        assert lx.shape == (op.out_dim,)
+        assert lty.shape == (op.in_dim,)
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+
+    def test_haar_coefficient_layout(self):
+        out = HaarOp((2, 2), levels=1).apply(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert np.abs(out - [3.0, -1.0, -2.0, 0.0]).max() <= 1e-15
+
+
 class TestGradient:
     def test_constant_image(self):
-        p, q = gradient_apply(np.full((5, 7), 3.14))
-        assert not p.any() and not q.any()
+        out = GradientOp((5, 7)).apply(np.full((5, 7), 3.14))
+        assert not out.any()
 
     def test_two_by_two(self):
         x = np.array([[0.0, 1.0], [2.0, 3.0]])
-        p, q = gradient_apply(x)
+        p, q = GradientOp((2, 2)).apply(x).reshape(2, 2, 2)
         assert np.array_equal(p, [[2.0, 2.0], [0.0, 0.0]])
         assert np.array_equal(q, [[1.0, 0.0], [1.0, 0.0]])
 
-    def test_adjoint_identity_grids(self):
-        for _ in range(100):
-            x = RNG.standard_normal((8, 8))
-            p = RNG.standard_normal((8, 8))
-            q = RNG.standard_normal((8, 8))
-            gp, gq = gradient_apply(x)
-            lhs = float((gp * p).sum() + (gq * q).sum())
-            rhs = float((x * gradient_adjoint(p, q)).sum())
-            assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + 1.0)
-
     def test_adjoint_zero(self):
-        out = gradient_adjoint(np.zeros((4, 4)), np.zeros((4, 4)))
+        out = GradientOp((4, 4)).adjoint(np.zeros(32))
         assert not out.any()
 
     def test_operator_form(self):
@@ -72,7 +91,7 @@ class TestGradient:
 
 class TestHaar:
     def test_constant_image_single_coarse_coefficient(self):
-        c = haar_forward(np.ones((16, 16)), levels=4)
+        c = HaarOp((16, 16), levels=4).apply(np.ones(256))
         grid = c.reshape(16, 16)
         assert grid[0, 0] == pytest.approx(16.0, abs=1e-12)
         rest = grid.copy()
@@ -80,20 +99,22 @@ class TestHaar:
         assert np.abs(rest).max() <= 1e-12
 
     def test_parseval(self):
+        op = HaarOp((32, 32))
         for _ in range(20):
-            x = RNG.standard_normal((32, 32))
-            c = haar_forward(x)
+            x = RNG.standard_normal(op.in_dim)
+            c = op.apply(x)
             assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(x), abs=1e-12)
 
     def test_round_trip(self):
+        op = HaarOp((16, 48))
         for _ in range(20):
-            x = RNG.standard_normal((16, 48))
-            back = haar_adjoint(haar_forward(x), (16, 48))
+            x = RNG.standard_normal(op.in_dim)
+            back = op.adjoint(op.apply(x))
             assert np.abs(back - x).max() <= 1e-12
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            haar_forward(np.ones((12, 16)))
+            HaarOp((12, 16))
         with pytest.raises(ValueError):
             HaarOp((16, 20))
 
