@@ -13,7 +13,6 @@ from .core import (
     LogRow,
     StepConfig,
     StepSizeError,
-    dot,
     make_power_error_schedule,
 )
 from .linops import (

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -216,9 +217,9 @@ CONFIG_KEYS = {
     "algorithm": (*_NAME, _EVERY, "one of dr1, dr2, dr2-reduced (default dr1)"),
     "tau": (*_NUMBER, _EVERY, "primal step size (default: published, required for custom)"),
     "sigma": (*_NUMBER, _EVERY, "scalar dual step size applied to every term"),
-    "sigmas": (*_NUMBERS, _EVERY, "per-term dual step sizes (overrides sigma)"),
+    "sigmas": (*_NUMBERS, _EVERY, "per-term dual step sizes (instead of sigma)"),
     "lambda": (*_NUMBER, _EVERY, "constant relaxation in (0, 2) (default: published, 1.8 for custom)"),
-    "iters": (*_INTEGER, _EVERY, "iteration count (default 100 heron, 200 deblur; 0 = probe only)"),
+    "iters": (*_INTEGER, _EVERY, "iteration count (default 100 heron, 200 deblur; 0 runs one, as 1 does)"),
     "log_stride": (*_INTEGER, _EVERY, "log every k-th iteration (default 1 heron, 10 deblur)"),
     "residual_tol": (*_NUMBER, _EVERY, "stop once the update norm falls below this (default none)"),
     "x0": (*_NUMBERS, _HERONS, "starting primal point (default: published, origin for custom)"),
@@ -234,12 +235,15 @@ CONFIG_KEYS = {
     "noise_std": (*_NUMBER, _DEBLUR, "additive noise standard deviation"),
     "noise_seed": (*_INTEGER, _DEBLUR, "noise generator seed"),
     "image": (*_PATH, _DEBLUR, "clean PGM to degrade and restore (default: synthetic scene)"),
-    "image_size": (*_INTEGER, _DEBLUR, "side of the synthetic scene"),
+    "image_size": (*_INTEGER, _DEBLUR, "side of the synthetic scene (instead of image)"),
     "custom": (_of_type(dict), "a JSON object", ("custom",), "ball/box/line geometry block"),
 }
 
 # Keys forwarded to make_deblur_spec, whose signature holds their defaults.
 _DEBLUR_MODEL_KEYS = ("alpha1", "alpha2", "kernel_size", "kernel_std", "noise_std", "noise_seed")
+
+# Pairs of keys that give one value two ways; a config may set only one of each.
+_EXCLUSIVE_KEYS = (("sigma", "sigmas"), ("image", "image_size"))
 
 
 def load_config(path) -> dict:
@@ -267,11 +271,14 @@ def load_config(path) -> dict:
     experiment = cfg["experiment"]
     if experiment not in _EVERY:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    if cfg.get("algorithm") not in (None, DR1, DR2, DR2_REDUCED):
+    if cfg.get("algorithm", DR1) not in BUDGETS:
         raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
     unread = [key for key in cfg if experiment not in CONFIG_KEYS[key][2]]
     if unread:
         raise ConfigError(f"experiment {experiment!r} does not read config keys: {', '.join(map(repr, unread))}")
+    for first, second in _EXCLUSIVE_KEYS:
+        if first in cfg and second in cfg:
+            raise ConfigError(f"config keys {first!r} and {second!r} give the same value; set only one")
     if experiment == "custom" and "custom" not in cfg:
         raise ConfigError("experiment=custom requires the 'custom' geometry block")
     return cfg
@@ -314,7 +321,7 @@ class PreparedRun:
     variant: str
     problem: object
     step_config: StepConfig
-    errors: ErrorSchedule
+    errors: Optional[ErrorSchedule]
     objective: object
     x0: Optional[np.ndarray]
     iters: int
@@ -336,10 +343,16 @@ def build_run(cfg: dict) -> PreparedRun:
     """Materialize problem, step sizes, error schedule and objective from a
     loaded configuration, each unset key taking the experiment's default."""
     experiment, variant = cfg["experiment"], cfg.get("algorithm", DR1)
+    for key in ("output_csv", "output_pgm"):
+        if key in cfg and (os.path.isdir(cfg[key]) or not os.path.isdir(os.path.dirname(cfg[key]) or ".")):
+            raise ConfigError(f"config key {key!r}: cannot write a file at {cfg[key]!r}")
     dspec, pad = None, (0, 0)
     if experiment == "deblur":
         if "image" in cfg:
-            clean = pgm_read(cfg["image"])
+            try:
+                clean = pgm_read(cfg["image"])
+            except OSError as exc:
+                raise ConfigError(f"cannot read image {cfg['image']!r}: {exc.strerror or exc}") from None
         elif "image_size" in cfg:
             clean = synthetic_image((cfg["image_size"],) * 2)
         else:

@@ -1,4 +1,4 @@
-"""Vectors, product-space arithmetic, step configuration and error schedules.
+"""Vectors, product-space blocks, step configuration and error schedules.
 
 Everything in this module is a plain value over float64 numpy arrays: objects
 are never mutated after construction, so they can be shared freely between
@@ -6,7 +6,6 @@ threads and across solver runs.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -20,7 +19,6 @@ __all__ = [
     "StepSizeError",
     "StepConfig",
     "as_vector",
-    "dot",
     "make_power_error_schedule",
 ]
 
@@ -52,22 +50,13 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def dot(u, v) -> float:
-    """Euclidean inner product of two vectors of equal dimension."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return float(np.dot(u, v))
-
-
 class BlockVector:
     """Element of a product space G_1 x ... x G_m, stored block by block.
 
-    Supports the vector-space operations the solvers need; the inner product
-    is the sum of per-block inner products. Instances are treated as
-    immutable values: arithmetic returns new objects and the stored arrays
-    must not be written to.
+    Holds the dual blocks of the solvers. Besides indexing and iteration it
+    offers the difference and the inner product (the sum of per-block inner
+    products) that the metric diagnostics use. Instances are treated as
+    immutable values: the stored arrays must not be written to.
     """
 
     __slots__ = ("blocks",)
@@ -92,28 +81,11 @@ class BlockVector:
     def __iter__(self):
         return iter(self.blocks)
 
-    def __add__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector([a + b for a, b in zip(self.blocks, other.blocks, strict=True)])
-
     def __sub__(self, other: "BlockVector") -> "BlockVector":
         return BlockVector([a - b for a, b in zip(self.blocks, other.blocks, strict=True)])
 
-    def __mul__(self, s: float) -> "BlockVector":
-        return BlockVector([s * b for b in self.blocks])
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "BlockVector":
-        return BlockVector([-b for b in self.blocks])
-
     def dot(self, other: "BlockVector") -> float:
         return float(sum(np.dot(a, b) for a, b in zip(self.blocks, other.blocks, strict=True)))
-
-    def norm(self) -> float:
-        return math.sqrt(max(self.dot(self), 0.0))
-
-    def copy(self) -> "BlockVector":
-        return BlockVector([b.copy() for b in self.blocks])
 
     def __repr__(self):
         return f"BlockVector(signature={self.signature})"
@@ -173,24 +145,13 @@ class ErrorSchedule:
     """Additive perturbations injected after each resolvent evaluation.
 
     ``a(n)`` perturbs the primal resolvent, ``b(i, n)`` and ``d(i, n)`` the
-    two dual resolvents of term ``i``. The exact schedule (``is_exact``)
-    makes solvers skip the additions entirely, so an exact run is
-    bit-identical to a run with no error machinery attached.
+    two dual resolvents of term ``i``. An exact run has no schedule: the
+    solvers take ``errs=None`` and then make no additions at all.
     """
 
     a: Callable[[int], np.ndarray]
     b: Callable[[int, int], np.ndarray]
     d: Callable[[int, int], np.ndarray]
-    is_exact: bool = False
-
-    @staticmethod
-    def exact() -> "ErrorSchedule":
-        return ErrorSchedule(
-            a=lambda n: 0.0,
-            b=lambda i, n: 0.0,
-            d=lambda i, n: 0.0,
-            is_exact=True,
-        )
 
 
 def _seeded_unit(key, dim: int) -> np.ndarray:
@@ -204,12 +165,13 @@ def _seeded_unit(key, dim: int) -> np.ndarray:
     return v / nv
 
 
-def make_power_error_schedule(c: float, p: float, dims, seed: int) -> ErrorSchedule:
+def make_power_error_schedule(c: float, p: float, dims, seed: int) -> Optional[ErrorSchedule]:
     """Error vectors of norm exactly ``c * (n+1)**(-p)`` in seeded directions.
 
     ``dims`` is the space signature ``(primal_dim, block_dims)``. Requires
     ``p > 1`` so that the generated norms are summable and a nonnegative
-    ``seed``; ``c = 0`` returns the exact schedule once all three are checked.
+    ``seed``; ``c = 0`` returns None, the exact run, once all three are
+    checked.
     """
     if p <= 1.0:
         raise ValueError("error schedule requires p > 1 (summability)")
@@ -219,7 +181,7 @@ def make_power_error_schedule(c: float, p: float, dims, seed: int) -> ErrorSched
     if seed < 0:
         raise ValueError(f"error schedule seed must be nonnegative, got {seed}")
     if c == 0.0:
-        return ErrorSchedule.exact()
+        return None
     dim_h = int(dims[0])
     g_dims = tuple(int(d) for d in dims[1])
 
@@ -230,7 +192,6 @@ def make_power_error_schedule(c: float, p: float, dims, seed: int) -> ErrorSched
         a=lambda n: mag(n) * _seeded_unit((seed, 0, 0, n), dim_h),
         b=lambda i, n: mag(n) * _seeded_unit((seed, 1, i, n), g_dims[i]),
         d=lambda i, n: mag(n) * _seeded_unit((seed, 2, i, n), g_dims[i]),
-        is_exact=False,
     )
 
 

@@ -43,9 +43,6 @@ class LinOp:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
 
 class MatrixOp(LinOp):
     """Dense matrix operator; the default bound is the exact spectral norm."""

@@ -23,7 +23,7 @@ from .prox import (
     WeightedL1,
     distance_to_set,
 )
-from .solvers import BUDGETS, DR1, DR2, DR2_REDUCED, ProblemSpec, make_prox_problem
+from .solvers import BUDGETS, DR1, DR2, ProblemSpec, make_prox_problem
 
 __all__ = [
     "HeronSpec",
@@ -125,7 +125,7 @@ HERON_SETUPS = {
 
 def heron_step_config(name: str, problem: ProblemSpec, variant: str, max_iters: int = 100) -> StepConfig:
     """Published step sizes of location experiment ``name`` under ``variant``."""
-    if variant not in (DR1, DR2, DR2_REDUCED):
+    if variant not in BUDGETS:
         raise ValueError(f"unknown variant {variant!r}")
     tau, sigma, lam = HERON_SETUPS[name][2][DR1 if variant == DR1 else DR2]
     return StepConfig(tau=tau, sigmas=(sigma,) * problem.m, lambda_schedule=lam, max_iters=max_iters)
@@ -272,7 +272,7 @@ def deblur_step_config(problem: ProblemSpec, variant: str, max_iters: int = 200)
     the declared norm bounds, which keeps the product strictly inside the
     variant's budget.
     """
-    if variant not in (DR1, DR2, DR2_REDUCED):
+    if variant not in BUDGETS:
         raise ValueError(f"unknown variant {variant!r}")
     sigmas, lam = _DEBLUR_RECIPES[DR1 if variant == DR1 else DR2]
     denom = sum(s * t.L.norm_bound ** 2 for s, t in zip(sigmas, problem.terms, strict=True))

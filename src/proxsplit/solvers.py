@@ -279,10 +279,9 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     tau = cfg.tau
     lam = cfg.lam(n)
     x, v = state.x, state.v
-    exact = errs is None or errs.is_exact
 
     p1 = spec.res_a(tau, x - 0.5 * tau * _adjoint_sum(spec, v) + tau * spec.z)
-    if not exact:
+    if errs is not None:
         p1 = p1 + errs.a(n)
     w1 = 2.0 * p1 - x
 
@@ -290,7 +289,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         p2 = term.res_b_conj(s, v[i] + 0.5 * s * term.L.apply(w1) - s * term.r)
-        if not exact:
+        if errs is not None:
             p2 = p2 + errs.b(i, n)
         p2s.append(p2)
     w2s = [2.0 * p2 - v[i] for i, p2 in enumerate(p2s)]
@@ -304,7 +303,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         z2 = term.res_d_conj(s, w2s[i] + 0.5 * s * term.L.apply(u))
-        if not exact:
+        if errs is not None:
             z2 = z2 + errs.d(i, n)
         v_new.append(v[i] + lam * (z2 - p2s[i]))
         res_sq += _sq(z2 - p2s[i])
@@ -330,10 +329,9 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     tau = cfg.tau
     lam = cfg.lam(n)
     x, y, v = state.x, state.y, state.v
-    exact = errs is None or errs.is_exact
 
     p1 = spec.res_a(tau, x - tau * (_adjoint_sum(spec, v) - spec.z))
-    if not exact:
+    if errs is not None:
         p1 = p1 + errs.a(n)
     x_new = x + lam * (p1 - x)
     u = 2.0 * p1 - x
@@ -347,13 +345,13 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         if y is not None:
             g = state.gammas[i]
             p2 = term.res_d(g, y[i] + g * v[i])
-            if not exact:
+            if errs is not None:
                 p2 = p2 + errs.d(i, n)
             y_new.append(y[i] + lam * (p2 - y[i]))
             res_sq += _sq(p2 - y[i])
             target = target - (2.0 * p2 - y[i])
         p3 = term.res_b_conj(s, v[i] + s * (target - term.r))
-        if not exact:
+        if errs is not None:
             p3 = p3 + errs.b(i, n)
         v_new.append(v[i] + lam * (p3 - v[i]))
         p3s.append(p3)
@@ -436,31 +434,20 @@ def run(
     output, the dual resolvent outputs, the objective at the primal point
     (when an evaluator is given) and the relaxed update norm. Rows are kept
     every ``log_stride`` steps plus the final one. ``n_iters`` overrides
-    ``cfg.max_iters``; ``n_iters = 0`` evaluates a single step from the
-    start without applying it. Before the first sweep, :func:`preflight`
-    checks the budget, the relaxation at every iteration the run may take
-    and the starting point. A finite ``residual_tol`` stops the run once
-    the update norm drops below it (a non-finite tolerance never stops).
-    Non-finite iterates abort with a :class:`DivergenceError` naming the
-    first offending quantity.
+    ``cfg.max_iters``; ``n_iters = 0`` runs one sweep, as ``n_iters = 1``
+    does, so row 0 is the step from the start. ``errs=None`` is the exact
+    run. Before the first sweep, :func:`preflight` checks the budget, the
+    relaxation at every iteration the run may take and the starting point.
+    A finite ``residual_tol`` stops the run once the update norm drops below
+    it (a non-finite tolerance never stops). Non-finite iterates abort with
+    a :class:`DivergenceError` naming the first offending quantity.
     """
     n_iters = cfg.max_iters if n_iters is None else int(n_iters)
     state = preflight(spec, cfg, variant, n_iters, log_stride, x0, v0, y0)
     step = _STEPS[variant]
 
     log = IterateLog()
-
-    def record(k, st):
-        obj = float(log_objective(st.p1)) if log_objective is not None else None
-        log.append(LogRow(n=k, primal=st.p1, duals=st.duals, objective=obj, step_residual=st.residual))
-
-    if n_iters == 0:
-        probe = step(spec, cfg, errs, state)
-        _check_state(probe, 0)
-        record(0, probe)
-        return log
-
-    for k in range(n_iters):
+    for k in range(max(n_iters, 1)):
         state = step(spec, cfg, errs, state)
         _check_state(state, k)
         stop = (
@@ -469,7 +456,8 @@ def run(
             and state.residual < residual_tol
         )
         if k % log_stride == 0 or k == n_iters - 1 or stop:
-            record(k, state)
+            obj = float(log_objective(state.p1)) if log_objective is not None else None
+            log.append(LogRow(n=k, primal=state.p1, duals=state.duals, objective=obj, step_residual=state.residual))
         if stop:
             break
     return log

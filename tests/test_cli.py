@@ -312,6 +312,12 @@ class TestOtherCommands:
             dict(experiment="heron1", error_p=0.5),
             dict(experiment="heron1", error_c=0.1, error_seed=-1),
             dict(experiment="deblur", image_size=16, noise_seed=-1),
+            dict(experiment="deblur", image="{tmp}/no-such.pgm"),
+            dict(experiment="deblur", image="{tmp}"),
+            dict(experiment="heron1", output_csv="{tmp}/missing/out.csv"),
+            dict(experiment="deblur", image_size=16, output_pgm="{tmp}"),
+            dict(experiment="heron1", sigma=100, sigmas=[0.5] * 8),
+            dict(experiment="deblur", image="{tmp}/img.pgm", image_size=7),
         ],
         ids=[
             "x0-dimension",
@@ -321,10 +327,19 @@ class TestOtherCommands:
             "error-p-not-summable-exact",
             "error-seed-negative",
             "noise-seed-negative",
+            "image-missing",
+            "image-directory",
+            "output-csv-missing-directory",
+            "output-pgm-is-directory",
+            "sigma-and-sigmas",
+            "image-and-image_size",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, body):
-        path = _write_config(tmp_path, output_csv=str(tmp_path / "out.csv"), **body)
+        # "{tmp}" in a path stands for tmp_path, which holds a readable img.pgm
+        pgm_write(np.full((32, 32), 0.5), tmp_path / "img.pgm")
+        body = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in body.items()}
+        path = _write_config(tmp_path, **{"output_csv": str(tmp_path / "out.csv"), **body})
         assert main(["validate", path]) == 2
         validate_err = capsys.readouterr().err
         assert main(["run", path]) == 2

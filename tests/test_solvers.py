@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from proxsplit.core import BlockVector, ErrorSchedule, StepConfig, StepSizeError
+from proxsplit.core import BlockVector, StepConfig, StepSizeError
 from proxsplit.linops import CountingOp, IdentityOp, LinOp, MatrixOp
 from proxsplit.problems import heron1, heron_build, heron_objective
 from proxsplit.prox import (
@@ -290,6 +290,29 @@ class TestRunSemantics:
         log = run(prob, cfg, variant="dr1", n_iters=0, x0=np.array([5.0, 2.0]))
         assert len(log) == 1 and log.final.n == 0
 
+    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
+    def test_zero_iters_is_one_sweep(self, variant):
+        # a problem every variant runs: each parallel-sum slot is reduced
+        prob = TestReducedScheme()._reduced_problem()
+        cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=5)
+        logs = [
+            run(
+                prob,
+                cfg,
+                variant=variant,
+                log_objective=lambda x: float(np.abs(x).sum()),
+                n_iters=n,
+                x0=np.array([0.9, -0.4, 0.2]),
+            )
+            for n in (0, 1)
+        ]
+        (probe,), (first,) = (log.rows for log in logs)
+        assert probe.n == first.n == 0
+        assert np.array_equal(probe.primal, first.primal)
+        assert all(np.array_equal(a, b) for a, b in zip(probe.duals, first.duals, strict=True))
+        assert probe.step_residual == first.step_residual
+        assert probe.objective == first.objective
+
     def test_stride_keeps_last(self):
         _, prob, cfg = self._setup()
         log = run(prob, cfg, variant="dr1", n_iters=25, log_stride=10, x0=np.array([5.0, 2.0]))
@@ -399,15 +422,6 @@ class TestRunSemantics:
             run(bad, cfg, variant="dr2", n_iters=5)
         assert err.value.quantity == "y, term 0"
         assert err.value.iteration == 0
-
-    def test_error_schedule_zero_bit_identical(self):
-        _, prob, cfg = self._setup()
-        x0 = np.array([5.0, 2.0])
-        log_none = run(prob, cfg, variant="dr1", errs=None, n_iters=20, x0=x0)
-        log_exact = run(prob, cfg, variant="dr1", errs=ErrorSchedule.exact(), n_iters=20, x0=x0)
-        for a, b in zip(log_none, log_exact):
-            assert np.array_equal(a.primal, b.primal)
-            assert a.step_residual == b.step_residual
 
 
 class TestMetric:
