@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import proxsplit
+from proxsplit import cli
 from proxsplit.cli import (
     ConfigError,
     PgmError,
@@ -17,6 +19,7 @@ from proxsplit.cli import (
     pgm_read,
     pgm_write,
 )
+from proxsplit.core import BlockVector, IterateLog, LogRow
 from proxsplit.problems import heron_objective, heron1
 
 
@@ -282,6 +285,80 @@ class TestRunCommand:
         assert outs[0] == outs[1]
 
 
+def _per_value_csv(log, prepared):
+    """The CSV as the earlier per-value writer formatted it: one
+    ``format(float(x), ".9g")`` call per value, joined by commas."""
+    dspec = prepared.deblur_spec
+    cols = ["iter", "objective", "residual"] + (["isnr"] if dspec is not None else [])
+    lines = [",".join(cols + [f"primal_{i}" for i in range(prepared.problem.dim)])]
+    for row in log:
+        parts = [str(row.n), format(float(row.objective), ".9g"), format(float(row.step_residual), ".9g")]
+        if dspec is not None:
+            parts.append(format(float(cli.isnr(dspec.clean, dspec.observed, row.primal)), ".9g"))
+        parts.extend(format(float(p), ".9g") for p in row.primal)
+        lines.append(",".join(parts))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvFormat:
+    """The CSV writer formats each row from one template; its bytes are the
+    earlier per-value writer's."""
+
+    SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 0.0, 3.0, -7.0, 1 / 3, 123456789.0, -2.5e-300]
+
+    def _special_log(self):
+        log = IterateLog()
+        objectives = [54.4189143, math.inf, 0.0, math.nan]
+        for k, n in enumerate((0, 1, 7, 1000)):
+            primal = np.roll(np.array(self.SPECIAL), k)
+            log.append(LogRow(n, primal, BlockVector.zeros((1,)), objectives[k], 10.0 ** -k))
+        return log
+
+    @pytest.mark.parametrize("with_isnr", [False, True], ids=["heron-columns", "deblur-columns"])
+    def test_special_values(self, tmp_path, monkeypatch, with_isnr):
+        # isnr is looked up on the cli module once per row; the stand-in hands
+        # out special values so the isnr column sees them too
+        gains = iter([math.inf, math.nan, -0.0, 12.5] * 2)
+        calls = []
+
+        def fake_isnr(clean, observed, current):
+            calls.append(current)
+            return next(gains)
+
+        monkeypatch.setattr(cli, "isnr", fake_isnr)
+        dspec = SimpleNamespace(clean=None, observed=None) if with_isnr else None
+        prepared = SimpleNamespace(deblur_spec=dspec, problem=SimpleNamespace(dim=len(self.SPECIAL)))
+        log = self._special_log()
+        path = tmp_path / "special.csv"
+        cli._write_csv(path, log, prepared)
+        assert len(calls) == (len(log) if with_isnr else 0)
+        assert path.read_bytes() == _per_value_csv(log, prepared)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"experiment": "deblur", "algorithm": "dr1", "image_size": 32, "iters": 25, "error_c": 1},
+            {"experiment": "heron1", "algorithm": "dr2"},
+        ],
+        ids=["deblur32-inexact", "heron1"],
+    )
+    def test_run_matches_per_value_writer(self, tmp_path, monkeypatch, body):
+        csv = tmp_path / "out.csv"
+        if body["experiment"] == "deblur":
+            body = dict(body, output_pgm=str(tmp_path / "out.pgm"))
+        path = _write_config(tmp_path, output_csv=str(csv), **body)
+        logs = []
+        solve = cli.run
+
+        def logged_run(*args, **kwargs):
+            logs.append(solve(*args, **kwargs))
+            return logs[-1]
+
+        monkeypatch.setattr(cli, "run", logged_run)
+        assert main(["run", path]) == 0
+        assert csv.read_bytes() == _per_value_csv(logs[0], build_run(load_config(path)))
+
+
 class TestOtherCommands:
     def test_validate_ok(self, tmp_path, capsys):
         path = _write_config(tmp_path, experiment="heron1", algorithm="dr2")
@@ -373,6 +450,11 @@ class TestPgm:
         path.write_bytes(b"P2\n2 2\n255\n0 255\n128 64\n")
         img = pgm_read(path)
         assert np.allclose(img, [[0.0, 1.0], [128 / 255, 64 / 255]])
+
+    def test_ascii_write_bytes(self, tmp_path):
+        path = tmp_path / "tiny.pgm"
+        pgm_write(np.array([[0.0, 0.5, 1.0], [0.25, 1.2, -0.1]]), path, binary=False)
+        assert path.read_bytes() == b"P2\n3 2\n255\n0 128 255\n64 255 0\n"
 
     def test_binary_round_trip_identity_on_quantized(self, tmp_path):
         rng = np.random.default_rng(6)

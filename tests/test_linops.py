@@ -14,13 +14,10 @@ from proxsplit.linops import (
     op_norm_estimate,
 )
 
-RNG = np.random.default_rng(123)
-
-
-def _adjoint_identity(op, n_pairs=100, rel=1e-9):
+def _adjoint_identity(op, rng, n_pairs=100, rel=1e-9):
     for _ in range(n_pairs):
-        x = RNG.standard_normal(op.in_dim)
-        y = RNG.standard_normal(op.out_dim)
+        x = rng.standard_normal(op.in_dim)
+        y = rng.standard_normal(op.out_dim)
         lhs = float(np.dot(op.apply(x), y))
         rhs = float(np.dot(x, op.adjoint(y)))
         scale = np.linalg.norm(x) * np.linalg.norm(y) + 1.0
@@ -31,23 +28,24 @@ class TestOperatorContract:
     """What every shipped operator promises the solvers."""
 
     @pytest.mark.parametrize(
-        "op",
+        "make",
         [
-            MatrixOp(RNG.standard_normal((7, 5))),
-            IdentityOp(6),
-            GradientOp((6, 9)),
-            HaarOp((2, 6), levels=1),
-            HaarOp((8, 12), levels=2),
-            HaarOp((16, 8), levels=3),
-            HaarOp((16, 48), levels=4),
-            GaussianBlurOp((12, 10)),
+            lambda rng: MatrixOp(rng.standard_normal((7, 5))),
+            lambda rng: IdentityOp(6),
+            lambda rng: GradientOp((6, 9)),
+            lambda rng: HaarOp((2, 6), levels=1),
+            lambda rng: HaarOp((8, 12), levels=2),
+            lambda rng: HaarOp((16, 8), levels=3),
+            lambda rng: HaarOp((16, 48), levels=4),
+            lambda rng: GaussianBlurOp((12, 10)),
         ],
         ids=["matrix", "identity", "gradient-6x9", "haar1-2x6", "haar2-8x12", "haar3-16x8", "haar4-16x48", "blur"],
     )
-    def test_adjoint_shape_and_input_untouched(self, op):
-        _adjoint_identity(op)
-        x = RNG.standard_normal(op.in_dim)
-        y = RNG.standard_normal(op.out_dim)
+    def test_adjoint_shape_and_input_untouched(self, make, rng):
+        op = make(rng)
+        _adjoint_identity(op, rng)
+        x = rng.standard_normal(op.in_dim)
+        y = rng.standard_normal(op.out_dim)
         x_before, y_before = x.copy(), y.copy()
         lx = op.apply(x)
         lty = op.adjoint(y)
@@ -75,16 +73,16 @@ class TestGradient:
         out = GradientOp((4, 4)).adjoint(np.zeros(32))
         assert not out.any()
 
-    def test_operator_form(self):
+    def test_operator_form(self, rng):
         op = GradientOp((8, 6))
         assert op.in_dim == 48 and op.out_dim == 96
-        _adjoint_identity(op)
+        _adjoint_identity(op, rng)
 
-    def test_composition_norm_bound(self):
+    def test_composition_norm_bound(self, rng):
         # gradient of the adjoint output stays below bound^2 = 8 times input
         op = GradientOp((8, 8))
         for _ in range(50):
-            y = RNG.standard_normal(op.out_dim)
+            y = rng.standard_normal(op.out_dim)
             z = op.apply(op.adjoint(y))
             assert np.linalg.norm(z) <= 8.0 * np.linalg.norm(y) * (1 + 1e-12)
 
@@ -98,17 +96,17 @@ class TestHaar:
         rest[0, 0] = 0.0
         assert np.abs(rest).max() <= 1e-12
 
-    def test_parseval(self):
+    def test_parseval(self, rng):
         op = HaarOp((32, 32))
         for _ in range(20):
-            x = RNG.standard_normal(op.in_dim)
+            x = rng.standard_normal(op.in_dim)
             c = op.apply(x)
             assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(x), abs=1e-12)
 
-    def test_round_trip(self):
+    def test_round_trip(self, rng):
         op = HaarOp((16, 48))
         for _ in range(20):
-            x = RNG.standard_normal(op.in_dim)
+            x = rng.standard_normal(op.in_dim)
             back = op.adjoint(op.apply(x))
             assert np.abs(back - x).max() <= 1e-12
 
@@ -118,9 +116,9 @@ class TestHaar:
         with pytest.raises(ValueError):
             HaarOp((16, 20))
 
-    def test_operator_adjoint(self):
+    def test_operator_adjoint(self, rng):
         op = HaarOp((16, 16))
-        _adjoint_identity(op)
+        _adjoint_identity(op, rng)
 
     def test_declared_bound_configurable(self):
         op = HaarOp((16, 16), norm_bound=2.0 ** -8)
@@ -146,11 +144,11 @@ class TestBlur:
         out = op.apply(np.full(256, 0.37))
         assert np.allclose(out, 0.37, atol=1e-13)
 
-    def test_self_adjoint(self):
+    def test_self_adjoint(self, rng):
         op = GaussianBlurOp((16, 16))
         for _ in range(100):
-            x = RNG.standard_normal(256)
-            y = RNG.standard_normal(256)
+            x = rng.standard_normal(256)
+            y = rng.standard_normal(256)
             lhs = float(np.dot(op.apply(x), y))
             rhs = float(np.dot(x, op.apply(y)))
             assert abs(lhs - rhs) <= 1e-10 * (np.linalg.norm(x) * np.linalg.norm(y) + 1.0)
@@ -162,16 +160,16 @@ class TestBlur:
 
 
 class TestMatrixAndIdentity:
-    def test_matrix_adjoint(self):
-        op = MatrixOp(RNG.standard_normal((7, 5)))
-        _adjoint_identity(op)
+    def test_matrix_adjoint(self, rng):
+        op = MatrixOp(rng.standard_normal((7, 5)))
+        _adjoint_identity(op, rng)
 
     def test_identity_norm(self):
         op = IdentityOp(6)
         assert op_norm_estimate(op, iters=1, seed=0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_declared_bound_is_spectral_norm(self):
-        a = RNG.standard_normal((6, 4))
+    def test_declared_bound_is_spectral_norm(self, rng):
+        a = rng.standard_normal((6, 4))
         op = MatrixOp(a)
         assert op.norm_bound == pytest.approx(np.linalg.norm(a, 2))
 
@@ -185,8 +183,8 @@ class TestNormEstimate:
         op = MatrixOp(np.zeros((3, 3)), norm_bound=0.0)
         assert op_norm_estimate(op, iters=5, seed=0) == 0.0
 
-    def test_monotone_in_iters(self):
-        op = MatrixOp(RNG.standard_normal((10, 10)))
+    def test_monotone_in_iters(self, rng):
+        op = MatrixOp(rng.standard_normal((10, 10)))
         vals = [op_norm_estimate(op, iters=k, seed=5) for k in (1, 2, 5, 10, 30)]
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-15
@@ -197,13 +195,13 @@ class TestNormEstimate:
         est = op_norm_estimate(op, iters=300, seed=0)
         assert 2.7 < est <= math.sqrt(8.0) * (1 + 1e-9)
 
-    def test_estimate_below_declared_bound_for_shipped_ops(self):
+    def test_estimate_below_declared_bound_for_shipped_ops(self, rng):
         ops = [
             GradientOp((16, 16)),
             HaarOp((16, 16)),
             GaussianBlurOp((16, 16)),
             IdentityOp(8),
-            MatrixOp(RNG.standard_normal((5, 9))),
+            MatrixOp(rng.standard_normal((5, 9))),
         ]
         for op in ops:
             est = op_norm_estimate(op, iters=100, seed=2)

@@ -24,9 +24,6 @@ from proxsplit.problems import (
 from proxsplit.prox import BallIndicator, BoxIndicator, L21Norm, LineIndicator, prox_conjugate
 from proxsplit.solvers import BUDGETS, run, validate_steps, weighted_bound_sum
 
-RNG = np.random.default_rng(2024)
-
-
 class TestHeronGeometry:
     def test_example1_layout(self):
         h = heron1()
@@ -66,11 +63,11 @@ class TestHeronGeometry:
         )
         assert heron_objective(spec, [0.05, 0.0]) == 0.0
 
-    def test_objective_midpoint_convexity(self):
+    def test_objective_midpoint_convexity(self, rng):
         h = heron1()
         for _ in range(100):
-            x = RNG.standard_normal(2) * 8.0
-            y = RNG.standard_normal(2) * 8.0
+            x = rng.standard_normal(2) * 8.0
+            y = rng.standard_normal(2) * 8.0
             mid = heron_objective(h, 0.5 * (x + y))
             assert mid <= 0.5 * heron_objective(h, x) + 0.5 * heron_objective(h, y) + 1e-12
 
@@ -138,13 +135,13 @@ class TestDeblurObjective:
         x[0, 0] = 1.5
         assert deblur_objective(dspec, x) == math.inf
 
-    def test_conjugate_proxes_match_closed_forms(self):
+    def test_conjugate_proxes_match_closed_forms(self, rng):
         dspec = make_deblur_spec(shape=(16, 16))
         prob = deblur_build(dspec)
         b = dspec.observed.ravel()
         npix = b.size
         for sigma in (0.05, 1.0, 3.0):
-            p = RNG.standard_normal(npix) * 2.0
+            p = rng.standard_normal(npix) * 2.0
             # data-fit term: clip(p - sigma * b) onto [-1, 1]
             got = prob.terms[0].res_b_conj(sigma, p)
             assert np.allclose(got, np.clip(p - sigma * b, -1.0, 1.0), atol=1e-12)
@@ -152,7 +149,7 @@ class TestDeblurObjective:
             got = prob.terms[1].res_b_conj(sigma, p)
             assert np.allclose(got, np.clip(p, -dspec.alpha2, dspec.alpha2), atol=1e-12)
             # TV term: per-pixel disc projection with radius alpha1
-            pq = RNG.standard_normal(2 * npix) * 0.01
+            pq = rng.standard_normal(2 * npix) * 0.01
             got = prob.terms[2].res_b_conj(sigma, pq)
             p_, q_ = pq[:npix], pq[npix:]
             scale = np.minimum(1.0, dspec.alpha1 / np.sqrt(p_ * p_ + q_ * q_))
@@ -187,8 +184,8 @@ class TestDeblurObjective:
 
 
 class TestIsnr:
-    def test_zero_at_observation(self):
-        clean = RNG.random((8, 8))
+    def test_zero_at_observation(self, rng):
+        clean = rng.random((8, 8))
         observed = clean + 0.1
         assert isnr(clean, observed, observed) == pytest.approx(0.0, abs=1e-12)
 
@@ -198,8 +195,8 @@ class TestIsnr:
         current = 0.5 * np.ones(10)
         assert isnr(clean, observed, current) == pytest.approx(10 * math.log10(4.0), abs=1e-12)
 
-    def test_exact_recovery_sentinel(self):
-        clean = RNG.random(5)
+    def test_exact_recovery_sentinel(self, rng):
+        clean = rng.random(5)
         assert isnr(clean, clean + 1.0, clean) == math.inf
 
 

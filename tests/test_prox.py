@@ -19,6 +19,7 @@ from proxsplit.prox import (
     prox,
     prox_conjugate,
 )
+from proxsplit.prox import _MEMBERSHIP_ATOL as ATOL
 
 RNG = np.random.default_rng(42)
 
@@ -262,6 +263,33 @@ class TestEvaluation:
         f = BoxIndicator([0.0, 0.0], [1.0, 1.0])
         assert f([0.3, 0.9]) == 0.0
         assert f([1.5, 0.5]) == math.inf
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, 1.0), (np.zeros(3), np.ones(3)), ([0.0, -1.0, 2.0], [1.0, 0.0, 3.0])],
+        ids=["scalar", "per-component", "per-component-distinct"],
+    )
+    def test_box_membership_edges(self, lo, hi):
+        f = BoxIndicator(lo, hi)
+        lo, hi = np.broadcast_to(lo, 3), np.broadcast_to(hi, 3)
+        assert f(0.5 * (lo + hi)) == 0.0
+        # a point up to ATOL outside a bound still counts as inside
+        for edge in (lo - 0.5 * ATOL, lo - ATOL, hi + 0.5 * ATOL, hi + ATOL):
+            assert f(edge) == 0.0
+        for i in range(3):
+            for value in (lo[i] - 1e-9, hi[i] + 1e-9, np.nan):
+                x = 0.5 * (lo + hi)
+                x[i] = value
+                assert f(x) == math.inf
+
+    def test_box_nan_anywhere_is_outside(self):
+        for f in (BoxIndicator(0.0, 1.0), BoxIndicator(np.zeros((8, 8)), np.ones((8, 8)))):
+            for i in range(64):
+                x = np.full((8, 8), 0.5)
+                x.flat[i] = np.nan
+                assert f(x) == math.inf
+        assert BoxIndicator(-np.inf, np.inf)([0.0, np.nan]) == math.inf
+        assert BoxIndicator(-np.inf, np.inf)([-np.inf, np.inf]) == 0.0
 
     def test_norm_values(self):
         assert EuclideanNorm()([3.0, 4.0]) == pytest.approx(5.0)
