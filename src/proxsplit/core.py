@@ -62,7 +62,7 @@ class BlockVector:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: Sequence[np.ndarray]):
-        self.blocks = tuple(as_vector(b) for b in blocks)
+        self.blocks = tuple(map(as_vector, blocks))
 
     @classmethod
     def zeros(cls, signature: Sequence[int]) -> "BlockVector":

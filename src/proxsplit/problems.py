@@ -191,7 +191,13 @@ def deblur_objective(spec: DeblurSpec, x) -> float:
 
 
 def isnr(clean, observed, current) -> float:
-    """Improvement in signal-to-noise ratio of a reconstruction, in dB."""
+    """Improvement in signal-to-noise ratio of a reconstruction, in dB.
+
+    Total on float input: ``inf`` when ``current`` equals ``clean``, ``-inf``
+    when the ratio of the observation's squared error to the
+    reconstruction's is 0 (an exact observation, or an infinite
+    reconstruction error), and NaN when that ratio is NaN.
+    """
     clean = np.asarray(clean, dtype=float).ravel()
     observed = np.asarray(observed, dtype=float).ravel()
     current = np.asarray(current, dtype=float).ravel()
@@ -199,7 +205,10 @@ def isnr(clean, observed, current) -> float:
     den = float(np.dot(clean - current, clean - current))
     if den == 0.0:
         return math.inf
-    return 10.0 * math.log10(num / den)
+    ratio = num / den
+    if ratio == 0.0:
+        return -math.inf
+    return 10.0 * math.log10(ratio)
 
 
 def synthetic_image(shape=(64, 64)) -> np.ndarray:

@@ -266,7 +266,7 @@ def _adjoint_sum(spec: ProblemSpec, blocks) -> np.ndarray:
 
 
 def _sq(u) -> float:
-    return float(np.dot(u, u))
+    return float(u.dot(u))
 
 
 def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], state: State) -> State:
@@ -295,18 +295,21 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     w2s = [2.0 * p2 - v[i] for i, p2 in enumerate(p2s)]
 
     z1 = w1 - 0.5 * tau * _adjoint_sum(spec, w2s)
-    x_new = x + lam * (z1 - p1)
+    dx = z1 - p1
+    x_new = x + lam * dx
     u = 2.0 * z1 - w1
 
     v_new = []
-    res_sq = _sq(z1 - p1)
+    res_sq = _sq(dx)
+    del dx  # a primal-sized temporary: free it before the dual pass
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         z2 = term.res_d_conj(s, w2s[i] + 0.5 * s * term.L.apply(u))
         if errs is not None:
             z2 = z2 + errs.d(i, n)
-        v_new.append(v[i] + lam * (z2 - p2s[i]))
-        res_sq += _sq(z2 - p2s[i])
+        dv = z2 - p2s[i]
+        v_new.append(v[i] + lam * dv)
+        res_sq += _sq(dv)
     residual = lam * math.sqrt(res_sq)
 
     return State(
@@ -333,12 +336,14 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     p1 = spec.res_a(tau, x - tau * (_adjoint_sum(spec, v) - spec.z))
     if errs is not None:
         p1 = p1 + errs.a(n)
-    x_new = x + lam * (p1 - x)
+    dx = p1 - x
+    x_new = x + lam * dx
     u = 2.0 * p1 - x
 
     y_new = None if y is None else []
     v_new, p3s = [], []
-    res_sq = _sq(p1 - x)
+    res_sq = _sq(dx)
+    del dx  # a primal-sized temporary: free it before the dual pass
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         target = term.L.apply(u)
@@ -347,15 +352,17 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
             p2 = term.res_d(g, y[i] + g * v[i])
             if errs is not None:
                 p2 = p2 + errs.d(i, n)
-            y_new.append(y[i] + lam * (p2 - y[i]))
-            res_sq += _sq(p2 - y[i])
+            dy = p2 - y[i]
+            y_new.append(y[i] + lam * dy)
+            res_sq += _sq(dy)
             target = target - (2.0 * p2 - y[i])
         p3 = term.res_b_conj(s, v[i] + s * (target - term.r))
         if errs is not None:
             p3 = p3 + errs.b(i, n)
-        v_new.append(v[i] + lam * (p3 - v[i]))
+        dv = p3 - v[i]
+        v_new.append(v[i] + lam * dv)
         p3s.append(p3)
-        res_sq += _sq(p3 - v[i])
+        res_sq += _sq(dv)
     residual = lam * math.sqrt(res_sq)
 
     return State(

@@ -52,8 +52,6 @@ from proxsplit.solvers import (
     vnorm_dr1,
 )
 
-RNG = np.random.default_rng(20240101)
-
 
 def _report(k: int, ok: bool, detail: str = ""):
     print(f"[acceptance] criterion {k:2d}: {'PASS' if ok else 'FAIL'} {detail}")
@@ -137,23 +135,23 @@ def test_criterion_3_heron3_golden():
     assert err1 <= 1e-5 and err2 <= 1e-5
 
 
-def test_criterion_4_moreau_identity_suite():
+def test_criterion_4_moreau_identity_suite(rng):
     dim = 4
     kinds = [
         BoxIndicator(np.full(dim, -1.0), np.full(dim, 1.5)),
-        BallIndicator(RNG.standard_normal(dim), 2.0),
-        LineIndicator(RNG.standard_normal(dim), RNG.standard_normal(dim)),
+        BallIndicator(rng.standard_normal(dim), 2.0),
+        LineIndicator(rng.standard_normal(dim), rng.standard_normal(dim)),
         PointIndicator(),
-        WeightedL1(1.3, shift=RNG.standard_normal(dim)),
+        WeightedL1(1.3, shift=rng.standard_normal(dim)),
         EuclideanNorm(),
         L21Norm(0.6, dim // 2),
-        TiltedFn(EuclideanNorm(), RNG.standard_normal(dim)),
+        TiltedFn(EuclideanNorm(), rng.standard_normal(dim)),
     ]
     worst = 0.0
     for f in kinds:
         for _ in range(100):
-            gamma = float(RNG.uniform(0.05, 20.0))
-            x = RNG.standard_normal(dim) * float(RNG.uniform(0.5, 5.0))
+            gamma = float(rng.uniform(0.05, 20.0))
+            x = rng.standard_normal(dim) * float(rng.uniform(0.5, 5.0))
             recon = prox(f, gamma, x) + gamma * prox_conjugate(f, 1.0 / gamma, x / gamma)
             worst = max(worst, float(np.abs(recon - x).max()))
     ok = worst < 1e-10
@@ -161,18 +159,18 @@ def test_criterion_4_moreau_identity_suite():
     assert worst < 1e-10
 
 
-def test_criterion_5_adjoint_suite():
+def test_criterion_5_adjoint_suite(rng):
     ops = {
         "gradient": GradientOp((16, 16)),
         "haar": HaarOp((16, 16)),
         "blur": GaussianBlurOp((16, 16)),
-        "matrix": MatrixOp(RNG.standard_normal((11, 7))),
+        "matrix": MatrixOp(rng.standard_normal((11, 7))),
     }
     worst = 0.0
     for name, op in ops.items():
         for _ in range(100):
-            x = RNG.standard_normal(op.in_dim)
-            y = RNG.standard_normal(op.out_dim)
+            x = rng.standard_normal(op.in_dim)
+            y = rng.standard_normal(op.out_dim)
             lhs = float(np.dot(op.apply(x), y))
             rhs = float(np.dot(x, op.adjoint(y)))
             rel = abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y) + 1.0)
@@ -182,7 +180,7 @@ def test_criterion_5_adjoint_suite():
     worst_energy = 0.0
     haar = HaarOp((32, 32))
     for _ in range(20):
-        x = RNG.standard_normal(32 * 32)
+        x = rng.standard_normal(32 * 32)
         c = haar.apply(x)
         worst_rt = max(worst_rt, float(np.abs(haar.adjoint(c) - x).max()))
         worst_energy = max(worst_energy, abs(np.linalg.norm(c) - np.linalg.norm(x)))
@@ -192,13 +190,13 @@ def test_criterion_5_adjoint_suite():
     assert worst_rt <= 1e-12 and worst_energy <= 1e-12
 
 
-def test_criterion_6_norm_bounds():
+def test_criterion_6_norm_bounds(rng):
     shipped = [
         GradientOp((16, 16)),
         HaarOp((16, 16)),
         GaussianBlurOp((16, 16)),
         IdentityOp(9),
-        MatrixOp(RNG.standard_normal((6, 10))),
+        MatrixOp(rng.standard_normal((6, 10))),
     ]
     ok_dom = True
     for op in shipped:

@@ -198,6 +198,19 @@ class TestIsnr:
     def test_exact_recovery_sentinel(self, rng):
         clean = rng.random(5)
         assert isnr(clean, clean + 1.0, clean) == math.inf
+        # even when the observation is exact too
+        assert isnr(clean, clean, clean) == math.inf
+
+    def test_zero_ratio_is_minus_inf(self):
+        # an infinite reconstruction error, or an exact observation with an
+        # inexact reconstruction: the ratio is 0, its log is -inf
+        zeros = np.zeros(3)
+        assert isnr(zeros, np.ones(3), [np.inf, 0.0, 0.0]) == -math.inf
+        assert isnr(zeros, zeros, np.ones(3)) == -math.inf
+
+    def test_nan_ratio_is_nan(self):
+        assert math.isnan(isnr(np.zeros(3), [np.inf, 0.0, 0.0], [np.inf, 0.0, 0.0]))
+        assert math.isnan(isnr(np.zeros(3), np.ones(3), [np.nan, 0.0, 0.0]))
 
 
 class TestSyntheticScene:
