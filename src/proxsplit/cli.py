@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -188,6 +189,13 @@ def _number_list(value) -> list:
     return [_number(v) for v in value]
 
 
+def _finite_number_list(value) -> list:
+    numbers = _number_list(value)
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("not finite")
+    return numbers
+
+
 def _of_type(kind):
     def check(value):
         if not isinstance(value, kind):
@@ -201,6 +209,7 @@ _NAME = (_of_type(str), "a string")  # its value is checked in load_config
 _NUMBER = (_number, "a number")
 _INTEGER = (_integer, "an integer")
 _NUMBERS = (_number_list, "a list of numbers")
+_POINT = (_finite_number_list, "a list of finite numbers")
 _PATH = (_of_type(str), "a path string")
 
 _HERONS = (*HERON_SETUPS, "custom")
@@ -222,7 +231,7 @@ CONFIG_KEYS = {
     "iters": (*_INTEGER, _EVERY, "iteration count (default 100 heron, 200 deblur; 0 runs one, as 1 does)"),
     "log_stride": (*_INTEGER, _EVERY, "log every k-th iteration (default 1 heron, 10 deblur)"),
     "residual_tol": (*_NUMBER, _EVERY, "stop once the update norm falls below this (default none)"),
-    "x0": (*_NUMBERS, _HERONS, "starting primal point (default: published, origin for custom)"),
+    "x0": (*_POINT, _HERONS, "starting primal point (default: published, origin for custom)"),
     "error_c": (*_NUMBER, _EVERY, "error-schedule magnitude (default 0 = exact)"),
     "error_p": (*_NUMBER, _EVERY, "error-schedule decay exponent > 1 (default 2)"),
     "error_seed": (*_INTEGER, _EVERY, "error-schedule direction seed (default 0)"),

@@ -6,6 +6,7 @@ threads and across solver runs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -169,14 +170,14 @@ def make_power_error_schedule(c: float, p: float, dims, seed: int) -> Optional[E
     """Error vectors of norm exactly ``c * (n+1)**(-p)`` in seeded directions.
 
     ``dims`` is the space signature ``(primal_dim, block_dims)``. Requires
-    ``p > 1`` so that the generated norms are summable and a nonnegative
-    ``seed``; ``c = 0`` returns None, the exact run, once all three are
-    checked.
+    ``p > 1`` so that the generated norms are summable, a finite nonnegative
+    ``c`` and a nonnegative ``seed``; ``c = 0`` returns None, the exact run,
+    once all three are checked.
     """
-    if p <= 1.0:
-        raise ValueError("error schedule requires p > 1 (summability)")
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
+    if not p > 1.0:
+        raise ValueError(f"error-schedule decay exponent p must exceed 1 (summability), got {p!r}")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"error-schedule magnitude c must be finite and nonnegative, got {c!r}")
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"error schedule seed must be nonnegative, got {seed}")

@@ -164,8 +164,11 @@ class DeblurSpec:
         npix = obs.size
         if self.blur.in_dim != npix or self.wavelet.in_dim != npix or self.grad.in_dim != npix:
             raise ValueError("operator dimensions do not match the image")
-        if self.alpha1 <= 0.0 or self.alpha2 <= 0.0:
-            raise ValueError("regularization weights must be strictly positive")
+        if not (0.0 < self.alpha1 < math.inf and 0.0 < self.alpha2 < math.inf):
+            raise ValueError(
+                "regularization weights must be finite and strictly positive, "
+                f"got alpha1={self.alpha1!r}, alpha2={self.alpha2!r}"
+            )
 
     @cached_property
     def _model(self):
@@ -236,6 +239,8 @@ def make_deblur_spec(
     Gaussian noise, clip to the pixel range."""
     if int(noise_seed) < 0:
         raise ValueError(f"noise_seed must be nonnegative, got {noise_seed}")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
     if clean is None:
         clean = synthetic_image(shape)
     clean = np.asarray(clean, dtype=float)

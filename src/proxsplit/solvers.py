@@ -12,11 +12,18 @@ Every variant iterates one :class:`State`. The step-size budget of each
 variant lives in :data:`BUDGETS` and is checked by :func:`validate_steps`
 alone. Both sweeps tolerate summable additive errors after each resolvent
 evaluation and share the prox-backed constructor :func:`make_prox_problem`.
+
+Zero shifts: a :class:`ProblemSpec` decides once which term shifts ``r_i``
+and whether the tilt ``z`` hold only +0.0, and the sweeps skip subtracting
+those, since ``a - (+0.0)`` is ``a`` for every float. A shift holding -0.0
+is still subtracted. ``dr1`` keeps adding the tilt, as the scalar 0.0 when
+it is all +0.0, because adding +0.0 turns -0.0 into +0.0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -92,6 +99,12 @@ class Term:
     d_is_zero: bool = False
 
 
+def _all_positive_zero(a: np.ndarray) -> bool:
+    """True when every entry is +0.0, the one float whose bits are all zero
+    (NaN and -0.0 are not)."""
+    return np.count_nonzero(a.view(np.int64)) == 0
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full problem template: primal resolvent, tilt vector, composite terms."""
@@ -113,6 +126,18 @@ class ProblemSpec:
                 raise ValueError(f"term {i}: L.out_dim {t.L.out_dim} != r dim {r.shape[0]}")
             if t.L.norm_bound <= 0.0:
                 raise ValueError(f"term {i}: operator must be nonzero (norm_bound > 0)")
+
+    @cached_property
+    def z_is_zero(self) -> bool:
+        """Whether the tilt holds only +0.0; decided at the first sweep, and
+        afresh for a copy made with ``dataclasses.replace``."""
+        return _all_positive_zero(self.z)
+
+    @cached_property
+    def r_is_zero(self) -> tuple:
+        """Per term, whether its shift holds only +0.0; decided as
+        :attr:`z_is_zero` is."""
+        return tuple(_all_positive_zero(as_vector(t.r)) for t in self.terms)
 
     @property
     def m(self) -> int:
@@ -258,9 +283,15 @@ class State:
 
 
 def _adjoint_sum(spec: ProblemSpec, blocks) -> np.ndarray:
-    """sum_i L_i^* blocks[i], accumulated in ascending term order."""
-    acc = np.zeros(spec.dim)
-    for term, block in zip(spec.terms, blocks, strict=True):
+    """sum_i L_i^* blocks[i], accumulated in ascending term order.
+
+    The first adjoint plus 0.0 has the bits of that adjoint added into
+    zeros, and it is a fresh array: ``IdentityOp.adjoint`` returns its
+    argument, a block of the state, which the sum must not write to.
+    """
+    (first, block), *rest = zip(spec.terms, blocks, strict=True)
+    acc = first.L.adjoint(block) + 0.0
+    for term, block in rest:
         acc += term.L.adjoint(block)
     return acc
 
@@ -280,7 +311,8 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     lam = cfg.lam(n)
     x, v = state.x, state.v
 
-    p1 = spec.res_a(tau, x - 0.5 * tau * _adjoint_sum(spec, v) + tau * spec.z)
+    tilt = 0.0 if spec.z_is_zero else tau * spec.z
+    p1 = spec.res_a(tau, x - 0.5 * tau * _adjoint_sum(spec, v) + tilt)
     if errs is not None:
         p1 = p1 + errs.a(n)
     w1 = 2.0 * p1 - x
@@ -288,7 +320,10 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     p2s = []
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
-        p2 = term.res_b_conj(s, v[i] + 0.5 * s * term.L.apply(w1) - s * term.r)
+        arg = v[i] + 0.5 * s * term.L.apply(w1)
+        if not spec.r_is_zero[i]:
+            arg = arg - s * term.r
+        p2 = term.res_b_conj(s, arg)
         if errs is not None:
             p2 = p2 + errs.b(i, n)
         p2s.append(p2)
@@ -333,7 +368,10 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     lam = cfg.lam(n)
     x, y, v = state.x, state.y, state.v
 
-    p1 = spec.res_a(tau, x - tau * (_adjoint_sum(spec, v) - spec.z))
+    adj = _adjoint_sum(spec, v)
+    if not spec.z_is_zero:
+        adj = adj - spec.z
+    p1 = spec.res_a(tau, x - tau * adj)
     if errs is not None:
         p1 = p1 + errs.a(n)
     dx = p1 - x
@@ -356,7 +394,9 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
             y_new.append(y[i] + lam * dy)
             res_sq += _sq(dy)
             target = target - (2.0 * p2 - y[i])
-        p3 = term.res_b_conj(s, v[i] + s * (target - term.r))
+        if not spec.r_is_zero[i]:
+            target = target - term.r
+        p3 = term.res_b_conj(s, v[i] + s * target)
         if errs is not None:
             p3 = p3 + errs.b(i, n)
         dv = p3 - v[i]

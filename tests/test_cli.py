@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,10 +9,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxsplit
 from proxsplit import cli
 from proxsplit.cli import (
+    CONFIG_KEYS,
     ConfigError,
     PgmError,
     build_run,
@@ -221,14 +226,14 @@ class TestRunCommand:
         assert main(["run", path]) == 2
 
     def test_divergence_exit_code(self, tmp_path):
-        # a NaN noise level contaminates the observation and the first
-        # iterate, which must abort the run with the divergence code
-        path = tmp_path / "nan.json"
-        path.write_text(
-            '{"experiment": "deblur", "algorithm": "dr1", "iters": 5, '
-            '"image_size": 16, "noise_std": NaN}'
+        # a finite but huge error magnitude overflows the first sweep, which
+        # must abort the run with the divergence code
+        path = _write_config(
+            tmp_path, experiment="deblur", algorithm="dr1", iters=5, image_size=16, error_c=1e308,
+            output_csv=str(tmp_path / "out.csv"), output_pgm=str(tmp_path / "out.pgm"),
         )
-        assert main(["run", str(path)]) == 3
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 3
 
     def test_divergence_prints_only_its_error_line(self, tmp_path):
         # numpy overflow warnings on the way to the non-finite iterate stay
@@ -395,6 +400,18 @@ class TestOtherCommands:
             dict(experiment="deblur", image_size=16, output_pgm="{tmp}"),
             dict(experiment="heron1", sigma=100, sigmas=[0.5] * 8),
             dict(experiment="deblur", image="{tmp}/img.pgm", image_size=7),
+            dict(experiment="deblur", image_size=16, kernel_std=math.nan),
+            dict(experiment="deblur", image_size=16, kernel_std=math.inf),
+            dict(experiment="deblur", image_size=16, alpha1=math.inf),
+            dict(experiment="deblur", image_size=16, alpha2=math.nan),
+            dict(experiment="deblur", image_size=16, alpha2=math.inf),
+            dict(experiment="deblur", image_size=16, noise_std=-1),
+            dict(experiment="deblur", image_size=16, noise_std=math.inf),
+            dict(experiment="deblur", image_size=16, noise_std=math.nan),
+            dict(experiment="heron1", error_c=math.nan),
+            dict(experiment="heron1", error_c=math.inf),
+            dict(experiment="heron1", error_c=0.1, error_p=math.nan),
+            dict(experiment="heron1", x0=[math.nan, 1]),
         ],
         ids=[
             "x0-dimension",
@@ -410,6 +427,18 @@ class TestOtherCommands:
             "output-pgm-is-directory",
             "sigma-and-sigmas",
             "image-and-image_size",
+            "kernel_std-nan",
+            "kernel_std-inf",
+            "alpha1-inf",
+            "alpha2-nan",
+            "alpha2-inf",
+            "noise_std-negative",
+            "noise_std-inf",
+            "noise_std-nan",
+            "error_c-nan",
+            "error_c-inf",
+            "error_p-nan",
+            "x0-nan",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, body):
@@ -442,6 +471,67 @@ class TestOtherCommands:
             env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# Config values of every JSON kind: numbers (finite, infinite and NaN) are
+# drawn most often, so that some configs get through to a run. Finite
+# numbers stay small, so no drawn size or count makes a run expensive.
+_NUMBERS = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.integers(min_value=-20, max_value=20),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+_NOT_NUMBERS = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.floats(min_value=-10, max_value=10), st.sampled_from([math.nan, math.inf])), max_size=3),
+)
+_VALUES = st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, _NOT_NUMBERS)
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """An experiment, a run of at most 3 sweeps on at most a 16x16 image, and
+    up to three more keys, most often ones the experiment reads. The output
+    paths are set by the test."""
+    experiment = draw(st.sampled_from(["heron1", "heron2", "heron3", "deblur", "custom"]))
+    body = {"experiment": experiment, "iters": draw(st.integers(min_value=0, max_value=3))}
+    if experiment == "deblur":
+        body["image_size"] = draw(st.integers(min_value=1, max_value=16))
+    fixed = {"experiment", "iters", "image_size", "output_csv", "output_pgm"}
+    read = sorted(k for k, spec in CONFIG_KEYS.items() if experiment in spec[2] and k not in fixed)
+    keys = st.one_of(st.sampled_from(read), st.sampled_from(read), st.sampled_from(sorted(set(CONFIG_KEYS) - fixed)))
+    for key in draw(st.lists(keys, max_size=3, unique=True)):
+        if key == "algorithm":
+            body[key] = draw(st.one_of(st.sampled_from(["dr1", "dr2", "dr2-reduced"]), _VALUES))
+        else:
+            body[key] = draw(_VALUES)
+    return body
+
+
+class TestConfigFuzz:
+    @settings(max_examples=1000)
+    @given(body=_fuzzed_config())
+    def test_validate_and_run_agree_and_fail_cleanly(self, tmp_path_factory, body):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        body["output_csv"] = str(tmp / "out.csv")
+        if body["experiment"] == "deblur":
+            body["output_pgm"] = str(tmp / "out.pgm")
+        path = _write_config(tmp, **body)
+        codes = []
+        for command in ("validate", "run"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                codes.append(main([command, path]))
+            assert codes[-1] in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            assert (codes[-1] == 0) == (err.getvalue() == "")
+        validate_code, run_code = codes
+        assert validate_code in (0, 2)
+        assert (validate_code == 2) == (run_code == 2)
+        # No finite value drawn here can make three sweeps overflow, so a
+        # divergence means a non-finite value got past the checks.
+        assert run_code != 3
 
 
 class TestPgm:
@@ -517,3 +607,4 @@ class TestPgm:
         path.write_bytes(b"P2\n1 1\n70000\n5\n")
         with pytest.raises(PgmError, match="maxval"):
             pgm_read(path)
+

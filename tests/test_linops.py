@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
 from proxsplit.linops import (
     CountingOp,
@@ -152,6 +153,34 @@ class TestBlur:
             lhs = float(np.dot(op.apply(x), y))
             rhs = float(np.dot(x, op.apply(y)))
             assert abs(lhs - rhs) <= 1e-10 * (np.linalg.norm(x) * np.linalg.norm(y) + 1.0)
+
+    @pytest.mark.parametrize("kernel_size", [1, 3, 9, 21, 41])
+    @pytest.mark.parametrize("shape", [(64, 64), (12, 10), (16, 48), (1, 7), (5, 1), (3, 5), (1, 1)])
+    def test_apply_matches_two_correlate1d_passes_bit_for_bit(self, shape, kernel_size, rng):
+        """The numpy first pass reproduces scipy's symmetric-kernel order on
+        this build, so the output has the two correlate1d passes' bits, signs
+        of zero included. Kernels of 21 and 41 taps are wider than some of
+        these images, where the reflection repeats."""
+        op = GaussianBlurOp(shape, kernel_size, std=2.5)
+
+        def reference(x):
+            once = correlate1d(x.reshape(shape), op.kernel, axis=0, mode="reflect")
+            return correlate1d(once, op.kernel, axis=1, mode="reflect").ravel()
+
+        mixed = rng.standard_normal(op.in_dim)
+        mixed[rng.random(op.in_dim) < 0.3] = -0.0
+        for x in (mixed, np.full(op.in_dim, -0.0)):
+            x_before = x.copy()
+            got, want = op.apply(x), reference(x)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(x, x_before)
+            assert not np.shares_memory(op.apply(x), got)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, math.nan, math.inf, 1e-200])
+    def test_rejects_degenerate_std(self, std):
+        with pytest.raises(ValueError, match="std"):
+            gaussian_kernel(9, std)
 
     def test_norm_estimate_near_one(self):
         op = GaussianBlurOp((32, 32))

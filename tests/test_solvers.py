@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -250,6 +251,129 @@ class TestReducedScheme:
             state = dr2_step(prob, cfg, None, state)
         again = dr2_step(prob, cfg, None, state)
         assert np.abs(again.x - state.x).max() <= 1e-11
+
+
+class _Negate(LinOp):
+    """x -> -x: turns +0.0 into -0.0, so a skipped -0.0 shift shows in the bits."""
+
+    def __init__(self, dim):
+        super().__init__(dim, dim, 1.0)
+
+    def apply(self, x):
+        return -np.asarray(x, dtype=float)
+
+    adjoint = apply
+
+
+def _reference_adjoint_sum(spec, blocks):
+    acc = np.zeros(spec.dim)
+    for term, block in zip(spec.terms, blocks):
+        acc += term.L.adjoint(block)
+    return acc
+
+
+def _reference_dr1(spec, cfg, state):
+    """The two-pass sweep with every shift subtracted and the adjoint sums
+    started from zeros."""
+    tau, lam, x, v = cfg.tau, cfg.lam(state.n), state.x, state.v
+    p1 = spec.res_a(tau, x - 0.5 * tau * _reference_adjoint_sum(spec, v) + tau * spec.z)
+    w1 = 2.0 * p1 - x
+    p2s = [
+        t.res_b_conj(s, v[i] + 0.5 * s * t.L.apply(w1) - s * t.r)
+        for i, (t, s) in enumerate(zip(spec.terms, cfg.sigmas))
+    ]
+    w2s = [2.0 * p2 - v[i] for i, p2 in enumerate(p2s)]
+    z1 = w1 - 0.5 * tau * _reference_adjoint_sum(spec, w2s)
+    u = 2.0 * z1 - w1
+    res_sq = float((z1 - p1).dot(z1 - p1))
+    v_new = []
+    for i, (t, s) in enumerate(zip(spec.terms, cfg.sigmas)):
+        z2 = t.res_d_conj(s, w2s[i] + 0.5 * s * t.L.apply(u))
+        v_new.append(v[i] + lam * (z2 - p2s[i]))
+        res_sq += float((z2 - p2s[i]).dot(z2 - p2s[i]))
+    return x + lam * (z1 - p1), v_new, None, p1, p2s, lam * math.sqrt(res_sq)
+
+
+def _reference_dr2(spec, cfg, state):
+    """The single-pass sweep (the reduced one without y) with every shift
+    subtracted and the adjoint sum started from zeros."""
+    tau, lam, x, y, v = cfg.tau, cfg.lam(state.n), state.x, state.y, state.v
+    p1 = spec.res_a(tau, x - tau * (_reference_adjoint_sum(spec, v) - spec.z))
+    u = 2.0 * p1 - x
+    res_sq = float((p1 - x).dot(p1 - x))
+    y_new = None if y is None else []
+    v_new, p3s = [], []
+    for i, (t, s) in enumerate(zip(spec.terms, cfg.sigmas)):
+        target = t.L.apply(u)
+        if y is not None:
+            g = state.gammas[i]
+            p2 = t.res_d(g, y[i] + g * v[i])
+            y_new.append(y[i] + lam * (p2 - y[i]))
+            res_sq += float((p2 - y[i]).dot(p2 - y[i]))
+            target = target - (2.0 * p2 - y[i])
+        p3 = t.res_b_conj(s, v[i] + s * (target - t.r))
+        v_new.append(v[i] + lam * (p3 - v[i]))
+        p3s.append(p3)
+        res_sq += float((p3 - v[i]).dot(p3 - v[i]))
+    return x + lam * (p1 - x), v_new, y_new, p1, p3s, lam * math.sqrt(res_sq)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+class TestShifts:
+    """The sweeps on nonzero, -0.0 and all-+0.0 shifts, bit for bit against
+    the sweep formulas that subtract every shift."""
+
+    SHIFTS = {
+        "nonzero": ([0.3, -1.2, 0.0, 2.0], [-0.5, 0.25, 1.0, -0.0], [0.2, -0.1, 0.4, 0.0]),
+        "negative-zero": ([-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, -0.0]),
+        "positive-zero": ([0.0] * 4, [0.0] * 4, [0.0] * 4),
+    }
+
+    def _problem(self, shifts, reduced):
+        r0, r1, z = (np.array(a) for a in self.SHIFTS[shifts])
+        a = np.array([[0.5, 0.1, 0.0, -0.2], [0.0, -0.4, 0.3, 0.0], [0.2, 0.0, 0.0, 0.5], [0.0, 0.0, -0.3, 0.1]])
+        terms = [
+            (_Negate(4), WeightedL1(0.7), None if reduced else EuclideanNorm(), r0),
+            (MatrixOp(a), EuclideanNorm(), None if reduced else WeightedL1(0.4), r1),
+        ]
+        return make_prox_problem(BoxIndicator(-1.0, 1.0), z, terms)
+
+    @pytest.mark.parametrize("shifts", list(SHIFTS))
+    @pytest.mark.parametrize(
+        "variant, step, reference",
+        [("dr1", dr1_step, _reference_dr1), ("dr2", dr2_step, _reference_dr2), ("dr2-reduced", dr2_step, _reference_dr2)],
+        ids=["dr1", "dr2", "dr2-reduced"],
+    )
+    def test_sweeps_match_the_subtracting_formulas(self, shifts, variant, step, reference):
+        prob = self._problem(shifts, reduced=variant != "dr2")
+        assert prob.r_is_zero == ((shifts == "positive-zero"),) * 2
+        assert prob.z_is_zero == (shifts == "positive-zero")
+        cfg = StepConfig(tau=0.2, sigmas=(0.5, 0.5), lambda_schedule=1.5, max_iters=10)
+        # signed zeros in the start let a skipped -0.0 shift change a sign bit
+        x0 = np.array([-0.0, 0.0, 0.3, -0.2])
+        v0 = [np.array([-0.0, -0.0, 0.1, 0.0]), np.array([0.0, -0.0, -0.3, -0.0])]
+        y0 = [np.array([-0.0, 0.2, 0.0, -0.1]), np.array([0.1, -0.0, 0.0, 0.0])] if variant == "dr2" else None
+        state = State.initial(prob, cfg, variant, x0=x0, v0=v0, y0=y0)
+        for _ in range(4):
+            x, v, y, p1, duals, residual = reference(prob, cfg, state)
+            state = step(prob, cfg, None, state)
+            assert _same_bits(state.x, x) and _same_bits(state.p1, p1)
+            assert all(_same_bits(a, b) for a, b in zip(state.v, v, strict=True))
+            assert all(_same_bits(a, b) for a, b in zip(state.duals, duals, strict=True))
+            assert (state.y is None) == (y is None)
+            if y is not None:
+                assert all(_same_bits(a, b) for a, b in zip(state.y, y, strict=True))
+            assert state.residual == residual
+
+    def test_decision_is_derived_again_on_replace(self):
+        prob = self._problem("positive-zero", reduced=True)
+        assert prob.z_is_zero and prob.r_is_zero == (True, True)
+        moved = dataclasses.replace(prob, z=np.ones(4))
+        assert not moved.z_is_zero and moved.r_is_zero == (True, True)
 
 
 class TestSubgradientMembership:
