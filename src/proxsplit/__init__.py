@@ -16,7 +16,6 @@ from .core import (
     make_power_error_schedule,
 )
 from .linops import (
-    CountingOp,
     GaussianBlurOp,
     GradientOp,
     HaarOp,

@@ -146,24 +146,15 @@ def pgm_read(path) -> np.ndarray:
     return (values / maxval).reshape(height, width)
 
 
-def pgm_write(image, path, maxval: int = 255, binary: bool = True) -> None:
-    """Write an image as PGM, clamping to [0, 1] and quantizing to maxval."""
+def pgm_write(image, path) -> None:
+    """Write an image as 8-bit binary PGM (P5), clamping to [0, 1] and quantizing to 0..255."""
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("expected a 2-D image")
-    if not 0 < maxval <= 65535:
-        raise ValueError("maxval must be in 1..65535")
-    q = np.rint(np.clip(img, 0.0, 1.0) * maxval).astype(np.uint32)
     height, width = img.shape
-    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            dtype = ">u1" if maxval < 256 else ">u2"
-            fh.write(q.astype(dtype).tobytes())
-        else:
-            lines = [" ".join(str(v) for v in row) for row in q]
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(np.rint(np.clip(img, 0.0, 1.0) * 255).astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ __all__ = [
     "GradientOp",
     "HaarOp",
     "GaussianBlurOp",
-    "CountingOp",
     "gaussian_kernel",
     "op_norm_estimate",
 ]
@@ -220,28 +219,6 @@ class GaussianBlurOp(LinOp):
         return tmp.ravel()
 
     adjoint = apply
-
-
-class CountingOp(LinOp):
-    """Wrapper counting apply/adjoint evaluations (test instrumentation)."""
-
-    def __init__(self, inner: LinOp):
-        super().__init__(inner.in_dim, inner.out_dim, inner.norm_bound)
-        self.inner = inner
-        self.n_apply = 0
-        self.n_adjoint = 0
-
-    def apply(self, x):
-        self.n_apply += 1
-        return self.inner.apply(x)
-
-    def adjoint(self, y):
-        self.n_adjoint += 1
-        return self.inner.adjoint(y)
-
-    def reset(self):
-        self.n_apply = 0
-        self.n_adjoint = 0
 
 
 def op_norm_estimate(op: LinOp, iters: int = 100, seed: int = 0) -> float:

@@ -114,8 +114,7 @@ def heron3() -> HeronSpec:
 
 
 # Published set-up of each location experiment: its builder, its starting
-# point and its (tau, sigma, lambda) per scheme. The single-pass entry serves
-# dr2 and dr2-reduced alike; sigma applies to every term.
+# point and its (tau, sigma, lambda) per scheme; sigma applies to every term.
 HERON_SETUPS = {
     "heron1": (heron1, (5.0, -2.0), {DR1: (0.24, 0.5, 1.8), DR2: (0.24, 0.1, 1.8)}),
     "heron2": (heron2, (0.0, 2.0, 0.0), {DR1: (0.99, 0.4, 1.8), DR2: (0.59, 0.05, 1.8)}),
@@ -123,11 +122,17 @@ HERON_SETUPS = {
 }
 
 
-def heron_step_config(name: str, problem: ProblemSpec, variant: str, max_iters: int = 100) -> StepConfig:
-    """Published step sizes of location experiment ``name`` under ``variant``."""
+def _published(steps: dict, variant: str) -> tuple:
+    """The entry of a per-scheme table of published steps that ``variant``
+    runs with; the single-pass entry serves dr2 and dr2-reduced alike."""
     if variant not in BUDGETS:
         raise ValueError(f"unknown variant {variant!r}")
-    tau, sigma, lam = HERON_SETUPS[name][2][DR1 if variant == DR1 else DR2]
+    return steps[DR1 if variant == DR1 else DR2]
+
+
+def heron_step_config(name: str, problem: ProblemSpec, variant: str, max_iters: int = 100) -> StepConfig:
+    """Published step sizes of location experiment ``name`` under ``variant``."""
+    tau, sigma, lam = _published(HERON_SETUPS[name][2], variant)
     return StepConfig(tau=tau, sigmas=(sigma,) * problem.m, lambda_schedule=lam, max_iters=max_iters)
 
 
@@ -271,8 +276,7 @@ def deblur_build(spec: DeblurSpec) -> ProblemSpec:
     return make_prox_problem(f, z, [(L, g, None, np.zeros(L.out_dim)) for L, g in terms])
 
 
-# Published (sigmas, lambda) of the deblurring experiment per scheme; the
-# single-pass entry serves dr2 and dr2-reduced alike.
+# Published (sigmas, lambda) of the deblurring experiment per scheme.
 _DEBLUR_RECIPES = {
     DR1: ((1.0, 1.0, 0.05), 1.5),
     DR2: ((1.0, 0.05, 0.05), 1.6),
@@ -286,9 +290,7 @@ def deblur_step_config(problem: ProblemSpec, variant: str, max_iters: int = 200)
     the declared norm bounds, which keeps the product strictly inside the
     variant's budget.
     """
-    if variant not in BUDGETS:
-        raise ValueError(f"unknown variant {variant!r}")
-    sigmas, lam = _DEBLUR_RECIPES[DR1 if variant == DR1 else DR2]
+    sigmas, lam = _published(_DEBLUR_RECIPES, variant)
     denom = sum(s * t.L.norm_bound ** 2 for s, t in zip(sigmas, problem.terms, strict=True))
     tau = BUDGETS[variant] / denom - 0.01
     return StepConfig(tau=tau, sigmas=sigmas, lambda_schedule=lam, max_iters=max_iters)

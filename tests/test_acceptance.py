@@ -11,7 +11,6 @@ import pytest
 
 from proxsplit.core import BlockVector, StepConfig, make_power_error_schedule
 from proxsplit.linops import (
-    CountingOp,
     GaussianBlurOp,
     GradientOp,
     HaarOp,
@@ -51,6 +50,7 @@ from proxsplit.solvers import (
     run,
     vnorm_dr1,
 )
+from test_solvers import _counted
 
 
 def _report(k: int, ok: bool, detail: str = ""):
@@ -278,7 +278,7 @@ def test_criterion_9_inexactness_robustness():
 def test_criterion_10_operator_call_accounting():
     dim = 3
     n_steps = 9
-    counters1 = [CountingOp(IdentityOp(dim)) for _ in range(4)]
+    counters1 = [_counted(IdentityOp(dim)) for _ in range(4)]
     terms = [
         (op, EuclideanNorm(), BoxIndicator(-np.ones(dim), np.ones(dim)), np.zeros(dim))
         for op in counters1
@@ -288,9 +288,9 @@ def test_criterion_10_operator_call_accounting():
     state = State.initial(prob, cfg)
     for _ in range(n_steps):
         state = dr1_step(prob, cfg, None, state)
-    ok1 = all(op.n_apply == 2 * n_steps and op.n_adjoint == 2 * n_steps for op in counters1)
+    ok1 = all(op.apply.call_count == 2 * n_steps and op.adjoint.call_count == 2 * n_steps for op in counters1)
 
-    counters2 = [CountingOp(IdentityOp(dim)) for _ in range(4)]
+    counters2 = [_counted(IdentityOp(dim)) for _ in range(4)]
     terms = [
         (op, EuclideanNorm(), BoxIndicator(-np.ones(dim), np.ones(dim)), np.zeros(dim))
         for op in counters2
@@ -299,7 +299,7 @@ def test_criterion_10_operator_call_accounting():
     state = State.initial(prob, cfg, "dr2")
     for _ in range(n_steps):
         state = dr2_step(prob, cfg, None, state)
-    ok2 = all(op.n_apply == n_steps and op.n_adjoint == n_steps for op in counters2)
+    ok2 = all(op.apply.call_count == n_steps and op.adjoint.call_count == n_steps for op in counters2)
 
     _report(10, ok1 and ok2, f"{n_steps} sweeps: two-pass 2/2 per term, single-pass 1/1 per term")
     assert ok1 and ok2

@@ -541,11 +541,6 @@ class TestPgm:
         img = pgm_read(path)
         assert np.allclose(img, [[0.0, 1.0], [128 / 255, 64 / 255]])
 
-    def test_ascii_write_bytes(self, tmp_path):
-        path = tmp_path / "tiny.pgm"
-        pgm_write(np.array([[0.0, 0.5, 1.0], [0.25, 1.2, -0.1]]), path, binary=False)
-        assert path.read_bytes() == b"P2\n3 2\n255\n0 128 255\n64 255 0\n"
-
     def test_binary_round_trip_identity_on_quantized(self, tmp_path):
         rng = np.random.default_rng(6)
         img = np.round(rng.random((5, 7)) * 255) / 255
@@ -564,19 +559,25 @@ class TestPgm:
         pgm_write(first, p2)
         assert np.array_equal(first, pgm_read(p2))
 
+    def test_writes_8_bit_p5(self, tmp_path):
+        path = tmp_path / "tiny.pgm"
+        pgm_write(np.array([[0.0, 0.5, 1.0], [0.25, 1.2, -0.1]]), path)
+        assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 128, 255, 64, 255, 0])
+
     def test_p2_p5_parse_identically(self, tmp_path):
         rng = np.random.default_rng(8)
-        img = rng.random((9, 3))
+        q = rng.integers(0, 256, size=(9, 3))
         pa = tmp_path / "a.pgm"
         pb = tmp_path / "b.pgm"
-        pgm_write(img, pa, binary=True)
-        pgm_write(img, pb, binary=False)
+        pa.write_bytes(b"P5\n3 9\n255\n" + q.astype(np.uint8).tobytes())
+        pb.write_bytes(b"P2\n3 9\n255\n" + "\n".join(" ".join(map(str, row)) for row in q.tolist()).encode() + b"\n")
         assert np.array_equal(pgm_read(pa), pgm_read(pb))
 
     def test_sixteen_bit(self, tmp_path):
         img = np.array([[0.0, 1.0], [0.5, 0.25]])
         path = tmp_path / "deep.pgm"
-        pgm_write(img, path, maxval=65535)
+        # 0, 65535, 32768, 16384 as big-endian 16-bit samples
+        path.write_bytes(b"P5\n2 2\n65535\n\x00\x00\xff\xff\x80\x00\x40\x00")
         back = pgm_read(path)
         assert np.allclose(back, img, atol=1.0 / 65535)
 

@@ -5,7 +5,6 @@ import pytest
 from scipy.ndimage import correlate1d
 
 from proxsplit.linops import (
-    CountingOp,
     GaussianBlurOp,
     GradientOp,
     HaarOp,
@@ -235,15 +234,3 @@ class TestNormEstimate:
         for op in ops:
             est = op_norm_estimate(op, iters=100, seed=2)
             assert est <= op.norm_bound * (1 + 1e-6)
-
-
-class TestCountingOp:
-    def test_counts(self):
-        op = CountingOp(IdentityOp(3))
-        x = np.ones(3)
-        op.apply(x)
-        op.apply(x)
-        op.adjoint(x)
-        assert (op.n_apply, op.n_adjoint) == (2, 1)
-        op.reset()
-        assert (op.n_apply, op.n_adjoint) == (0, 0)

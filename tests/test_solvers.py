@@ -1,12 +1,21 @@
 import dataclasses
 import math
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
 
 from proxsplit.core import BlockVector, StepConfig, StepSizeError
-from proxsplit.linops import CountingOp, IdentityOp, LinOp, MatrixOp
-from proxsplit.problems import heron1, heron_build, heron_objective
+from proxsplit.linops import IdentityOp, LinOp, MatrixOp
+from proxsplit.problems import (
+    PAPER_WAVELET_NORM_BOUND,
+    deblur_build,
+    deblur_step_config,
+    heron1,
+    heron_build,
+    heron_objective,
+    make_deblur_spec,
+)
 from proxsplit.prox import (
     BallIndicator,
     BoxIndicator,
@@ -68,6 +77,22 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(res_a=lambda t, x: x, z=np.zeros(2), terms=(term,))
 
+    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
+    def test_list_shift_runs_as_the_same_array(self, variant):
+        f = BoxIndicator(-np.ones(2), np.ones(2))
+        terms = [(IdentityOp(2), EuclideanNorm(), None, None), (MatrixOp(0.5 * np.eye(2)), WeightedL1(0.8), None, None)]
+        base = make_prox_problem(f, np.zeros(2), terms)
+        first, second = base.terms
+        cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=20)
+        logs = [
+            run(dataclasses.replace(base, terms=(dataclasses.replace(first, r=r), second)), cfg, variant=variant)
+            for r in ([1.0, 2.0], np.array([1.0, 2.0]))
+        ]
+        for a, b in zip(*logs, strict=True):
+            assert a.primal.tobytes() == b.primal.tobytes()
+            assert all(p.tobytes() == q.tobytes() for p, q in zip(a.duals, b.duals, strict=True))
+            assert a.step_residual == b.step_residual
+
 
 class TestValidateSteps:
     def test_paper_parameter_sets(self):
@@ -116,18 +141,6 @@ class TestValidateSteps:
         with pytest.raises(ValueError):
             validate_steps(prob, cfg, "dr3")
 
-    def test_strict_mode_uses_estimates(self):
-        # declared bound lies (too small); strict mode catches it
-        a = np.diag([2.0, 2.0])
-        term_op = MatrixOp(a, norm_bound=0.1)
-        prob = make_prox_problem(
-            EuclideanNorm(), np.zeros(2), [(term_op, EuclideanNorm(), None, np.zeros(2))]
-        )
-        cfg = StepConfig(tau=3.0, sigmas=(1.0,), lambda_schedule=1.0, max_iters=5)
-        validate_steps(prob, cfg, "dr1")  # 3 * 0.01 < 4 with the declared bound
-        with pytest.raises(StepSizeError):
-            validate_steps(prob, cfg, "dr1", strict=True)  # 3 * 4 = 12 >= 4
-
 
 class TestGammaWeights:
     def test_formula(self):
@@ -164,9 +177,16 @@ class TestFixedPoints:
         assert new.residual <= 1e-12
 
 
+def _counted(op):
+    """``op`` with its apply and adjoint wrapped in mocks that count calls."""
+    op.apply = Mock(wraps=op.apply)
+    op.adjoint = Mock(wraps=op.adjoint)
+    return op
+
+
 class TestOperatorAccounting:
     def _counting_problem(self, dim=2):
-        ops = [CountingOp(IdentityOp(dim)) for _ in range(3)]
+        ops = [_counted(IdentityOp(dim)) for _ in range(3)]
         f = BallIndicator(np.zeros(dim), 1.0)
         terms = [(op, EuclideanNorm(), BoxIndicator(-np.ones(dim), np.ones(dim)), np.zeros(dim)) for op in ops]
         return make_prox_problem(f, np.zeros(dim), terms), ops
@@ -178,8 +198,8 @@ class TestOperatorAccounting:
         for _ in range(7):
             state = dr1_step(prob, cfg, None, state)
         for op in ops:
-            assert op.n_apply == 2 * 7
-            assert op.n_adjoint == 2 * 7
+            assert op.apply.call_count == 2 * 7
+            assert op.adjoint.call_count == 2 * 7
 
     def test_dr2_one_evaluation_each(self):
         prob, ops = self._counting_problem()
@@ -188,8 +208,8 @@ class TestOperatorAccounting:
         for _ in range(7):
             state = dr2_step(prob, cfg, None, state)
         for op in ops:
-            assert op.n_apply == 7
-            assert op.n_adjoint == 7
+            assert op.apply.call_count == 7
+            assert op.adjoint.call_count == 7
 
 
 class TestReducedScheme:
@@ -546,6 +566,30 @@ class TestRunSemantics:
             run(bad, cfg, variant="dr2", n_iters=5)
         assert err.value.quantity == "y, term 0"
         assert err.value.iteration == 0
+
+    def test_overflowing_residual_names_residual(self):
+        # every block stays finite, but the squared update norm 2 * 1e400 is not
+        zero = lambda s, y: np.zeros_like(y)
+        bad = ProblemSpec(
+            res_a=lambda t, x: np.full_like(x, 1e200),
+            z=np.zeros(2),
+            terms=(Term(L=IdentityOp(2), res_b_conj=zero, res_d_conj=zero, res_d=zero, r=np.zeros(2)),),
+        )
+        cfg = StepConfig(tau=0.1, sigmas=(0.1,), lambda_schedule=1.0, max_iters=5)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+            run(bad, cfg, variant="dr1", n_iters=5)
+        assert (err.value.quantity, err.value.iteration) == ("residual", 0)
+
+    def test_under_declared_deblur_run_stops_at_its_first_infinite_residual(self):
+        # The published wavelet bound 2^-8 against a true norm of 1 breaks the
+        # dr1 budget; the update norm overflows at sweep 342 while every block
+        # is still finite, and the first non-finite block comes only at 686.
+        d = make_deblur_spec(shape=(32, 32), wavelet_norm_bound=PAPER_WAVELET_NORM_BOUND)
+        prob = deblur_build(d)
+        cfg = deblur_step_config(prob, "dr1", max_iters=1000)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            run(prob, cfg, variant="dr1", x0=d.observed.ravel())
+        assert (err.value.quantity, err.value.iteration) == ("residual", 342)
 
 
 class TestMetric:
