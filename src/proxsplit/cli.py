@@ -162,8 +162,8 @@ def pgm_write(image, path) -> None:
 # ---------------------------------------------------------------------------
 
 def _number(value) -> float:
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not a number")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
     return float(value)
 
 
@@ -180,11 +180,13 @@ def _number_list(value) -> list:
     return [_number(v) for v in value]
 
 
-def _finite_number_list(value) -> list:
-    numbers = _number_list(value)
+def _finite(value):
+    """``value`` unchanged once it is checked to be a finite number or a list
+    of finite numbers: a point, or a scalar broadcast to one."""
+    numbers = _number_list(value) if isinstance(value, list) else [_number(value)]
     if not all(map(math.isfinite, numbers)):
-        raise ValueError("not finite")
-    return numbers
+        raise ValueError(f"{value!r} is not finite")
+    return value
 
 
 def _of_type(kind):
@@ -200,18 +202,15 @@ _NAME = (_of_type(str), "a string")  # its value is checked in load_config
 _NUMBER = (_number, "a number")
 _INTEGER = (_integer, "an integer")
 _NUMBERS = (_number_list, "a list of numbers")
-_POINT = (_finite_number_list, "a list of finite numbers")
+_POINT = (lambda value: _finite(_number_list(value)), "a list of finite numbers")
 _PATH = (_of_type(str), "a path string")
 
 _HERONS = (*HERON_SETUPS, "custom")
 _DEBLUR = ("deblur",)
 _EVERY = _HERONS + _DEBLUR
 
-# The configuration schema: key -> (converter, expected kind, the experiments
-# that read it, help). build_run and run rely on the converted types; a key
-# the chosen experiment does not read is rejected. Defaults not stated here
-# are the experiment's own: the published heron set-ups (HERON_SETUPS), the
-# deblur step recipe (deblur_step_config) and model (make_deblur_spec).
+# key -> (converter, expected kind, the experiments that read it, help);
+# build_run and run rely on the converted types.
 CONFIG_KEYS = {
     "experiment": (*_NAME, _EVERY, "one of heron1, heron2, heron3, deblur, custom"),
     "algorithm": (*_NAME, _EVERY, "one of dr1, dr2, dr2-reduced (default dr1)"),
@@ -286,28 +285,26 @@ def load_config(path) -> dict:
 
 def _parse_set(spec: dict):
     if not isinstance(spec, dict):
-        raise ConfigError(f"custom geometry: each set must be a JSON object, got {spec!r}")
+        raise ValueError(f"each set must be a JSON object, got {spec!r}")
     kind = spec.get("type")
     if kind == "ball":
-        return BallIndicator(spec["center"], spec["radius"])
+        return BallIndicator(_finite(spec["center"]), _finite(spec["radius"]))
     if kind == "box":
         if "center" in spec:
-            return box_from_center(spec["center"], spec["side"])
-        return BoxIndicator(spec["lo"], spec["hi"])
+            return box_from_center(_finite(spec["center"]), _finite(spec["side"]))
+        return BoxIndicator(_finite(spec["lo"]), _finite(spec["hi"]))
     if kind == "line":
-        return LineIndicator(spec["base"], spec["direction"])
-    raise ConfigError(f"unknown set type {kind!r} (expected ball, box or line)")
+        return LineIndicator(_finite(spec["base"]), _finite(spec["direction"]))
+    raise ValueError(f"unknown set type {kind!r} (expected ball, box or line)")
 
 
 def _custom_heron(block: dict) -> HeronSpec:
     try:
-        dim = int(block["dim"])
+        dim = _integer(block["dim"])
         constraint = _parse_set(block["constraint"])
         obstacles = tuple(_parse_set(s) for s in block["obstacles"])
     except KeyError as exc:
         raise ConfigError(f"custom geometry missing field {exc}") from None
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed 'custom' geometry: {exc}") from None
     return HeronSpec(constraint=constraint, obstacles=obstacles, dim=dim)

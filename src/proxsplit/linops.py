@@ -69,8 +69,7 @@ class IdentityOp(LinOp):
     def apply(self, x):
         return np.asarray(x, dtype=float)
 
-    def adjoint(self, y):
-        return np.asarray(y, dtype=float)
+    adjoint = apply
 
 
 class GradientOp(LinOp):

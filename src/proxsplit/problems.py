@@ -23,7 +23,7 @@ from .prox import (
     WeightedL1,
     distance_to_set,
 )
-from .solvers import BUDGETS, DR1, DR2, ProblemSpec, make_prox_problem
+from .solvers import BUDGETS, DR1, DR2, ProblemSpec, _sigma_bound_sum, make_prox_problem
 
 __all__ = [
     "HeronSpec",
@@ -291,6 +291,5 @@ def deblur_step_config(problem: ProblemSpec, variant: str, max_iters: int = 200)
     variant's budget.
     """
     sigmas, lam = _published(_DEBLUR_RECIPES, variant)
-    denom = sum(s * t.L.norm_bound ** 2 for s, t in zip(sigmas, problem.terms, strict=True))
-    tau = BUDGETS[variant] / denom - 0.01
+    tau = BUDGETS[variant] / _sigma_bound_sum(problem, sigmas) - 0.01
     return StepConfig(tau=tau, sigmas=sigmas, lambda_schedule=lam, max_iters=max_iters)

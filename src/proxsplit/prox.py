@@ -75,7 +75,7 @@ class BoxIndicator(ProxFn):
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        if np.any(self.lo > self.hi):
+        if not np.all(self.lo <= self.hi):
             raise ValueError("box bounds require lo <= hi componentwise")
 
     def prox(self, x, gamma=1.0):
@@ -95,7 +95,7 @@ class BallIndicator(ProxFn):
     def __init__(self, center, radius: float):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:
             raise ValueError("radius must be strictly positive")
 
     def prox(self, x, gamma=1.0):
@@ -120,8 +120,8 @@ class LineIndicator(ProxFn):
         self.base = np.asarray(base, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
         nd = _norm(self.direction)
-        if nd == 0.0:
-            raise ValueError("direction must be nonzero")
+        if self.direction.ndim != 1 or nd == 0.0:
+            raise ValueError("direction must be a nonzero vector")
         self._dir_sq = nd * nd
 
     def prox(self, x, gamma=1.0):
@@ -165,8 +165,7 @@ class PointIndicator(ProxFn):
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        target = np.zeros_like(x) if self.point is None else self.point
-        return 0.0 if _norm(x - target) <= _MEMBERSHIP_ATOL else math.inf
+        return 0.0 if _norm(x if self.point is None else x - self.point) <= _MEMBERSHIP_ATOL else math.inf
 
 
 def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
@@ -289,15 +288,15 @@ class TiltedFn(ProxFn):
 
 
 def prox(f: ProxFn, gamma: float, x) -> np.ndarray:
-    """Minimizer of gamma * f(y) + 0.5 * ||y - x||^2."""
+    """Minimizer of gamma * f(y) + 0.5 * ||y - x||^2: ``f.prox(x, gamma)`` in math order, gamma checked."""
     if gamma <= 0.0:
         raise ValueError("gamma must be strictly positive")
     return f.prox(np.asarray(x, dtype=float), float(gamma))
 
 
 def prox_conjugate(f: ProxFn, gamma: float, x) -> np.ndarray:
-    """Prox of gamma * f* at x: the closed form where ``f`` has one, else
-    x - gamma * prox(f, 1/gamma, x/gamma)."""
+    """Prox of gamma * f* at x, ``f.conjugate_prox(x, gamma)`` in math order, gamma checked:
+    the closed form where ``f`` has one, else x - gamma * prox(f, 1/gamma, x/gamma)."""
     if gamma <= 0.0:
         raise ValueError("gamma must be strictly positive")
     return f.conjugate_prox(np.asarray(x, dtype=float), float(gamma))

@@ -11,7 +11,8 @@ at zero: the reduced variant is :func:`dr2_step` on a :class:`State` without
 Every variant iterates one :class:`State`. The step-size budget of each
 variant lives in :data:`BUDGETS` and is checked by :func:`validate_steps`
 alone. Both sweeps tolerate summable additive errors after each resolvent
-evaluation and share the prox-backed constructor :func:`make_prox_problem`.
+evaluation. Every resolvent map is called as ``res(x, gamma)``, the order of
+the ``ProxFn`` methods, which :func:`make_prox_problem` stores as they are.
 
 Zero shifts: a :class:`ProblemSpec` decides once which term shifts ``r_i``
 and whether the tilt ``z`` hold only +0.0, and the sweeps skip subtracting
@@ -69,7 +70,7 @@ DR2_REDUCED = "dr2-reduced"
 # Strict upper bounds on tau * sum_i sigma_i * ||L_i||^2 per variant.
 BUDGETS = {DR1: 4.0, DR2: 0.25, DR2_REDUCED: 1.0}
 
-ResolventMap = Callable[[float, np.ndarray], np.ndarray]
+ResolventMap = Callable[[np.ndarray, float], np.ndarray]
 
 
 class DivergenceError(FloatingPointError):
@@ -85,9 +86,9 @@ class DivergenceError(FloatingPointError):
 class Term:
     """One composite term: linear map, dual resolvents, shift, reduction flag.
 
-    ``res_b_conj(sigma, y)`` is the resolvent of sigma * B_i^{-1},
-    ``res_d_conj(sigma, y)`` the resolvent of sigma * D_i^{-1} and
-    ``res_d(gamma, y)`` the resolvent of gamma * D_i. ``d_is_zero`` marks the
+    ``res_b_conj(y, sigma)`` is the resolvent of sigma * B_i^{-1},
+    ``res_d_conj(y, sigma)`` the resolvent of sigma * D_i^{-1} and
+    ``res_d(y, gamma)`` the resolvent of gamma * D_i. ``d_is_zero`` marks the
     zero-point reduction of the parallel-sum slot. ``r`` is stored as a 1-D
     float vector.
     """
@@ -111,7 +112,7 @@ def _all_positive_zero(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full problem template: primal resolvent, tilt vector, composite terms."""
+    """Full problem template: primal resolvent ``res_a(x, tau)``, tilt, terms."""
 
     res_a: ResolventMap
     z: np.ndarray
@@ -174,23 +175,28 @@ def make_prox_problem(f: ProxFn, z, terms: Sequence) -> ProblemSpec:
         built.append(
             Term(
                 L=L,
-                res_b_conj=lambda s, y, g=g: g.conjugate_prox(y, s),
-                res_d_conj=lambda s, y, l=l: l.conjugate_prox(y, s),
-                res_d=lambda gma, y, l=l: l.prox(y, gma),
+                res_b_conj=g.conjugate_prox,
+                res_d_conj=l.conjugate_prox,
+                res_d=l.prox,
                 r=np.zeros(L.out_dim) if r is None else r,
                 d_is_zero=isinstance(l, PointIndicator) and l.is_origin,
             )
         )
     return ProblemSpec(
-        res_a=lambda t, x, f=f: f.prox(x, t),
+        res_a=f.prox,
         z=z,
         terms=tuple(built),
     )
 
 
+def _sigma_bound_sum(spec: ProblemSpec, sigmas) -> float:
+    """sum_i sigma_i * bound_i**2 over the declared norm bounds: the one spelling of the budget's sum."""
+    return sum(s * b ** 2 for s, b in zip(sigmas, spec.norm_bounds, strict=True))
+
+
 def weighted_bound_sum(spec: ProblemSpec, cfg: StepConfig) -> float:
     """tau * sum_i sigma_i * bound_i**2 over the declared norm bounds."""
-    return cfg.tau * sum(s * b * b for s, b in zip(cfg.sigmas, spec.norm_bounds, strict=True))
+    return cfg.tau * _sigma_bound_sum(spec, cfg.sigmas)
 
 
 def _require_reduction(spec: ProblemSpec) -> None:
@@ -308,7 +314,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     x, v = state.x, state.v
 
     tilt = 0.0 if spec.z_is_zero else tau * spec.z
-    p1 = spec.res_a(tau, x - 0.5 * tau * _adjoint_sum(spec, v) + tilt)
+    p1 = spec.res_a(x - 0.5 * tau * _adjoint_sum(spec, v) + tilt, tau)
     if errs is not None:
         p1 = p1 + errs.a(n)
     w1 = 2.0 * p1 - x
@@ -319,7 +325,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         arg = v[i] + 0.5 * s * term.L.apply(w1)
         if not spec.r_is_zero[i]:
             arg = arg - s * term.r
-        p2 = term.res_b_conj(s, arg)
+        p2 = term.res_b_conj(arg, s)
         if errs is not None:
             p2 = p2 + errs.b(i, n)
         p2s.append(p2)
@@ -335,7 +341,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     del dx  # a primal-sized temporary: free it before the dual pass
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
-        z2 = term.res_d_conj(s, w2s[i] + 0.5 * s * term.L.apply(u))
+        z2 = term.res_d_conj(w2s[i] + 0.5 * s * term.L.apply(u), s)
         if errs is not None:
             z2 = z2 + errs.d(i, n)
         dv = z2 - p2s[i]
@@ -367,7 +373,7 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     adj = _adjoint_sum(spec, v)
     if not spec.z_is_zero:
         adj = adj - spec.z
-    p1 = spec.res_a(tau, x - tau * adj)
+    p1 = spec.res_a(x - tau * adj, tau)
     if errs is not None:
         p1 = p1 + errs.a(n)
     dx = p1 - x
@@ -383,7 +389,7 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         target = term.L.apply(u)
         if y is not None:
             g = state.gammas[i]
-            p2 = term.res_d(g, y[i] + g * v[i])
+            p2 = term.res_d(y[i] + g * v[i], g)
             if errs is not None:
                 p2 = p2 + errs.d(i, n)
             dy = p2 - y[i]
@@ -392,7 +398,7 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
             target = target - (2.0 * p2 - y[i])
         if not spec.r_is_zero[i]:
             target = target - term.r
-        p3 = term.res_b_conj(s, v[i] + s * target)
+        p3 = term.res_b_conj(v[i] + s * target, s)
         if errs is not None:
             p3 = p3 + errs.b(i, n)
         dv = p3 - v[i]

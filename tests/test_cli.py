@@ -48,6 +48,16 @@ def _child_env():
     return env
 
 
+def _custom_config(dim, constraint, obstacles=({"type": "box", "center": [3, 0], "side": 1.0},)):
+    """A custom experiment with steps inside the dr1 budget for up to three obstacles."""
+    return dict(
+        experiment="custom",
+        tau=0.5,
+        sigma=0.5,
+        custom={"dim": dim, "constraint": constraint, "obstacles": list(obstacles)},
+    )
+
+
 def _read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -412,6 +422,20 @@ class TestOtherCommands:
             dict(experiment="heron1", error_c=math.inf),
             dict(experiment="heron1", error_c=0.1, error_p=math.nan),
             dict(experiment="heron1", x0=[math.nan, 1]),
+            dict(experiment="heron1", tau="0.2"),
+            *(
+                _custom_config(dim=dim, constraint=constraint)
+                for dim, constraint in [
+                    (2, {"type": "ball", "center": [0, 0], "radius": math.nan}),
+                    (2, {"type": "ball", "center": [math.nan, 0], "radius": 1.0}),
+                    (2, {"type": "box", "center": [0, 0], "side": math.nan}),
+                    (2, {"type": "box", "lo": [0, 0], "hi": [1, math.nan]}),
+                    (2, {"type": "line", "base": [0, 0], "direction": [math.inf, 0]}),
+                    (2, {"type": "line", "base": [0, 0], "direction": 1.0}),
+                    (2.5, {"type": "ball", "center": [0, 0], "radius": 1.0}),
+                    ("2", {"type": "ball", "center": [0, 0], "radius": 1.0}),
+                ]
+            ),
         ],
         ids=[
             "x0-dimension",
@@ -439,6 +463,15 @@ class TestOtherCommands:
             "error_c-inf",
             "error_p-nan",
             "x0-nan",
+            "tau-string",
+            "custom-ball-radius-nan",
+            "custom-ball-center-nan",
+            "custom-box-side-nan",
+            "custom-box-hi-nan",
+            "custom-line-direction-inf",
+            "custom-line-direction-scalar",
+            "custom-dim-fraction",
+            "custom-dim-string",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, body):
@@ -509,11 +542,51 @@ def _fuzzed_config(draw):
     return body
 
 
+# The custom fuzz draws a well-formed plane geometry, then in half the
+# configs replaces its dimension or one field of one set with a value of any
+# kind: a config value as above, or a point that may hold a non-finite
+# coordinate or have another dimension.
+_FINITE = st.one_of(st.floats(min_value=-10, max_value=10), st.integers(min_value=-5, max_value=5))
+_PLANE_POINT = st.lists(_FINITE, min_size=2, max_size=2)
+_SIZE = st.floats(min_value=0, max_value=10)
+_SET_FIELDS = {
+    "ball": (("center", _PLANE_POINT), ("radius", _SIZE)),
+    "box": (("lo", _PLANE_POINT), ("hi", _PLANE_POINT)),
+    "cube": (("center", _PLANE_POINT), ("side", _SIZE)),
+    "line": (("base", _PLANE_POINT), ("direction", _PLANE_POINT)),
+}
+_ANY_FIELD = st.one_of(
+    _VALUES,
+    st.lists(st.one_of(_FINITE, st.sampled_from([math.inf, -math.inf, math.nan])), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def _fuzzed_set(draw):
+    kind = draw(st.sampled_from(sorted(_SET_FIELDS)))
+    return {"type": "box" if kind == "cube" else kind, **{key: draw(field) for key, field in _SET_FIELDS[kind]}}
+
+
+@st.composite
+def _fuzzed_custom(draw):
+    """A custom experiment of at most 3 sweeps on a fuzzed geometry."""
+    sets = draw(st.lists(_fuzzed_set(), min_size=2, max_size=4))
+    dim = 2
+    if draw(st.booleans()):
+        target = draw(st.integers(min_value=0, max_value=len(sets)))
+        if target == len(sets):
+            dim = draw(_VALUES)
+        else:
+            key = draw(st.sampled_from(sorted(set(sets[target]) - {"type"})))
+            sets[target][key] = draw(_ANY_FIELD)
+    body = _custom_config(dim=dim, constraint=sets[0], obstacles=sets[1:])
+    body["iters"] = draw(st.integers(min_value=0, max_value=3))
+    return body
+
+
 class TestConfigFuzz:
-    @settings(max_examples=1000)
-    @given(body=_fuzzed_config())
-    def test_validate_and_run_agree_and_fail_cleanly(self, tmp_path_factory, body):
-        tmp = tmp_path_factory.mktemp("fuzz")
+    @staticmethod
+    def _check_agreement(tmp, body):
         body["output_csv"] = str(tmp / "out.csv")
         if body["experiment"] == "deblur":
             body["output_pgm"] = str(tmp / "out.pgm")
@@ -532,6 +605,16 @@ class TestConfigFuzz:
         # No finite value drawn here can make three sweeps overflow, so a
         # divergence means a non-finite value got past the checks.
         assert run_code != 3
+
+    @settings(max_examples=1000)
+    @given(body=_fuzzed_config())
+    def test_validate_and_run_agree_and_fail_cleanly(self, tmp_path_factory, body):
+        self._check_agreement(tmp_path_factory.mktemp("fuzz"), body)
+
+    @settings(max_examples=500)
+    @given(body=_fuzzed_custom())
+    def test_custom_geometry_validate_and_run_agree(self, tmp_path_factory, body):
+        self._check_agreement(tmp_path_factory.mktemp("fuzz"), body)
 
 
 class TestPgm:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -143,14 +144,14 @@ class TestDeblurObjective:
         for sigma in (0.05, 1.0, 3.0):
             p = rng.standard_normal(npix) * 2.0
             # data-fit term: clip(p - sigma * b) onto [-1, 1]
-            got = prob.terms[0].res_b_conj(sigma, p)
+            got = prob.terms[0].res_b_conj(p, sigma)
             assert np.allclose(got, np.clip(p - sigma * b, -1.0, 1.0), atol=1e-12)
             # wavelet term: clip onto [-alpha2, alpha2]
-            got = prob.terms[1].res_b_conj(sigma, p)
+            got = prob.terms[1].res_b_conj(p, sigma)
             assert np.allclose(got, np.clip(p, -dspec.alpha2, dspec.alpha2), atol=1e-12)
             # TV term: per-pixel disc projection with radius alpha1
             pq = rng.standard_normal(2 * npix) * 0.01
-            got = prob.terms[2].res_b_conj(sigma, pq)
+            got = prob.terms[2].res_b_conj(pq, sigma)
             p_, q_ = pq[:npix], pq[npix:]
             scale = np.minimum(1.0, dspec.alpha1 / np.sqrt(p_ * p_ + q_ * q_))
             assert np.allclose(got, np.concatenate([p_ * scale, q_ * scale]), atol=1e-12)
@@ -174,6 +175,16 @@ class TestDeblurObjective:
     def test_step_config_within_its_budget(self, variant):
         prob = deblur_build(make_deblur_spec(shape=(16, 16)))
         validate_steps(prob, deblur_step_config(prob, variant), variant)
+
+    @pytest.mark.parametrize("variant", sorted(BUDGETS))
+    def test_step_config_reads_the_solver_budget_sum(self, variant):
+        # tau comes from the sum the budget check computes, to the last bit:
+        # the gradient's bound sqrt(8) makes a second spelling of the sum
+        # differ by one ulp on the dr1 recipe.
+        prob = deblur_build(make_deblur_spec(shape=(16, 16)))
+        cfg = deblur_step_config(prob, variant)
+        total = weighted_bound_sum(prob, dataclasses.replace(cfg, tau=1.0))
+        assert cfg.tau == BUDGETS[variant] / total - 0.01
 
     def test_builder_shapes(self):
         dspec = make_deblur_spec(shape=(16, 16))

@@ -14,6 +14,7 @@ from proxsplit.problems import (
     heron1,
     heron_build,
     heron_objective,
+    heron_step_config,
     make_deblur_spec,
 )
 from proxsplit.prox import (
@@ -53,29 +54,64 @@ def _point_norm_problem(dim=2):
 class TestProblemSpec:
     def test_rejects_empty_terms(self):
         with pytest.raises(ValueError):
-            ProblemSpec(res_a=lambda t, x: x, z=np.zeros(2), terms=())
+            ProblemSpec(res_a=lambda x, t: x, z=np.zeros(2), terms=())
 
     def test_rejects_dim_mismatch(self):
         term = Term(
             L=IdentityOp(3),
-            res_b_conj=lambda s, y: y,
-            res_d_conj=lambda s, y: y,
-            res_d=lambda g, y: y,
+            res_b_conj=lambda y, s: y,
+            res_d_conj=lambda y, s: y,
+            res_d=lambda y, g: y,
             r=np.zeros(3),
         )
         with pytest.raises(ValueError):
-            ProblemSpec(res_a=lambda t, x: x, z=np.zeros(2), terms=(term,))
+            ProblemSpec(res_a=lambda x, t: x, z=np.zeros(2), terms=(term,))
 
     def test_rejects_zero_operator(self):
         term = Term(
             L=MatrixOp(np.zeros((2, 2)), norm_bound=0.0),
-            res_b_conj=lambda s, y: y,
-            res_d_conj=lambda s, y: y,
-            res_d=lambda g, y: y,
+            res_b_conj=lambda y, s: y,
+            res_d_conj=lambda y, s: y,
+            res_d=lambda y, g: y,
             r=np.zeros(2),
         )
         with pytest.raises(ValueError):
-            ProblemSpec(res_a=lambda t, x: x, z=np.zeros(2), terms=(term,))
+            ProblemSpec(res_a=lambda x, t: x, z=np.zeros(2), terms=(term,))
+
+    def test_prox_terms_hold_the_bound_methods(self):
+        f, g, l = BallIndicator((0.0, 0.0), 1.0), EuclideanNorm(), BoxIndicator(-np.ones(2), np.ones(2))
+        spec = make_prox_problem(f, np.zeros(2), [(IdentityOp(2), g, l, None)])
+        (term,) = spec.terms
+        assert spec.res_a == f.prox
+        assert term.res_b_conj == g.conjugate_prox
+        assert term.res_d_conj == l.conjugate_prox
+        assert term.res_d == l.prox
+
+    @pytest.mark.parametrize("variant", ["dr1", "dr2"])
+    def test_raw_spec_in_resolvent_order_reproduces_heron1(self, variant):
+        h = heron1()
+        norm = EuclideanNorm()
+        raw = ProblemSpec(
+            res_a=lambda x, tau: h.constraint.prox(x, tau),
+            z=np.zeros(2),
+            terms=[
+                Term(
+                    L=IdentityOp(2),
+                    res_b_conj=lambda y, s: norm.conjugate_prox(y, s),
+                    res_d_conj=lambda y, s, o=o: o.conjugate_prox(y, s),
+                    res_d=lambda y, g, o=o: o.prox(y, g),
+                    r=np.zeros(2),
+                )
+                for o in h.obstacles
+            ],
+        )
+        built = heron_build(h)
+        cfg = heron_step_config("heron1", built, variant, max_iters=60)
+        logs = [run(p, cfg, variant=variant, x0=(5.0, -2.0)) for p in (built, raw)]
+        for a, b in zip(*logs, strict=True):
+            assert a.primal.tobytes() == b.primal.tobytes()
+            assert all(u.tobytes() == w.tobytes() for u, w in zip(a.duals, b.duals, strict=True))
+            assert a.step_residual.hex() == b.step_residual.hex()
 
     @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
     def test_list_shift_runs_as_the_same_array(self, variant):
@@ -296,10 +332,10 @@ def _reference_dr1(spec, cfg, state):
     """The two-pass sweep with every shift subtracted and the adjoint sums
     started from zeros."""
     tau, lam, x, v = cfg.tau, cfg.lam(state.n), state.x, state.v
-    p1 = spec.res_a(tau, x - 0.5 * tau * _reference_adjoint_sum(spec, v) + tau * spec.z)
+    p1 = spec.res_a(x - 0.5 * tau * _reference_adjoint_sum(spec, v) + tau * spec.z, tau)
     w1 = 2.0 * p1 - x
     p2s = [
-        t.res_b_conj(s, v[i] + 0.5 * s * t.L.apply(w1) - s * t.r)
+        t.res_b_conj(v[i] + 0.5 * s * t.L.apply(w1) - s * t.r, s)
         for i, (t, s) in enumerate(zip(spec.terms, cfg.sigmas))
     ]
     w2s = [2.0 * p2 - v[i] for i, p2 in enumerate(p2s)]
@@ -308,7 +344,7 @@ def _reference_dr1(spec, cfg, state):
     res_sq = float((z1 - p1).dot(z1 - p1))
     v_new = []
     for i, (t, s) in enumerate(zip(spec.terms, cfg.sigmas)):
-        z2 = t.res_d_conj(s, w2s[i] + 0.5 * s * t.L.apply(u))
+        z2 = t.res_d_conj(w2s[i] + 0.5 * s * t.L.apply(u), s)
         v_new.append(v[i] + lam * (z2 - p2s[i]))
         res_sq += float((z2 - p2s[i]).dot(z2 - p2s[i]))
     return x + lam * (z1 - p1), v_new, None, p1, p2s, lam * math.sqrt(res_sq)
@@ -318,7 +354,7 @@ def _reference_dr2(spec, cfg, state):
     """The single-pass sweep (the reduced one without y) with every shift
     subtracted and the adjoint sum started from zeros."""
     tau, lam, x, y, v = cfg.tau, cfg.lam(state.n), state.x, state.y, state.v
-    p1 = spec.res_a(tau, x - tau * (_reference_adjoint_sum(spec, v) - spec.z))
+    p1 = spec.res_a(x - tau * (_reference_adjoint_sum(spec, v) - spec.z), tau)
     u = 2.0 * p1 - x
     res_sq = float((p1 - x).dot(p1 - x))
     y_new = None if y is None else []
@@ -327,11 +363,11 @@ def _reference_dr2(spec, cfg, state):
         target = t.L.apply(u)
         if y is not None:
             g = state.gammas[i]
-            p2 = t.res_d(g, y[i] + g * v[i])
+            p2 = t.res_d(y[i] + g * v[i], g)
             y_new.append(y[i] + lam * (p2 - y[i]))
             res_sq += float((p2 - y[i]).dot(p2 - y[i]))
             target = target - (2.0 * p2 - y[i])
-        p3 = t.res_b_conj(s, v[i] + s * (target - t.r))
+        p3 = t.res_b_conj(v[i] + s * (target - t.r), s)
         v_new.append(v[i] + lam * (p3 - v[i]))
         p3s.append(p3)
         res_sq += float((p3 - v[i]).dot(p3 - v[i]))
@@ -504,14 +540,14 @@ class TestRunSemantics:
     def test_divergence_abort_names_quantity(self):
         # a resolvent that emits NaN on the first evaluation
         bad = ProblemSpec(
-            res_a=lambda t, x: np.full_like(x, np.nan),
+            res_a=lambda x, t: np.full_like(x, np.nan),
             z=np.zeros(2),
             terms=(
                 Term(
                     L=IdentityOp(2),
-                    res_b_conj=lambda s, y: y,
-                    res_d_conj=lambda s, y: y,
-                    res_d=lambda g, y: np.zeros_like(y),
+                    res_b_conj=lambda y, s: y,
+                    res_d_conj=lambda y, s: y,
+                    res_d=lambda y, g: np.zeros_like(y),
                     r=np.zeros(2),
                     d_is_zero=True,
                 ),
@@ -535,7 +571,7 @@ class TestRunSemantics:
             def adjoint(self, y):
                 return np.array([y[0], 0.0])
 
-        clip = lambda s, y: np.clip(y, -1.0, 1.0)
+        clip = lambda y, s: np.clip(y, -1.0, 1.0)
         bad = ProblemSpec(
             res_a=clip,
             z=np.zeros(2),
@@ -549,14 +585,14 @@ class TestRunSemantics:
     def test_divergence_in_y_names_quantity(self):
         # only the extra dual block of the single-pass scheme goes non-finite
         bad = ProblemSpec(
-            res_a=lambda t, x: x,
+            res_a=lambda x, t: x,
             z=np.zeros(2),
             terms=(
                 Term(
                     L=IdentityOp(2),
-                    res_b_conj=lambda s, y: np.zeros_like(y),
-                    res_d_conj=lambda s, y: y,
-                    res_d=lambda g, y: np.full_like(y, np.nan),
+                    res_b_conj=lambda y, s: np.zeros_like(y),
+                    res_d_conj=lambda y, s: y,
+                    res_d=lambda y, g: np.full_like(y, np.nan),
                     r=np.zeros(2),
                 ),
             ),
@@ -569,9 +605,9 @@ class TestRunSemantics:
 
     def test_overflowing_residual_names_residual(self):
         # every block stays finite, but the squared update norm 2 * 1e400 is not
-        zero = lambda s, y: np.zeros_like(y)
+        zero = lambda y, s: np.zeros_like(y)
         bad = ProblemSpec(
-            res_a=lambda t, x: np.full_like(x, 1e200),
+            res_a=lambda x, t: np.full_like(x, 1e200),
             z=np.zeros(2),
             terms=(Term(L=IdentityOp(2), res_b_conj=zero, res_d_conj=zero, res_d=zero, r=np.zeros(2)),),
         )
