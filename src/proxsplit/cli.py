@@ -283,23 +283,28 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _reject_unknown_keys(where: str, block: dict, known) -> None:
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {', '.join(map(repr, unknown))}")
+
+
 def _parse_set(spec: dict):
     if not isinstance(spec, dict):
         raise ValueError(f"each set must be a JSON object, got {spec!r}")
     kind = spec.get("type")
-    if kind == "ball":
-        return BallIndicator(_finite(spec["center"]), _finite(spec["radius"]))
-    if kind == "box":
-        if "center" in spec:
-            return box_from_center(_finite(spec["center"]), _finite(spec["side"]))
-        return BoxIndicator(_finite(spec["lo"]), _finite(spec["hi"]))
-    if kind == "line":
-        return LineIndicator(_finite(spec["base"]), _finite(spec["direction"]))
-    raise ValueError(f"unknown set type {kind!r} (expected ball, box or line)")
+    if kind not in ("ball", "box", "line"):
+        raise ValueError(f"unknown set type {kind!r} (expected ball, box or line)")
+    box = (box_from_center, "center", "side") if "center" in spec else (BoxIndicator, "lo", "hi")
+    sets = {"ball": (BallIndicator, "center", "radius"), "box": box, "line": (LineIndicator, "base", "direction")}
+    make, *fields = sets[kind]
+    _reject_unknown_keys(f"a {kind} set", spec, ("type", *fields))
+    return make(*(_finite(spec[key]) for key in fields))
 
 
 def _custom_heron(block: dict) -> HeronSpec:
     try:
+        _reject_unknown_keys("the block", block, ("dim", "constraint", "obstacles"))
         dim = _integer(block["dim"])
         constraint = _parse_set(block["constraint"])
         obstacles = tuple(_parse_set(s) for s in block["obstacles"])

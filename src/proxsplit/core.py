@@ -92,33 +92,27 @@ class BlockVector:
         return f"BlockVector(signature={self.signature})"
 
 
-def _as_schedule(lam) -> Callable[[int], float]:
-    if callable(lam):
-        return lam
-    value = float(lam)
-    return lambda n: value
-
-
 @dataclass(frozen=True)
 class StepConfig:
     """Step sizes, relaxation schedule and iteration budget for a solver run.
 
-    ``lambda_schedule`` may be given as a constant or as a total function of
-    the iteration counter. Construction checks positivity and that every
-    relaxation before ``max_iters`` lies in (0, 2). The step-size budget
-    ``tau * sum_i sigmas[i] * ||L_i||**2`` depends on the problem and the
-    variant, so it is checked by ``proxsplit.solvers.validate_steps``.
+    ``lambda_schedule`` is a constant, stored as a float, or a total function
+    of the iteration counter. Construction checks positivity only. Which
+    relaxations a run uses depends on its length, so they are checked to lie
+    in (0, 2) by ``proxsplit.solvers.preflight``, as the step-size budget
+    ``tau * sum_i sigmas[i] * ||L_i||**2`` is by ``validate_steps`` there.
     """
 
     tau: float
     sigmas: tuple
-    lambda_schedule: Callable[[int], float]
+    lambda_schedule: float | Callable[[int], float]
     max_iters: int
 
     def __post_init__(self):
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in np.atleast_1d(self.sigmas)))
-        object.__setattr__(self, "lambda_schedule", _as_schedule(self.lambda_schedule))
+        if not callable(self.lambda_schedule):
+            object.__setattr__(self, "lambda_schedule", float(self.lambda_schedule))
         object.__setattr__(self, "max_iters", int(self.max_iters))
 
         if self.tau <= 0.0:
@@ -127,18 +121,10 @@ class StepConfig:
             raise ValueError("every sigma must be strictly positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        self.check_relaxation(0, self.max_iters)
 
     def lam(self, n: int) -> float:
-        return float(self.lambda_schedule(n))
-
-    def check_relaxation(self, start: int, stop: int) -> None:
-        """Raise ValueError unless lambda_n lies in (0, 2) for start <= n < stop."""
         schedule = self.lambda_schedule
-        for n in range(start, stop):
-            lam = float(schedule(n))
-            if not 0.0 < lam < 2.0:
-                raise ValueError(f"relaxation out of (0, 2) at n={n}: {lam}")
+        return float(schedule(n)) if callable(schedule) else schedule
 
 
 @dataclass(frozen=True)

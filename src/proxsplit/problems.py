@@ -238,7 +238,6 @@ def make_deblur_spec(
     alpha1: float = 3e-3,
     alpha2: float = 2e-5,
     wavelet_norm_bound: float = 1.0,
-    levels: int = 4,
 ) -> DeblurSpec:
     """Synthesize a deblurring instance: blur the clean image, add seeded
     Gaussian noise, clip to the pixel range."""
@@ -251,7 +250,7 @@ def make_deblur_spec(
     clean = np.asarray(clean, dtype=float)
     shape = clean.shape
     blur = GaussianBlurOp(shape, kernel_size, kernel_std)
-    wavelet = HaarOp(shape, levels=levels, norm_bound=wavelet_norm_bound)
+    wavelet = HaarOp(shape, norm_bound=wavelet_norm_bound)
     grad = GradientOp(shape)
     rng = np.random.default_rng(int(noise_seed))
     degraded = blur.apply(clean.ravel()).reshape(shape) + noise_std * rng.standard_normal(shape)

@@ -454,17 +454,21 @@ def preflight(
 ) -> State:
     """The checks :func:`run` makes before its first sweep; returns the start.
 
-    Checks the step-size budget, the relaxation at every iteration the run
-    may take, ``n_iters``, ``log_stride`` and the starting point, raising
-    :class:`StepSizeError` or ValueError.
+    Checks the step-size budget, ``n_iters``, ``log_stride``, the starting
+    point and the relaxation, raising :class:`StepSizeError` or ValueError.
+    The relaxations a run uses depend on its length, so this is where they
+    are checked to lie in (0, 2), as :func:`validate_steps` checks the
+    budget: a constant once, a schedule at each of the run's sweeps.
     """
     validate_steps(spec, cfg, variant)
     if n_iters < 0:
         raise ValueError("n_iters must be nonnegative")
     if log_stride < 1:
         raise ValueError("log_stride must be at least 1")
-    # StepConfig checked n < max_iters; n_iters may reach beyond it.
-    cfg.check_relaxation(cfg.max_iters, n_iters)
+    for n in range(max(n_iters, 1)) if callable(cfg.lambda_schedule) else (0,):
+        lam = cfg.lam(n)
+        if not 0.0 < lam < 2.0:
+            raise ValueError(f"relaxation out of (0, 2) at n={n}: {lam}")
     return State.initial(spec, cfg, variant, x0, v0, y0)
 
 

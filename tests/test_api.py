@@ -1,4 +1,5 @@
-"""The documented surface: each module's ``__all__`` and the README quickstart."""
+"""The documented surface: each module's ``__all__``, the README quickstart
+and the README's JSON configs."""
 import contextlib
 import importlib
 import io
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import proxsplit
+from proxsplit.cli import main, pgm_write
+from proxsplit.problems import synthetic_image
 
 MODULES = [m.name for m in pkgutil.iter_modules(proxsplit.__path__, "proxsplit.")]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -36,3 +39,14 @@ def test_readme_quickstart_prints_its_stated_row():
     printed = [float(v) for v in re.findall(number, out.getvalue())]
     assert len(stated) == len(printed) == 3
     assert printed == pytest.approx(stated, abs=1e-6)
+
+
+def test_readme_json_configs_validate(tmp_path, monkeypatch, capsys):
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    blocks = [block.split("```", 1)[0] for block in section.split("```json\n")[1:]]
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    pgm_write(synthetic_image(), "input.pgm")
+    for i, block in enumerate(blocks):
+        (tmp_path / f"config{i}.json").write_text(block)
+        assert main(["validate", f"config{i}.json"]) == 0, capsys.readouterr().err

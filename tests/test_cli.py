@@ -487,6 +487,42 @@ class TestOtherCommands:
         assert validate_err == run_err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "custom, named",
+        [
+            ({**CUSTOM, "dims": 3}, "the block: 'dims'"),
+            (
+                {
+                    **CUSTOM,
+                    "constraint": {"type": "box", "center": [0, 0], "side": 2, "lo": [1, 1], "hi": [2, 2], "radius": 1},
+                },
+                "a box set: 'hi', 'lo', 'radius'",
+            ),
+            ({**CUSTOM, "obstacles": [{"type": "ball", "center": [3, 0], "radius": 1.0, "side": 1.0}]}, "a ball set: 'side'"),
+        ],
+        ids=["block-dims", "box-center-and-bounds", "ball-side"],
+    )
+    def test_custom_key_not_read_is_named(self, tmp_path, capsys, custom, named):
+        path = _write_config(tmp_path, experiment="custom", tau=0.3, sigma=0.5, custom=custom)
+        errs = []
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == f"error: malformed 'custom' geometry: unknown keys in {named}\n"
+
+    def test_validate_does_not_walk_a_long_run(self, tmp_path):
+        # the constant relaxation is checked once, not at each of 1e12 sweeps
+        path = _write_config(tmp_path, experiment="heron1", iters=1_000_000_000_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "proxsplit.cli", "validate", path],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=_child_env(),
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_norms_reports_estimates(self, tmp_path, capsys):
         path = _write_config(tmp_path, experiment="deblur", image_size=32)
         assert main(["norms", path]) == 0
@@ -545,7 +581,8 @@ def _fuzzed_config(draw):
 # The custom fuzz draws a well-formed plane geometry, then in half the
 # configs replaces its dimension or one field of one set with a value of any
 # kind: a config value as above, or a point that may hold a non-finite
-# coordinate or have another dimension.
+# coordinate or have another dimension. In a quarter of the configs the
+# block or one set also gets a key it does not read.
 _FINITE = st.one_of(st.floats(min_value=-10, max_value=10), st.integers(min_value=-5, max_value=5))
 _PLANE_POINT = st.lists(_FINITE, min_size=2, max_size=2)
 _SIZE = st.floats(min_value=0, max_value=10)
@@ -555,6 +592,7 @@ _SET_FIELDS = {
     "cube": (("center", _PLANE_POINT), ("side", _SIZE)),
     "line": (("base", _PLANE_POINT), ("direction", _PLANE_POINT)),
 }
+_EXTRA_KEYS = ("base", "center", "dims", "direction", "hi", "lo", "radius", "side")
 _ANY_FIELD = st.one_of(
     _VALUES,
     st.lists(st.one_of(_FINITE, st.sampled_from([math.inf, -math.inf, math.nan])), min_size=1, max_size=3),
@@ -580,6 +618,9 @@ def _fuzzed_custom(draw):
             key = draw(st.sampled_from(sorted(set(sets[target]) - {"type"})))
             sets[target][key] = draw(_ANY_FIELD)
     body = _custom_config(dim=dim, constraint=sets[0], obstacles=sets[1:])
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        holder = draw(st.sampled_from([body["custom"], *sets]))
+        holder[draw(st.sampled_from([k for k in _EXTRA_KEYS if k not in holder]))] = draw(_ANY_FIELD)
     body["iters"] = draw(st.integers(min_value=0, max_value=3))
     return body
 

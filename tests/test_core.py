@@ -12,7 +12,7 @@ from proxsplit.core import (
     make_power_error_schedule,
 )
 from proxsplit.problems import heron1, heron_build
-from proxsplit.solvers import validate_steps
+from proxsplit.solvers import preflight, run, validate_steps
 
 
 class TestBlockVector:
@@ -57,10 +57,15 @@ class TestStepConfig:
             StepConfig(tau=1.0, sigmas=(0.0,), lambda_schedule=1.0, max_iters=5)
 
     def test_relaxation_range(self):
-        with pytest.raises(ValueError):
-            StepConfig(tau=1.0, sigmas=(1.0,), lambda_schedule=2.0, max_iters=5)
-        with pytest.raises(ValueError):
-            StepConfig(tau=1.0, sigmas=(1.0,), lambda_schedule=lambda n: 1.0 if n < 3 else 2.5, max_iters=5)
+        # construction takes any relaxation; preflight, and so run, rejects
+        # one outside (0, 2) before the first sweep
+        prob = heron_build(heron1())
+        for schedule in (2.0, lambda n: 1.0 if n < 3 else 2.5):
+            cfg = StepConfig(tau=0.24, sigmas=(0.5,) * 8, lambda_schedule=schedule, max_iters=5)
+            with pytest.raises(ValueError):
+                preflight(prob, cfg, "dr1", 5)
+            with pytest.raises(ValueError):
+                run(prob, cfg, variant="dr1", n_iters=5)
         cfg = StepConfig(tau=1.0, sigmas=(1.0,), lambda_schedule=lambda n: 1.0 + 0.5 / (n + 1), max_iters=5)
         assert cfg.lam(0) == 1.5
 

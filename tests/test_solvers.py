@@ -5,7 +5,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from proxsplit.core import BlockVector, StepConfig, StepSizeError
+from proxsplit.core import BlockVector, StepConfig, StepSizeError, make_power_error_schedule
 from proxsplit.linops import IdentityOp, LinOp, MatrixOp
 from proxsplit.problems import (
     PAPER_WAVELET_NORM_BOUND,
@@ -273,6 +273,15 @@ class TestReducedScheme:
                 assert np.array_equal(a, b)
             assert full.residual == red.residual
 
+    def test_inexact_full_scheme_carries_errors_in_y(self):
+        # the reduced sweep holds y at zero; the full one adds the d errors to
+        # its y-resolvent's zero output, so the two part once errors enter
+        prob = self._reduced_problem()
+        cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=1)
+        errs = make_power_error_schedule(1.0, 2.0, (prob.dim, prob.block_signature), seed=0)
+        full = dr2_step(prob, cfg, errs, State.initial(prob, cfg, "dr2", x0=np.array([0.9, -0.4, 0.2])))
+        assert any(np.any(block != 0.0) for block in full.y)
+
     def test_reduced_accepts_larger_budget(self):
         prob = self._reduced_problem()
         cfg = StepConfig(tau=0.72, sigmas=(1.0, 1.0), lambda_schedule=1.0, max_iters=5)
@@ -504,8 +513,8 @@ class TestRunSemantics:
         assert len(log) == 12
 
     def test_relaxation_checked_beyond_max_iters(self):
-        # StepConfig only checks n < max_iters; a longer run must not use an
-        # unchecked lambda (this one ran to a residual of 6e7 unnoticed)
+        # a run longer than max_iters must not use an unchecked lambda (this
+        # one ran to a residual of 6e7 unnoticed)
         _, prob, _ = self._setup()
         cfg = StepConfig(
             tau=0.24,
@@ -517,6 +526,28 @@ class TestRunSemantics:
             with pytest.raises(ValueError, match=r"n=5: 5\.0"):
                 run(prob, cfg, variant=variant, n_iters=20, x0=np.array([5.0, 2.0]))
         assert len(run(prob, cfg, variant="dr1", n_iters=5, x0=np.array([5.0, 2.0]))) == 5
+
+    def test_schedule_is_called_only_for_the_run_sweeps(self):
+        # construction calls no schedule; run checks each of its 3 sweeps'
+        # relaxations once in preflight and reads each once in its sweep
+        _, prob, _ = self._setup()
+        schedule = Mock(return_value=1.8)
+        cfg = StepConfig(tau=0.24, sigmas=(0.1,) * 8, lambda_schedule=schedule, max_iters=400)
+        assert schedule.call_count == 0
+        run(prob, cfg, variant="dr1", n_iters=3, x0=np.array([5.0, 2.0]))
+        assert schedule.call_count == 6
+
+    def test_relaxation_bad_after_the_last_sweep_is_not_checked(self):
+        _, base, _ = self._setup()
+        prob = dataclasses.replace(base, res_a=Mock(wraps=base.res_a))
+        cfg = StepConfig(
+            tau=0.24, sigmas=(0.1,) * 8, lambda_schedule=lambda n: 1.8 if n < 3 else 2.5, max_iters=400
+        )
+        assert len(run(prob, cfg, variant="dr1", n_iters=3, x0=np.array([5.0, 2.0]))) == 3
+        prob.res_a.reset_mock()
+        with pytest.raises(ValueError, match=r"relaxation out of \(0, 2\) at n=3: 2\.5"):
+            run(prob, cfg, variant="dr1", n_iters=4, x0=np.array([5.0, 2.0]))
+        assert prob.res_a.call_count == 0
 
     def test_residual_tol_stops_early(self):
         _, prob, cfg = self._setup()
