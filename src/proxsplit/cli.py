@@ -253,9 +253,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    _reject_unknown_keys("the config", raw, CONFIG_KEYS)
     cfg = {}
     for key, value in raw.items():
         if value is None:
@@ -286,7 +284,7 @@ def load_config(path) -> dict:
 def _reject_unknown_keys(where: str, block: dict, known) -> None:
     unknown = sorted(set(block) - set(known))
     if unknown:
-        raise ValueError(f"unknown keys in {where}: {', '.join(map(repr, unknown))}")
+        raise ConfigError(f"unknown keys in {where}: {', '.join(map(repr, unknown))}")
 
 
 def _parse_set(spec: dict):

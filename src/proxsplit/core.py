@@ -1,8 +1,8 @@
 """Vectors, product-space blocks, step configuration and error schedules.
 
-Everything in this module is a plain value over float64 numpy arrays: objects
-are never mutated after construction, so they can be shared freely between
-threads and across solver runs.
+The objects here are plain values over float64 numpy arrays, not mutated after
+construction, so they can be shared across solver runs. The one exception is
+:class:`IterateLog`, which a run fills by appending rows.
 """
 from __future__ import annotations
 

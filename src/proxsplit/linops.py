@@ -169,7 +169,10 @@ def gaussian_kernel(size: int, std: float) -> np.ndarray:
         raise ValueError(f"blur kernel std must be finite and positive with a nonzero square, got {std!r}")
     half = size // 2
     t = np.arange(-half, half + 1, dtype=float)
-    k = np.exp(-(t * t) / (2.0 * std * std))
+    # A tiny std overflows the off-center exponents to inf, whose exp is the
+    # 0 of a delta kernel.
+    with np.errstate(over="ignore"):
+        k = np.exp(-(t * t) / (2.0 * std * std))
     return k / k.sum()
 
 

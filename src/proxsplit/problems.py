@@ -143,10 +143,8 @@ def heron_objective(spec: HeronSpec, x) -> float:
 
 def heron_build(spec: HeronSpec) -> ProblemSpec:
     """Template instance: identity maps, norm couplings, obstacle indicators."""
-    z = np.zeros(spec.dim)
-    r = np.zeros(spec.dim)
-    terms = [(IdentityOp(spec.dim), EuclideanNorm(), obstacle, r) for obstacle in spec.obstacles]
-    return make_prox_problem(spec.constraint, z, terms)
+    terms = [(IdentityOp(spec.dim), EuclideanNorm(), obstacle, None) for obstacle in spec.obstacles]
+    return make_prox_problem(spec.constraint, None, terms)
 
 
 @dataclass(frozen=True)
@@ -271,8 +269,7 @@ def deblur_build(spec: DeblurSpec) -> ProblemSpec:
     blur, wavelet sparsity, and TV through the gradient; every parallel-sum
     slot takes the zero-point reduction."""
     f, terms = spec._model
-    z = np.zeros(spec.observed.size)
-    return make_prox_problem(f, z, [(L, g, None, np.zeros(L.out_dim)) for L, g in terms])
+    return make_prox_problem(f, None, [(L, g, None, None) for L, g in terms])
 
 
 # Published (sigmas, lambda) of the deblurring experiment per scheme.

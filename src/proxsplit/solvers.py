@@ -14,17 +14,13 @@ alone. Both sweeps tolerate summable additive errors after each resolvent
 evaluation. Every resolvent map is called as ``res(x, gamma)``, the order of
 the ``ProxFn`` methods, which :func:`make_prox_problem` stores as they are.
 
-Zero shifts: a :class:`ProblemSpec` decides once which term shifts ``r_i``
-and whether the tilt ``z`` hold only +0.0, and the sweeps skip subtracting
-those, since ``a - (+0.0)`` is ``a`` for every float. A shift holding -0.0
-is still subtracted. ``dr1`` keeps adding the tilt, as the scalar 0.0 when
-it is all +0.0, because adding +0.0 turns -0.0 into +0.0.
+An absent tilt ``z`` or shift ``r_i`` is None, and the sweeps subtract every
+one that is an array.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -89,59 +85,49 @@ class Term:
     ``res_b_conj(y, sigma)`` is the resolvent of sigma * B_i^{-1},
     ``res_d_conj(y, sigma)`` the resolvent of sigma * D_i^{-1} and
     ``res_d(y, gamma)`` the resolvent of gamma * D_i. ``d_is_zero`` marks the
-    zero-point reduction of the parallel-sum slot. ``r`` is stored as a 1-D
-    float vector.
+    zero-point reduction of the parallel-sum slot. ``r`` is None when the
+    term has no shift, and is otherwise stored as a 1-D float vector.
     """
 
     L: LinOp
     res_b_conj: ResolventMap
     res_d_conj: ResolventMap
     res_d: ResolventMap
-    r: np.ndarray
+    r: Optional[np.ndarray] = None
     d_is_zero: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "r", as_vector(self.r))
-
-
-def _all_positive_zero(a: np.ndarray) -> bool:
-    """True when every entry is +0.0, the one float whose bits are all zero
-    (NaN and -0.0 are not)."""
-    return np.count_nonzero(a.view(np.int64)) == 0
+        if self.r is not None:
+            object.__setattr__(self, "r", as_vector(self.r))
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full problem template: primal resolvent ``res_a(x, tau)``, tilt, terms."""
+    """Full problem template: primal resolvent ``res_a(x, tau)``, tilt, terms.
+
+    ``z`` is None when the problem has no tilt, and is otherwise stored as a
+    1-D float vector; the primal dimension is that of the first term's domain.
+    """
 
     res_a: ResolventMap
-    z: np.ndarray
+    z: Optional[np.ndarray]
     terms: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "z", as_vector(self.z))
+        if self.z is not None:
+            object.__setattr__(self, "z", as_vector(self.z))
         object.__setattr__(self, "terms", tuple(self.terms))
         if len(self.terms) < 1:
             raise ValueError("at least one composite term is required")
+        if self.z is not None and self.z.shape[0] != self.dim:
+            raise ValueError(f"z dim {self.z.shape[0]} != primal dim {self.dim}")
         for i, t in enumerate(self.terms):
-            if t.L.in_dim != self.z.shape[0]:
-                raise ValueError(f"term {i}: L.in_dim {t.L.in_dim} != primal dim {self.z.shape[0]}")
-            if t.L.out_dim != t.r.shape[0]:
+            if t.L.in_dim != self.dim:
+                raise ValueError(f"term {i}: L.in_dim {t.L.in_dim} != primal dim {self.dim}")
+            if t.r is not None and t.L.out_dim != t.r.shape[0]:
                 raise ValueError(f"term {i}: L.out_dim {t.L.out_dim} != r dim {t.r.shape[0]}")
             if t.L.norm_bound <= 0.0:
                 raise ValueError(f"term {i}: operator must be nonzero (norm_bound > 0)")
-
-    @cached_property
-    def z_is_zero(self) -> bool:
-        """Whether the tilt holds only +0.0; decided at the first sweep, and
-        afresh for a copy made with ``dataclasses.replace``."""
-        return _all_positive_zero(self.z)
-
-    @cached_property
-    def r_is_zero(self) -> tuple:
-        """Per term, whether its shift holds only +0.0; decided as
-        :attr:`z_is_zero` is."""
-        return tuple(_all_positive_zero(t.r) for t in self.terms)
 
     @property
     def m(self) -> int:
@@ -149,7 +135,7 @@ class ProblemSpec:
 
     @property
     def dim(self) -> int:
-        return self.z.shape[0]
+        return self.terms[0].L.in_dim
 
     @property
     def block_signature(self) -> tuple:
@@ -166,7 +152,7 @@ def make_prox_problem(f: ProxFn, z, terms: Sequence) -> ProblemSpec:
     ``terms`` is a sequence of tuples ``(L, g, l, r)``; passing ``l = None``
     selects the zero-point reduction of the parallel-sum slot, whose
     conjugate resolvent is the identity and whose primal resolvent is the
-    zero map.
+    zero map. The tilt ``z`` and each shift ``r`` may be None for none.
     """
     built = []
     for L, g, l, r in terms:
@@ -178,7 +164,7 @@ def make_prox_problem(f: ProxFn, z, terms: Sequence) -> ProblemSpec:
                 res_b_conj=g.conjugate_prox,
                 res_d_conj=l.conjugate_prox,
                 res_d=l.prox,
-                r=np.zeros(L.out_dim) if r is None else r,
+                r=r,
                 d_is_zero=isinstance(l, PointIndicator) and l.is_origin,
             )
         )
@@ -313,7 +299,8 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     lam = cfg.lam(n)
     x, v = state.x, state.v
 
-    tilt = 0.0 if spec.z_is_zero else tau * spec.z
+    # without a tilt, 0.0 is still added: it turns -0.0 into +0.0 as a zero tilt does
+    tilt = 0.0 if spec.z is None else tau * spec.z
     p1 = spec.res_a(x - 0.5 * tau * _adjoint_sum(spec, v) + tilt, tau)
     if errs is not None:
         p1 = p1 + errs.a(n)
@@ -323,7 +310,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         arg = v[i] + 0.5 * s * term.L.apply(w1)
-        if not spec.r_is_zero[i]:
+        if term.r is not None:
             arg = arg - s * term.r
         p2 = term.res_b_conj(arg, s)
         if errs is not None:
@@ -371,7 +358,7 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     x, y, v = state.x, state.y, state.v
 
     adj = _adjoint_sum(spec, v)
-    if not spec.z_is_zero:
+    if spec.z is not None:
         adj = adj - spec.z
     p1 = spec.res_a(x - tau * adj, tau)
     if errs is not None:
@@ -396,7 +383,7 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
             y_new.append(y[i] + lam * dy)
             res_sq += _sq(dy)
             target = target - (2.0 * p2 - y[i])
-        if not spec.r_is_zero[i]:
+        if term.r is not None:
             target = target - term.r
         p3 = term.res_b_conj(v[i] + s * target, s)
         if errs is not None:

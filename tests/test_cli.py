@@ -76,10 +76,13 @@ CUSTOM = {
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self, tmp_path):
-        path = _write_config(tmp_path, experiment="heron1", algorithm="dr1", sigmaz=0.5)
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        path = _write_config(tmp_path, experiment="heron1", algorithm="dr1", sigmaz=0.5, foo=1)
         with pytest.raises(ConfigError, match="sigmaz"):
             load_config(path)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err == "error: unknown keys in the config: 'foo', 'sigmaz'\n"
 
     def test_unknown_experiment(self, tmp_path):
         path = _write_config(tmp_path, experiment="heron9")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,13 @@ class TestBlur:
     def test_rejects_degenerate_std(self, std):
         with pytest.raises(ValueError, match="std"):
             gaussian_kernel(9, std)
+
+    def test_tiny_std_is_a_delta_without_warnings(self):
+        # the off-center exponents overflow to inf; numpy must not warn of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = gaussian_kernel(9, 1e-160)
+        assert np.array_equal(k, np.eye(9)[4])
 
     def test_norm_estimate_near_one(self):
         op = GaussianBlurOp((32, 32))

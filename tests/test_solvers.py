@@ -40,8 +40,6 @@ from proxsplit.solvers import (
     vnorm_dr1,
 )
 
-RNG = np.random.default_rng(99)
-
 
 def _point_norm_problem(dim=2):
     """f = indicator of the origin, one norm coupling through the identity."""
@@ -64,8 +62,13 @@ class TestProblemSpec:
             res_d=lambda y, g: y,
             r=np.zeros(3),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="z dim 2"):
             ProblemSpec(res_a=lambda x, t: x, z=np.zeros(2), terms=(term,))
+        other = dataclasses.replace(term, L=IdentityOp(2), r=None)
+        with pytest.raises(ValueError, match="term 1: L.in_dim 2"):
+            ProblemSpec(res_a=lambda x, t: x, z=None, terms=(term, other))
+        with pytest.raises(ValueError, match="r dim 3"):
+            ProblemSpec(res_a=lambda x, t: x, z=None, terms=(dataclasses.replace(other, r=np.zeros(3)),))
 
     def test_rejects_zero_operator(self):
         term = Term(
@@ -330,6 +333,11 @@ class _Negate(LinOp):
     adjoint = apply
 
 
+def _or_zeros(shift, dim):
+    """An absent tilt or shift as the zeros the reference formulas subtract."""
+    return np.zeros(dim) if shift is None else shift
+
+
 def _reference_adjoint_sum(spec, blocks):
     acc = np.zeros(spec.dim)
     for term, block in zip(spec.terms, blocks):
@@ -341,10 +349,10 @@ def _reference_dr1(spec, cfg, state):
     """The two-pass sweep with every shift subtracted and the adjoint sums
     started from zeros."""
     tau, lam, x, v = cfg.tau, cfg.lam(state.n), state.x, state.v
-    p1 = spec.res_a(x - 0.5 * tau * _reference_adjoint_sum(spec, v) + tau * spec.z, tau)
+    p1 = spec.res_a(x - 0.5 * tau * _reference_adjoint_sum(spec, v) + tau * _or_zeros(spec.z, spec.dim), tau)
     w1 = 2.0 * p1 - x
     p2s = [
-        t.res_b_conj(v[i] + 0.5 * s * t.L.apply(w1) - s * t.r, s)
+        t.res_b_conj(v[i] + 0.5 * s * t.L.apply(w1) - s * _or_zeros(t.r, t.L.out_dim), s)
         for i, (t, s) in enumerate(zip(spec.terms, cfg.sigmas))
     ]
     w2s = [2.0 * p2 - v[i] for i, p2 in enumerate(p2s)]
@@ -363,7 +371,7 @@ def _reference_dr2(spec, cfg, state):
     """The single-pass sweep (the reduced one without y) with every shift
     subtracted and the adjoint sum started from zeros."""
     tau, lam, x, y, v = cfg.tau, cfg.lam(state.n), state.x, state.y, state.v
-    p1 = spec.res_a(x - tau * (_reference_adjoint_sum(spec, v) - spec.z), tau)
+    p1 = spec.res_a(x - tau * (_reference_adjoint_sum(spec, v) - _or_zeros(spec.z, spec.dim)), tau)
     u = 2.0 * p1 - x
     res_sq = float((p1 - x).dot(p1 - x))
     y_new = None if y is None else []
@@ -376,7 +384,7 @@ def _reference_dr2(spec, cfg, state):
             y_new.append(y[i] + lam * (p2 - y[i]))
             res_sq += float((p2 - y[i]).dot(p2 - y[i]))
             target = target - (2.0 * p2 - y[i])
-        p3 = t.res_b_conj(v[i] + s * (target - t.r), s)
+        p3 = t.res_b_conj(v[i] + s * (target - _or_zeros(t.r, t.L.out_dim)), s)
         v_new.append(v[i] + lam * (p3 - v[i]))
         p3s.append(p3)
         res_sq += float((p3 - v[i]).dot(p3 - v[i]))
@@ -389,17 +397,19 @@ def _same_bits(a, b):
 
 
 class TestShifts:
-    """The sweeps on nonzero, -0.0 and all-+0.0 shifts, bit for bit against
-    the sweep formulas that subtract every shift."""
+    """The sweeps on nonzero, -0.0, all-+0.0 and absent shifts, bit for bit
+    against the sweep formulas that subtract every shift, zeros for an
+    absent one."""
 
     SHIFTS = {
         "nonzero": ([0.3, -1.2, 0.0, 2.0], [-0.5, 0.25, 1.0, -0.0], [0.2, -0.1, 0.4, 0.0]),
         "negative-zero": ([-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, -0.0]),
         "positive-zero": ([0.0] * 4, [0.0] * 4, [0.0] * 4),
+        "absent": (None, None, None),
     }
 
     def _problem(self, shifts, reduced):
-        r0, r1, z = (np.array(a) for a in self.SHIFTS[shifts])
+        r0, r1, z = (None if a is None else np.array(a) for a in self.SHIFTS[shifts])
         a = np.array([[0.5, 0.1, 0.0, -0.2], [0.0, -0.4, 0.3, 0.0], [0.2, 0.0, 0.0, 0.5], [0.0, 0.0, -0.3, 0.1]])
         terms = [
             (_Negate(4), WeightedL1(0.7), None if reduced else EuclideanNorm(), r0),
@@ -415,8 +425,6 @@ class TestShifts:
     )
     def test_sweeps_match_the_subtracting_formulas(self, shifts, variant, step, reference):
         prob = self._problem(shifts, reduced=variant != "dr2")
-        assert prob.r_is_zero == ((shifts == "positive-zero"),) * 2
-        assert prob.z_is_zero == (shifts == "positive-zero")
         cfg = StepConfig(tau=0.2, sigmas=(0.5, 0.5), lambda_schedule=1.5, max_iters=10)
         # signed zeros in the start let a skipped -0.0 shift change a sign bit
         x0 = np.array([-0.0, 0.0, 0.3, -0.2])
@@ -434,11 +442,11 @@ class TestShifts:
                 assert all(_same_bits(a, b) for a, b in zip(state.y, y, strict=True))
             assert state.residual == residual
 
-    def test_decision_is_derived_again_on_replace(self):
-        prob = self._problem("positive-zero", reduced=True)
-        assert prob.z_is_zero and prob.r_is_zero == (True, True)
-        moved = dataclasses.replace(prob, z=np.ones(4))
-        assert not moved.z_is_zero and moved.r_is_zero == (True, True)
+    def test_bundled_problems_build_no_shifts(self):
+        # the benchmark workloads run these builders: no tilt or shift is subtracted
+        for prob in (heron_build(heron1()), deblur_build(make_deblur_spec(shape=(16, 16)))):
+            assert prob.z is None
+            assert all(t.r is None for t in prob.terms)
 
 
 class TestSubgradientMembership:
@@ -669,24 +677,24 @@ class TestMetric:
         prob, cfg = self._setup()
         assert vnorm_dr1(prob, cfg, np.zeros(2), BlockVector.zeros((2,) * 8)) == 0.0
 
-    def test_self_adjoint(self):
+    def test_self_adjoint(self, rng):
         prob, cfg = self._setup()
         for _ in range(50):
-            x1, v1 = RNG.standard_normal(2), BlockVector(RNG.standard_normal((8, 2)))
-            x2, v2 = RNG.standard_normal(2), BlockVector(RNG.standard_normal((8, 2)))
+            x1, v1 = rng.standard_normal(2), BlockVector(rng.standard_normal((8, 2)))
+            x2, v2 = rng.standard_normal(2), BlockVector(rng.standard_normal((8, 2)))
             m1x, m1v = metric_apply_dr1(prob, cfg, x1, v1)
             m2x, m2v = metric_apply_dr1(prob, cfg, x2, v2)
             lhs = float(np.dot(x1, m2x)) + v1.dot(m2v)
             rhs = float(np.dot(x2, m1x)) + v2.dot(m1v)
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
-    def test_strong_positivity(self):
+    def test_strong_positivity(self, rng):
         prob, cfg = self._setup()
         rho = metric_rho_dr1(prob, cfg)
         assert rho > 0.0
         for _ in range(1000):
-            x = RNG.standard_normal(2) * 3.0
-            v = BlockVector(RNG.standard_normal((8, 2)) * 3.0)
+            x = rng.standard_normal(2) * 3.0
+            v = BlockVector(rng.standard_normal((8, 2)) * 3.0)
             sq = vnorm_dr1(prob, cfg, x, v) ** 2
             norm_sq = float(np.dot(x, x)) + v.dot(v)
             assert sq >= rho * norm_sq - 1e-10 * (1 + norm_sq)
