@@ -58,10 +58,10 @@ from .prox import (
     prox_conjugate,
 )
 from .solvers import (
-    BUDGETS,
     DR1,
     DR2,
     DR2_REDUCED,
+    VARIANTS,
     DivergenceError,
     ProblemSpec,
     State,

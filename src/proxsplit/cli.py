@@ -51,7 +51,7 @@ from .solvers import (
     DR1,
     DR2,
     DR2_REDUCED,
-    BUDGETS,
+    VARIANTS,
     DivergenceError,
     preflight,
     run,
@@ -268,7 +268,7 @@ def load_config(path) -> dict:
     experiment = cfg["experiment"]
     if experiment not in _EVERY:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    if cfg.get("algorithm", DR1) not in BUDGETS:
+    if cfg.get("algorithm", DR1) not in VARIANTS:
         raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
     unread = [key for key in cfg if experiment not in CONFIG_KEYS[key][2]]
     if unread:
@@ -478,7 +478,7 @@ def cmd_validate(config_path) -> int:
     prepared = build_run(load_config(config_path))
     preflight(prepared.problem, prepared.step_config, prepared.variant, prepared.iters, prepared.log_stride, prepared.x0)
     total = weighted_bound_sum(prepared.problem, prepared.step_config)
-    budget = BUDGETS[prepared.variant]
+    budget = VARIANTS[prepared.variant].budget
     print(
         f"ok: {prepared.config['experiment']} {prepared.variant}, "
         f"tau*sum(sigma*bound^2) = {total:.9g} < {budget:.9g}"

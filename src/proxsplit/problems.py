@@ -23,7 +23,7 @@ from .prox import (
     WeightedL1,
     distance_to_set,
 )
-from .solvers import BUDGETS, DR1, DR2, ProblemSpec, _sigma_bound_sum, make_prox_problem
+from .solvers import DR1, DR2, ProblemSpec, _sigma_bound_sum, _variant, make_prox_problem
 
 __all__ = [
     "HeronSpec",
@@ -114,7 +114,7 @@ def heron3() -> HeronSpec:
 
 
 # Published set-up of each location experiment: its builder, its starting
-# point and its (tau, sigma, lambda) per scheme; sigma applies to every term.
+# point and its (tau, sigma, lambda) per published column; sigma for every term.
 HERON_SETUPS = {
     "heron1": (heron1, (5.0, -2.0), {DR1: (0.24, 0.5, 1.8), DR2: (0.24, 0.1, 1.8)}),
     "heron2": (heron2, (0.0, 2.0, 0.0), {DR1: (0.99, 0.4, 1.8), DR2: (0.59, 0.05, 1.8)}),
@@ -122,17 +122,9 @@ HERON_SETUPS = {
 }
 
 
-def _published(steps: dict, variant: str) -> tuple:
-    """The entry of a per-scheme table of published steps that ``variant``
-    runs with; the single-pass entry serves dr2 and dr2-reduced alike."""
-    if variant not in BUDGETS:
-        raise ValueError(f"unknown variant {variant!r}")
-    return steps[DR1 if variant == DR1 else DR2]
-
-
 def heron_step_config(name: str, problem: ProblemSpec, variant: str, max_iters: int = 100) -> StepConfig:
     """Published step sizes of location experiment ``name`` under ``variant``."""
-    tau, sigma, lam = _published(HERON_SETUPS[name][2], variant)
+    tau, sigma, lam = HERON_SETUPS[name][2][_variant(variant).published]
     return StepConfig(tau=tau, sigmas=(sigma,) * problem.m, lambda_schedule=lam, max_iters=max_iters)
 
 
@@ -272,7 +264,7 @@ def deblur_build(spec: DeblurSpec) -> ProblemSpec:
     return make_prox_problem(f, None, [(L, g, None, None) for L, g in terms])
 
 
-# Published (sigmas, lambda) of the deblurring experiment per scheme.
+# Published (sigmas, lambda) of the deblurring experiment per published column.
 _DEBLUR_RECIPES = {
     DR1: ((1.0, 1.0, 0.05), 1.5),
     DR2: ((1.0, 0.05, 0.05), 1.6),
@@ -282,10 +274,11 @@ _DEBLUR_RECIPES = {
 def deblur_step_config(problem: ProblemSpec, variant: str, max_iters: int = 200) -> StepConfig:
     """Published step-size recipes for the deblurring experiment.
 
-    tau is set to (BUDGETS[variant] / sum_i sigma_i ||L_i||^2) - 0.01 using
-    the declared norm bounds, which keeps the product strictly inside the
-    variant's budget.
+    tau is set to (VARIANTS[variant].budget / sum_i sigma_i ||L_i||^2) - 0.01
+    using the declared norm bounds, which keeps the product strictly inside
+    the variant's budget.
     """
-    sigmas, lam = _published(_DEBLUR_RECIPES, variant)
-    tau = BUDGETS[variant] / _sigma_bound_sum(problem, sigmas) - 0.01
+    v = _variant(variant)
+    sigmas, lam = _DEBLUR_RECIPES[v.published]
+    tau = v.budget / _sigma_bound_sum(problem, sigmas) - 0.01
     return StepConfig(tau=tau, sigmas=sigmas, lambda_schedule=lam, max_iters=max_iters)

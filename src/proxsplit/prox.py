@@ -32,7 +32,8 @@ _MEMBERSHIP_ATOL = 1e-12
 
 
 def _norm(u: np.ndarray) -> float:
-    """Euclidean norm of a float array, bit for bit ``np.linalg.norm(u)``.
+    """Euclidean norm of a float array, bit for bit ``np.linalg.norm(u)`` unless
+    the dot overflows at a finite input: then the largest magnitude is factored out.
 
     It is that function's own computation for real input, the square root of
     the dot of the array flattened in memory order (``"K"``) with itself,
@@ -42,7 +43,10 @@ def _norm(u: np.ndarray) -> float:
     excludes a zero norm.
     """
     u = u.ravel("K")
-    return math.sqrt(u.dot(u))
+    n = math.sqrt(u.dot(u))
+    if n == math.inf and (m := float(np.abs(u).max())) < math.inf:
+        return m * _norm(u / m)
+    return n
 
 
 class ProxFn:

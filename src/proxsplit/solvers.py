@@ -8,9 +8,9 @@ linear term and its adjoint only once, at the price of an extra dual block
 at zero: the reduced variant is :func:`dr2_step` on a :class:`State` without
 ``y``, and admits a larger step-size budget.
 
-Every variant iterates one :class:`State`. The step-size budget of each
-variant lives in :data:`BUDGETS` and is checked by :func:`validate_steps`
-alone. Both sweeps tolerate summable additive errors after each resolvent
+Every variant iterates one :class:`State`. Its :class:`Variant` record in
+:data:`VARIANTS` holds what sets it apart; :func:`validate_steps` alone checks
+its budget. Both sweeps tolerate summable additive errors after each resolvent
 evaluation. Every resolvent map is called as ``res(x, gamma)``, the order of
 the ``ProxFn`` methods, which :func:`make_prox_problem` stores as they are.
 
@@ -20,6 +20,7 @@ one that is an array.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -41,7 +42,8 @@ __all__ = [
     "DR1",
     "DR2",
     "DR2_REDUCED",
-    "BUDGETS",
+    "Variant",
+    "VARIANTS",
     "Term",
     "ProblemSpec",
     "State",
@@ -62,9 +64,6 @@ __all__ = [
 DR1 = "dr1"
 DR2 = "dr2"
 DR2_REDUCED = "dr2-reduced"
-
-# Strict upper bounds on tau * sum_i sigma_i * ||L_i||^2 per variant.
-BUDGETS = {DR1: 4.0, DR2: 0.25, DR2_REDUCED: 1.0}
 
 ResolventMap = Callable[[np.ndarray, float], np.ndarray]
 
@@ -185,11 +184,6 @@ def weighted_bound_sum(spec: ProblemSpec, cfg: StepConfig) -> float:
     return cfg.tau * _sigma_bound_sum(spec, cfg.sigmas)
 
 
-def _require_reduction(spec: ProblemSpec) -> None:
-    if not all(t.d_is_zero for t in spec.terms):
-        raise ValueError("reduced scheme requires the zero-point reduction in every term")
-
-
 def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1) -> None:
     """Check the strict step-size budget of the chosen variant.
 
@@ -198,13 +192,9 @@ def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1) -> No
     estimates. Raises :class:`StepSizeError` carrying the computed sum and
     the budget on violation.
     """
-    if variant not in BUDGETS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(BUDGETS)}")
+    budget = _variant(variant, spec).budget
     if len(cfg.sigmas) != spec.m:
         raise ValueError(f"expected {spec.m} sigmas, got {len(cfg.sigmas)}")
-    if variant == DR2_REDUCED:
-        _require_reduction(spec)
-    budget = BUDGETS[variant]
     total = weighted_bound_sum(spec, cfg)
     if not total < budget:
         raise StepSizeError(total, budget, detail=variant)
@@ -251,21 +241,20 @@ class State:
     def initial(cls, spec: ProblemSpec, cfg: StepConfig, variant: str = DR1, x0=None, v0=None, y0=None) -> "State":
         """Starting state of ``variant``; ``y0`` is read by ``dr2`` only.
 
-        Raises ValueError when a starting block does not match the problem
-        dimensions, when ``y0`` is given to a variant without a ``y`` block,
-        or for ``dr2-reduced`` when some parallel-sum slot is not the
-        zero-point reduction.
+        Raises ValueError for an unknown variant, for ``dr2-reduced`` when
+        some parallel-sum slot is not the zero-point reduction, when ``y0`` is
+        given to a variant without a ``y`` block, or when a starting block
+        does not match the problem dimensions.
         """
-        if y0 is not None and variant != DR2:
+        carries_y = _variant(variant, spec).carries_y
+        if y0 is not None and not carries_y:
             raise ValueError(f"y0 is read by dr2 only, not by {variant}")
         sig = spec.block_signature
         x = np.zeros(spec.dim) if x0 is None else as_vector(x0)
         v = _as_block(v0, sig)
-        y = _as_block(y0, sig) if variant == DR2 else None
+        y = _as_block(y0, sig) if carries_y else None
         if x.shape[0] != spec.dim or v.signature != sig or (y is not None and y.signature != sig):
             raise ValueError("starting point does not match the problem dimensions")
-        if variant == DR2_REDUCED:
-            _require_reduction(spec)
         gammas = gamma_weights(spec, cfg) if y is not None else None
         return cls(x=x, v=v, y=y, gammas=gammas)
 
@@ -406,7 +395,25 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     )
 
 
-_STEPS = {DR1: dr1_step, DR2: dr2_step, DR2_REDUCED: dr2_step}
+# What sets a scheme apart: its sweep, its strict bound on tau * sum_i sigma_i *
+# ||L_i||^2, whether it iterates the extra dual block y, whether every slot must
+# be the zero-point reduction, and the column of the published steps it reads.
+Variant = namedtuple("Variant", "step budget carries_y reduced published")
+
+VARIANTS = {
+    DR1: Variant(dr1_step, 4.0, False, False, DR1),
+    DR2: Variant(dr2_step, 0.25, True, False, DR2),
+    DR2_REDUCED: Variant(dr2_step, 1.0, False, True, DR2),
+}
+
+
+def _variant(name: str, spec: Optional[ProblemSpec] = None) -> Variant:
+    """The record of variant ``name``; given ``spec``, also check that it applies to it."""
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}; expected one of {sorted(VARIANTS)}")
+    if spec is not None and VARIANTS[name].reduced and not all(t.d_is_zero for t in spec.terms):
+        raise ValueError("reduced scheme requires the zero-point reduction in every term")
+    return VARIANTS[name]
 
 
 def _check_state(state: State, k: int) -> None:
@@ -488,7 +495,7 @@ def run(
     """
     n_iters = cfg.max_iters if n_iters is None else int(n_iters)
     state = preflight(spec, cfg, variant, n_iters, log_stride, x0, v0, y0)
-    step = _STEPS[variant]
+    step = VARIANTS[variant].step
 
     log = IterateLog()
     for k in range(max(n_iters, 1)):

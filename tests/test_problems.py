@@ -23,7 +23,7 @@ from proxsplit.problems import (
     synthetic_image,
 )
 from proxsplit.prox import BallIndicator, BoxIndicator, L21Norm, LineIndicator, prox_conjugate
-from proxsplit.solvers import BUDGETS, run, validate_steps, weighted_bound_sum
+from proxsplit.solvers import VARIANTS, run, validate_steps, weighted_bound_sum
 
 class TestHeronGeometry:
     def test_example1_layout(self):
@@ -171,12 +171,12 @@ class TestDeblurObjective:
         cfg = StepConfig(tau=tau, sigmas=(s1, s2, s3), lambda_schedule=1.6, max_iters=5)
         validate_steps(prob, cfg, "dr2-reduced")
 
-    @pytest.mark.parametrize("variant", sorted(BUDGETS))
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_step_config_within_its_budget(self, variant):
         prob = deblur_build(make_deblur_spec(shape=(16, 16)))
         validate_steps(prob, deblur_step_config(prob, variant), variant)
 
-    @pytest.mark.parametrize("variant", sorted(BUDGETS))
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_step_config_reads_the_solver_budget_sum(self, variant):
         # tau comes from the sum the budget check computes, to the last bit:
         # the gradient's bound sqrt(8) makes a second spelling of the sum
@@ -184,7 +184,7 @@ class TestDeblurObjective:
         prob = deblur_build(make_deblur_spec(shape=(16, 16)))
         cfg = deblur_step_config(prob, variant)
         total = weighted_bound_sum(prob, dataclasses.replace(cfg, tau=1.0))
-        assert cfg.tau == BUDGETS[variant] / total - 0.01
+        assert cfg.tau == VARIANTS[variant].budget / total - 0.01
 
     def test_builder_shapes(self):
         dspec = make_deblur_spec(shape=(16, 16))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxsplit.prox import (
@@ -310,7 +310,6 @@ class TestSmallVectorPaths:
             np.array([-0.0, -0.0]),
             np.array([5e-324, -5e-324]),
             np.array([1e-160, 3e-170, 2.5e-308]),
-            np.array([1e200, 1.0]),
             np.array([np.inf, 1.0]),
             np.array([-np.inf, np.inf]),
             np.array([np.nan, 1.0]),
@@ -319,8 +318,7 @@ class TestSmallVectorPaths:
         ids=lambda u: repr(u.tolist()).replace(" ", ""),
     )
     def test_norm_is_numpy_norm(self, u):
-        with np.errstate(over="ignore"):
-            assert _bits(_norm(u)) == _bits(np.linalg.norm(u))
+        assert _bits(_norm(u)) == _bits(np.linalg.norm(u))
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -363,6 +361,47 @@ class TestSmallVectorPaths:
             assert _bits(ball.prox(nan)) == _bits(nan)
             assert math.isnan(distance_to_set(ball, nan))
             assert EuclideanNorm()(zero) == 0.0 and math.isnan(EuclideanNorm()(nan))
+
+
+_HUGE = st.floats(-1e300, 1e300)
+
+
+class TestNormsDoNotOverflow:
+    """Past about 1.3e154 the dot of a vector with itself overflows; the norms
+    that read it stay finite and the projections keep their direction.
+    ``math.hypot`` is the overflow-free reference."""
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d),
+        st.floats(1e-3, 1e300),
+        st.lists(_HUGE, min_size=d, max_size=d),
+    )))
+    @example(([5.0, 0.0], 2.0, [1e160, 0.0]))
+    def test_ball_projection_lands_on_the_ray(self, case):
+        center, radius, x = (np.array(a) for a in case)
+        u = x - center
+        dist = math.hypot(*u)
+        if dist <= radius:
+            return
+        with np.errstate(over="ignore"):  # the dot overflows before the norm is rescaled
+            p = BallIndicator(center, radius).prox(x)
+        assert math.hypot(*(p - center)) == pytest.approx(radius, rel=1e-9)
+        np.testing.assert_allclose(p - center, radius / dist * u, rtol=1e-9, atol=1e-9 * radius)
+
+    @settings(max_examples=300)
+    @given(st.lists(_HUGE, min_size=1, max_size=6))
+    @example([1e200, 1.0])
+    @example([1e160, 0.0])
+    def test_euclidean_norm_is_finite(self, x):
+        x = np.array(x)
+        with np.errstate(over="ignore"):
+            n = EuclideanNorm()(x)
+            q = EuclideanNorm().conjugate_prox(x, 1.0)
+        assert math.isfinite(n)
+        assert n == pytest.approx(math.hypot(*x), rel=1e-12)
+        if n > 1.0:
+            np.testing.assert_allclose(q, x / math.hypot(*x), rtol=1e-12, atol=1e-15)
 
 
 class TestDistance:

@@ -8,6 +8,7 @@ import pytest
 from proxsplit.core import BlockVector, StepConfig, StepSizeError, make_power_error_schedule
 from proxsplit.linops import IdentityOp, LinOp, MatrixOp
 from proxsplit.problems import (
+    HERON_SETUPS,
     PAPER_WAVELET_NORM_BOUND,
     deblur_build,
     deblur_step_config,
@@ -25,6 +26,7 @@ from proxsplit.prox import (
     WeightedL1,
 )
 from proxsplit.solvers import (
+    VARIANTS,
     DivergenceError,
     ProblemSpec,
     State,
@@ -179,6 +181,44 @@ class TestValidateSteps:
         cfg = StepConfig(tau=0.1, sigmas=(0.1,), lambda_schedule=1.0, max_iters=5)
         with pytest.raises(ValueError):
             validate_steps(prob, cfg, "dr3")
+
+
+class TestVariants:
+    @pytest.mark.parametrize(
+        "entry", ["validate_steps", "State.initial", "heron_step_config", "deblur_step_config"]
+    )
+    def test_unknown_variant_has_one_message(self, entry):
+        prob = _point_norm_problem()
+        cfg = StepConfig(tau=0.1, sigmas=(0.1,), lambda_schedule=1.0, max_iters=5)
+        calls = {
+            "validate_steps": lambda: validate_steps(prob, cfg, "dr3"),
+            "State.initial": lambda: State.initial(prob, cfg, "dr3"),
+            "heron_step_config": lambda: heron_step_config("heron1", prob, "dr3"),
+            "deblur_step_config": lambda: deblur_step_config(prob, "dr3"),
+        }
+        with pytest.raises(ValueError) as err:
+            calls[entry]()
+        assert str(err.value) == "unknown variant 'dr3'; expected one of ['dr1', 'dr2', 'dr2-reduced']"
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_record_fields_match_behaviour(self, name):
+        rec = VARIANTS[name]
+        prob = _point_norm_problem()  # one identity term, sigma 1: the budget sum is tau
+        kw = dict(sigmas=(1.0,), lambda_schedule=1.0, max_iters=5)
+        validate_steps(prob, StepConfig(tau=math.nextafter(rec.budget, 0.0), **kw), name)
+        with pytest.raises(StepSizeError):
+            validate_steps(prob, StepConfig(tau=rec.budget, **kw), name)
+        assert (State.initial(prob, StepConfig(tau=0.1, **kw), name).y is None) == (not rec.carries_y)
+
+        heron = heron_build(heron1())  # obstacles occupy the parallel-sum slots
+        cfg = heron_step_config("heron1", heron, name)
+        try:
+            validate_steps(heron, cfg, name)
+            refused = False
+        except ValueError as err:
+            refused = "zero-point reduction" in str(err)
+        assert refused == rec.reduced
+        assert (cfg.tau, cfg.sigmas[0], cfg.lam(0)) == HERON_SETUPS["heron1"][2][rec.published]
 
 
 class TestGammaWeights:
