@@ -53,6 +53,7 @@ from .solvers import (
     DR2_REDUCED,
     VARIANTS,
     DivergenceError,
+    _variant,
     preflight,
     run,
     validate_steps,  # noqa: F401  (bench/workloads.py wraps cli.validate_steps in traced runs)
@@ -268,8 +269,10 @@ def load_config(path) -> dict:
     experiment = cfg["experiment"]
     if experiment not in _EVERY:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    if cfg.get("algorithm", DR1) not in VARIANTS:
-        raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
+    try:
+        _variant(cfg.get("algorithm", DR1))
+    except ValueError as exc:
+        raise ConfigError(exc) from None
     unread = [key for key in cfg if experiment not in CONFIG_KEYS[key][2]]
     if unread:
         raise ConfigError(f"experiment {experiment!r} does not read config keys: {', '.join(map(repr, unread))}")

@@ -4,13 +4,17 @@ Operators act on flat float64 vectors; image-structured operators reshape
 internally (row-major). ``norm_bound`` is a declared upper bound on the
 operator norm: step-size validation trusts it, and power iteration
 cross-checks it.
+
+scipy is a required dependency, but only :class:`GaussianBlurOp` uses it, so
+``scipy.ndimage`` is imported when the first blur is built, not with this
+module: a process that builds no blur (the location problems and custom
+geometries) never loads it.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 __all__ = [
     "LinOp",
@@ -185,8 +189,11 @@ class GaussianBlurOp(LinOp):
     """
 
     def __init__(self, shape, kernel_size: int = 9, std: float = 4.0):
+        from scipy.ndimage import correlate1d
+
         m, n = (int(s) for s in shape)
         super().__init__(m * n, m * n, 1.0)
+        self._correlate1d = correlate1d
         self.shape = (m, n)
         self.kernel = gaussian_kernel(kernel_size, std)
         # Row i of the reflect-padded image is input row _rows[i]: the edge
@@ -217,7 +224,7 @@ class GaussianBlurOp(LinOp):
             np.add(padded[h - j : h - j + m], padded[h + j : h + j + m], out=tmp)
             tmp *= k[h - j]
             out += tmp
-        correlate1d(out, k, axis=1, mode="reflect", output=tmp)
+        self._correlate1d(out, k, axis=1, mode="reflect", output=tmp)
         return tmp.ravel()
 
     adjoint = apply

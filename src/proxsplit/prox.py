@@ -9,6 +9,7 @@ their dual balls (or shifts), override it with those closed forms.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,11 +30,15 @@ __all__ = [
 
 # Slack used when deciding set membership for indicator evaluation.
 _MEMBERSHIP_ATOL = 1e-12
+# A norm below this square root of the smallest normal float comes from a dot
+# that underflowed into the subnormals, with lost bits, or to zero.
+_SQRT_TINY = math.sqrt(sys.float_info.min)
 
 
 def _norm(u: np.ndarray) -> float:
     """Euclidean norm of a float array, bit for bit ``np.linalg.norm(u)`` unless
-    the dot overflows at a finite input: then the largest magnitude is factored out.
+    the dot overflows or underflows at a finite nonzero input: then the
+    largest magnitude is factored out.
 
     It is that function's own computation for real input, the square root of
     the dot of the array flattened in memory order (``"K"``) with itself,
@@ -44,7 +49,7 @@ def _norm(u: np.ndarray) -> float:
     """
     u = u.ravel("K")
     n = math.sqrt(u.dot(u))
-    if n == math.inf and (m := float(np.abs(u).max())) < math.inf:
+    if not _SQRT_TINY <= n < math.inf and 0.0 < (m := float(np.abs(u).max(initial=0.0))) < math.inf:
         return m * _norm(u / m)
     return n
 
@@ -126,12 +131,14 @@ class LineIndicator(ProxFn):
         nd = _norm(self.direction)
         if self.direction.ndim != 1 or nd == 0.0:
             raise ValueError("direction must be a nonzero vector")
-        self._dir_sq = nd * nd
+        # The unit direction: a squared norm would overflow or underflow
+        # for directions far from unit length.
+        self._unit = self.direction / nd
 
     def prox(self, x, gamma=1.0):
         x = np.asarray(x, dtype=float)
-        t = float(np.dot(x - self.base, self.direction)) / self._dir_sq
-        return self.base + t * self.direction
+        t = float(np.dot(x - self.base, self._unit))
+        return self.base + t * self._unit
 
     def __call__(self, x) -> float:
         d = _norm(np.asarray(x, dtype=float) - self.prox(x))

@@ -89,6 +89,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_unknown_algorithm_names_the_choices(self, tmp_path, capsys):
+        path = _write_config(tmp_path, experiment="heron1", algorithm="dr3")
+        with pytest.raises(ConfigError):
+            load_config(path)
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err == "error: unknown variant 'dr3'; expected one of ['dr1', 'dr2', 'dr2-reduced']\n"
+
     def test_defaults_follow_published_tables(self, tmp_path):
         path = _write_config(tmp_path, experiment="heron3", algorithm="dr1")
         prepared = build_run(load_config(path))
@@ -543,6 +551,44 @@ class TestOtherCommands:
             env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestScipyImport:
+    """``scipy.ndimage`` loads with the first blur, not with the package, so
+    the location runs, which build none, never load it. Each check runs in a
+    fresh interpreter: this one loaded it for the blur tests."""
+
+    @staticmethod
+    def _last_line(tmp_path, code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_location_runs_do_not_load_scipy(self, tmp_path):
+        path = _write_config(tmp_path, experiment="heron1", iters=5, output_csv=str(tmp_path / "heron1.csv"))
+        code = f"""
+import sys
+import proxsplit, proxsplit.cli
+from proxsplit import DR1, heron1, heron_build, heron_step_config, run
+p = heron_build(heron1())
+run(p, heron_step_config("heron1", p, DR1, 5), n_iters=5)
+assert proxsplit.cli.main(["validate", {path!r}]) == 0
+assert proxsplit.cli.main(["run", {path!r}]) == 0
+print("scipy.ndimage" in sys.modules)
+"""
+        assert self._last_line(tmp_path, code) == "False"
+
+    def test_the_first_blur_loads_scipy(self, tmp_path):
+        code = """
+import sys
+import proxsplit
+assert "scipy.ndimage" not in sys.modules
+proxsplit.GaussianBlurOp((16, 16))
+print("scipy.ndimage" in sys.modules)
+"""
+        assert self._last_line(tmp_path, code) == "True"
 
 
 # Config values of every JSON kind: numbers (finite, infinite and NaN) are

@@ -308,8 +308,6 @@ class TestSmallVectorPaths:
             np.zeros(3),
             np.zeros((2, 2)),
             np.array([-0.0, -0.0]),
-            np.array([5e-324, -5e-324]),
-            np.array([1e-160, 3e-170, 2.5e-308]),
             np.array([np.inf, 1.0]),
             np.array([-np.inf, np.inf]),
             np.array([np.nan, 1.0]),
@@ -364,12 +362,14 @@ class TestSmallVectorPaths:
 
 
 _HUGE = st.floats(-1e300, 1e300)
+_TINY = st.one_of(st.floats(1e-300, 1e-150), st.floats(-1e-150, -1e-300))
 
 
 class TestNormsDoNotOverflow:
-    """Past about 1.3e154 the dot of a vector with itself overflows; the norms
-    that read it stay finite and the projections keep their direction.
-    ``math.hypot`` is the overflow-free reference."""
+    """Past about 1.3e154 the dot of a vector with itself overflows, and below
+    about 1.5e-154 it underflows; the norms that read it stay finite and
+    nonzero, and the projections keep their direction. ``math.hypot`` is the
+    overflow- and underflow-free reference."""
 
     @settings(max_examples=300)
     @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
@@ -402,6 +402,28 @@ class TestNormsDoNotOverflow:
         assert n == pytest.approx(math.hypot(*x), rel=1e-12)
         if n > 1.0:
             np.testing.assert_allclose(q, x / math.hypot(*x), rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=300)
+    @given(st.lists(_TINY, min_size=1, max_size=6))
+    @example([5e-324, -5e-324])
+    @example([1e-160, 3e-170, 2.5e-308])
+    @example([3e-170, 4e-170])
+    def test_tiny_norms_are_not_zero(self, x):
+        x = np.array(x)
+        n = EuclideanNorm()(x)
+        assert n > 0.0
+        assert n == pytest.approx(math.hypot(*x), rel=1e-12)
+        # The block soft threshold at a fiftieth of the norm keeps 0.98 of x.
+        np.testing.assert_allclose(EuclideanNorm().prox(x, n / 50), 0.98 * x, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-200, 3.0])
+    def test_line_projection_ignores_the_direction_length(self, scale):
+        """A direction far from unit length spans the same line: (3, 4)
+        projects to (3, 0) on the horizontal axis through the origin."""
+        with np.errstate(over="ignore"):
+            line = LineIndicator((0.0, 0.0), (scale, 0.0))
+        np.testing.assert_array_equal(line.prox(np.array([3.0, 4.0])), [3.0, 0.0])
+        assert line(np.array([-7.0, 0.0])) == 0.0
 
 
 class TestDistance:
