@@ -292,31 +292,42 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+def _norm_case(u, want=None):
+    """``u`` and the norm it must have, numpy's unless ``want`` is given."""
+    return pytest.param(
+        u, np.linalg.norm(u) if want is None else want, id=repr(u.tolist()).replace(" ", "")
+    )
+
+
 class TestSmallVectorPaths:
-    """The norm helper and ``clip`` method give numpy's bits exactly."""
+    """The norm helper and ``clip`` method give numpy's bits exactly, except
+    where the dot of a vector with itself underflows and numpy's norm with it."""
 
     @pytest.mark.parametrize(
-        "u",
+        "u, want",
         [
-            np.array([3.0, 4.0]),
-            np.array([0.1, -0.2, 0.3]),
-            np.arange(12.0).reshape(3, 4) * 0.1,
+            _norm_case(np.array([3.0, 4.0])),
+            _norm_case(np.array([0.1, -0.2, 0.3])),
+            _norm_case(np.arange(12.0).reshape(3, 4) * 0.1),
             # memory order differs from row order, and so does the rounding
-            np.asfortranarray(np.geomspace(1e-3, 1e3, 600).reshape(20, 30)),
-            np.geomspace(1e-3, 1e3, 600).reshape(20, 30).T,
-            (np.arange(10.0) * 0.7)[::3],
-            np.zeros(3),
-            np.zeros((2, 2)),
-            np.array([-0.0, -0.0]),
-            np.array([np.inf, 1.0]),
-            np.array([-np.inf, np.inf]),
-            np.array([np.nan, 1.0]),
-            np.array([np.inf, np.nan]),
+            _norm_case(np.asfortranarray(np.geomspace(1e-3, 1e3, 600).reshape(20, 30))),
+            _norm_case(np.geomspace(1e-3, 1e3, 600).reshape(20, 30).T),
+            _norm_case((np.arange(10.0) * 0.7)[::3]),
+            _norm_case(np.zeros(3)),
+            _norm_case(np.zeros((2, 2))),
+            _norm_case(np.array([-0.0, -0.0])),
+            # the dot underflows, and numpy's norms of these two are 0.0 and
+            # 9.99994e-161; the helper gives the true norms, as math.hypot does
+            _norm_case(np.array([5e-324, -5e-324]), want=5e-324),
+            _norm_case(np.array([1e-160, 3e-170, 2.5e-308]), want=1e-160),
+            _norm_case(np.array([np.inf, 1.0])),
+            _norm_case(np.array([-np.inf, np.inf])),
+            _norm_case(np.array([np.nan, 1.0])),
+            _norm_case(np.array([np.inf, np.nan])),
         ],
-        ids=lambda u: repr(u.tolist()).replace(" ", ""),
     )
-    def test_norm_is_numpy_norm(self, u):
-        assert _bits(_norm(u)) == _bits(np.linalg.norm(u))
+    def test_norm_is_numpy_norm(self, u, want):
+        assert _bits(_norm(u)) == _bits(want)
 
     @pytest.mark.parametrize(
         "lo, hi",
