@@ -184,11 +184,15 @@ def make_power_error_schedule(c: float, p: float, dims, seed: int) -> Optional[E
 
 @dataclass(frozen=True)
 class LogRow:
-    """One logged iterate: counter, primal point, dual block, objective, residual."""
+    """One logged iterate: counter, primal point, objective, residual.
+
+    ``duals`` holds the dual resolvent outputs on the final row of a run and
+    is None on every other row.
+    """
 
     n: int
     primal: np.ndarray
-    duals: BlockVector
+    duals: Optional[BlockVector]
     objective: Optional[float]
     step_residual: float
 

@@ -128,6 +128,8 @@ class LineIndicator(ProxFn):
     def __init__(self, base, direction):
         self.base = np.asarray(base, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
+        if not (np.all(np.isfinite(self.base)) and np.all(np.isfinite(self.direction))):
+            raise ValueError("base and direction must be finite")
         nd = _norm(self.direction)
         if self.direction.ndim != 1 or nd == 0.0:
             raise ValueError("direction must be a nonzero vector")

@@ -20,8 +20,9 @@ one that is an array.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .core import (
     as_vector,
 )
 from .linops import LinOp
-from .prox import PointIndicator, ProxFn
+from .prox import PointIndicator, ProxFn, _norm
 
 __all__ = [
     "DR1",
@@ -66,6 +67,9 @@ DR2 = "dr2"
 DR2_REDUCED = "dr2-reduced"
 
 ResolventMap = Callable[[np.ndarray, float], np.ndarray]
+
+# The largest residual whose square is finite; see _check_state and run.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 class DivergenceError(FloatingPointError):
@@ -273,8 +277,28 @@ def _adjoint_sum(spec: ProblemSpec, blocks) -> np.ndarray:
     return acc
 
 
-def _sq(u) -> float:
-    return float(u.dot(u))
+def _sq(u, big: list) -> float:
+    """``u . u``; when that overflows, the norm of ``u``, which ``prox._norm``
+    rescales, is also appended to ``big``."""
+    s = float(u.dot(u))
+    if s == math.inf:
+        big.append(_norm(u))
+    return s
+
+
+def _update_norm(sqs: list, big: list) -> float:
+    """The square root of the sum of the block squares ``sqs``, added in order.
+
+    Only when that sum overflows is the norm rescaled: it is then the
+    ``math.hypot`` of the roots of the finite squares and of the norms in
+    ``big`` of the blocks whose squares overflowed. A NaN square stays NaN.
+    """
+    total = 0.0
+    for s in sqs:
+        total += s
+    if total != math.inf:
+        return math.sqrt(total)
+    return math.hypot(*(math.sqrt(s) for s in sqs if s < math.inf), *big)
 
 
 def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], state: State) -> State:
@@ -312,8 +336,8 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     x_new = x + lam * dx
     u = 2.0 * z1 - w1
 
-    v_new = []
-    res_sq = _sq(dx)
+    v_new, big = [], []
+    sqs = [_sq(dx, big)]
     del dx  # a primal-sized temporary: free it before the dual pass
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
@@ -322,8 +346,8 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
             z2 = z2 + errs.d(i, n)
         dv = z2 - p2s[i]
         v_new.append(v[i] + lam * dv)
-        res_sq += _sq(dv)
-    residual = lam * math.sqrt(res_sq)
+        sqs.append(_sq(dv, big))
+    residual = lam * _update_norm(sqs, big)
 
     return State(
         x=x_new,
@@ -357,8 +381,8 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     u = 2.0 * p1 - x
 
     y_new = None if y is None else []
-    v_new, p3s = [], []
-    res_sq = _sq(dx)
+    v_new, p3s, big = [], [], []
+    sqs = [_sq(dx, big)]
     del dx  # a primal-sized temporary: free it before the dual pass
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
@@ -370,7 +394,7 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
                 p2 = p2 + errs.d(i, n)
             dy = p2 - y[i]
             y_new.append(y[i] + lam * dy)
-            res_sq += _sq(dy)
+            sqs.append(_sq(dy, big))
             target = target - (2.0 * p2 - y[i])
         if term.r is not None:
             target = target - term.r
@@ -380,8 +404,8 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         dv = p3 - v[i]
         v_new.append(v[i] + lam * dv)
         p3s.append(p3)
-        res_sq += _sq(dv)
-    residual = lam * math.sqrt(res_sq)
+        sqs.append(_sq(dv, big))
+    residual = lam * _update_norm(sqs, big)
 
     return State(
         x=x_new,
@@ -416,17 +440,19 @@ def _variant(name: str, spec: Optional[ProblemSpec] = None) -> Variant:
     return VARIANTS[name]
 
 
-def _check_state(state: State, k: int) -> None:
+def _check_state(state: State, k: int, limit: float) -> None:
     """Raise DivergenceError naming the first non-finite quantity of step k.
 
-    The residual sums the squared change of every block, so when it is
-    finite and the blocks it changed were finite, every new block is finite
-    and nothing is scanned. The first step is always scanned, since the
-    starting point may hold non-finite values. When every block is finite
-    but the residual is not, the update norm overflowed: the residual is
-    named.
+    A residual below ``_SQRT_MAX`` bounds every relaxed change of a block far
+    below the spacing of floats near the largest one, so when it holds and
+    the blocks it changed were finite, every new block is finite and nothing
+    is scanned. The first step is always scanned, since the starting point
+    may hold non-finite values. When every block is finite but the residual
+    is not below ``limit``, the update norm diverged and the residual is
+    named: ``run`` sets the limit at ``_SQRT_MAX``, where the residual's
+    square stops being finite, unless the start itself was that large.
     """
-    if k > 0 and math.isfinite(state.residual):
+    if k > 0 and state.residual < _SQRT_MAX:
         return
     if not np.all(np.isfinite(state.p1)):
         raise DivergenceError("p1", k)
@@ -439,7 +465,7 @@ def _check_state(state: State, k: int) -> None:
         for i, block in enumerate(blocks):
             if not np.all(np.isfinite(block)):
                 raise DivergenceError(f"{name}, term {i}", k)
-    if not math.isfinite(state.residual):
+    if not state.residual < limit:
         raise DivergenceError("residual", k)
 
 
@@ -481,10 +507,12 @@ def run(
 ) -> IterateLog:
     """Drive one of the splitting iterations and collect an iterate log.
 
-    Row ``k`` records the step taken from state ``k``: the primal resolvent
-    output, the dual resolvent outputs, the objective at the primal point
-    (when an evaluator is given) and the relaxed update norm. Rows are kept
-    every ``log_stride`` steps plus the final one. ``n_iters`` overrides
+    Row ``k`` records the step taken from state ``k``: ``n``, the primal
+    resolvent output, the objective at the primal point (when an evaluator is
+    given) and the relaxed update norm. The final row also holds the dual
+    resolvent outputs; every other row's ``duals`` is None, so a long log
+    keeps one set of dual blocks. Rows are kept every ``log_stride`` steps
+    plus the final one. ``n_iters`` overrides
     ``cfg.max_iters``; ``n_iters = 0`` runs one sweep, as ``n_iters = 1``
     does, so row 0 is the step from the start. ``errs=None`` is the exact
     run. Before the first sweep, :func:`preflight` checks the budget, the
@@ -496,11 +524,15 @@ def run(
     n_iters = cfg.max_iters if n_iters is None else int(n_iters)
     state = preflight(spec, cfg, variant, n_iters, log_stride, x0, v0, y0)
     step = VARIANTS[variant].step
+    # From a start whose blocks have finite squares, a residual whose square is
+    # not finite means divergence; a start beyond that may take updates as large.
+    starts = (state.x, *state.v, *(state.y if state.y is not None else ()))
+    limit = math.inf if any(b.dot(b) == math.inf for b in starts) else _SQRT_MAX
 
     log = IterateLog()
     for k in range(max(n_iters, 1)):
         state = step(spec, cfg, errs, state)
-        _check_state(state, k)
+        _check_state(state, k, limit)
         stop = (
             residual_tol is not None
             and math.isfinite(residual_tol)
@@ -508,9 +540,11 @@ def run(
         )
         if k % log_stride == 0 or k == n_iters - 1 or stop:
             obj = float(log_objective(state.p1)) if log_objective is not None else None
-            log.append(LogRow(n=k, primal=state.p1, duals=state.duals, objective=obj, step_residual=state.residual))
+            log.append(LogRow(n=k, primal=state.p1, duals=None, objective=obj, step_residual=state.residual))
         if stop:
             break
+    # the last sweep is always logged: its row alone keeps the dual blocks
+    log.rows[-1] = replace(log.rows[-1], duals=state.duals)
     return log
 
 

@@ -256,6 +256,14 @@ class TestRunCommand:
         assert main(["validate", path]) == 0
         assert main(["run", path]) == 3
 
+    @pytest.mark.parametrize("algorithm", ["dr1", "dr2"])
+    def test_a_huge_start_is_not_a_divergence(self, tmp_path, algorithm):
+        # the sum of squares of the first updates overflows, their norm does not
+        csv = tmp_path / "out.csv"
+        path = _write_config(tmp_path, experiment="heron1", algorithm=algorithm, x0=[1e160, 0.0], output_csv=str(csv))
+        assert main(["run", path]) == 0
+        assert len(csv.read_text().splitlines()) > 1
+
     def test_divergence_prints_only_its_error_line(self, tmp_path):
         # numpy overflow warnings on the way to the non-finite iterate stay
         # off stderr; a child process sees the CLI's own warning state

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,17 @@ class TestProjections:
     def test_pixel_discs_shape_mismatch(self):
         with pytest.raises(ValueError, match="expected dim 4"):
             L21Norm(1.0, 2).conjugate_prox([1.0, 2.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "base, direction",
+        [((0.0, 0.0), (np.inf, 0.0)), ((0.0, 0.0), (np.nan, 1.0)), ((-np.inf, 0.0), (1.0, 0.0)), ((0.0, np.nan), (0.0, 1.0))],
+    )
+    def test_line_rejects_a_non_finite_base_or_direction(self, base, direction):
+        """Such a line projected every point to NaN, with numpy warnings."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="base and direction must be finite"):
+                LineIndicator(base, direction)
 
 
 _DUAL_BALLS = ("l1", "norm", "l21")

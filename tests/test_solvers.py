@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest.mock import Mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from proxsplit.problems import (
     deblur_build,
     deblur_step_config,
     heron1,
+    heron2,
     heron_build,
     heron_objective,
     heron_step_config,
@@ -31,6 +33,7 @@ from proxsplit.solvers import (
     ProblemSpec,
     State,
     Term,
+    _update_norm,
     dr1_step,
     dr2_step,
     gamma_weights,
@@ -49,6 +52,27 @@ def _point_norm_problem(dim=2):
     return make_prox_problem(
         f, np.zeros(dim), [(IdentityOp(dim), EuclideanNorm(), None, np.zeros(dim))]
     )
+
+
+def _assert_same_blocks(a, b):
+    assert all(u.tobytes() == w.tobytes() for u, w in zip(a, b, strict=True))
+
+
+def _assert_same_runs(spec_a, spec_b, cfg, variant, x0=None):
+    """Exact runs of the two specs agree bit for bit: every logged row's
+    primal and residual and the final row's duals, and, stepped by hand from
+    the same start, the dual resolvent outputs of every sweep."""
+    logs = [run(p, cfg, variant=variant, x0=x0) for p in (spec_a, spec_b)]
+    for a, b in zip(*logs, strict=True):
+        assert a.n == b.n
+        assert a.primal.tobytes() == b.primal.tobytes()
+        assert a.step_residual.hex() == b.step_residual.hex()
+    _assert_same_blocks(logs[0].final.duals, logs[1].final.duals)
+    step = VARIANTS[variant].step
+    a, b = (State.initial(p, cfg, variant, x0=x0) for p in (spec_a, spec_b))
+    for _ in range(cfg.max_iters):
+        a, b = step(spec_a, cfg, None, a), step(spec_b, cfg, None, b)
+        _assert_same_blocks(a.duals, b.duals)
 
 
 class TestProblemSpec:
@@ -112,11 +136,7 @@ class TestProblemSpec:
         )
         built = heron_build(h)
         cfg = heron_step_config("heron1", built, variant, max_iters=60)
-        logs = [run(p, cfg, variant=variant, x0=(5.0, -2.0)) for p in (built, raw)]
-        for a, b in zip(*logs, strict=True):
-            assert a.primal.tobytes() == b.primal.tobytes()
-            assert all(u.tobytes() == w.tobytes() for u, w in zip(a.duals, b.duals, strict=True))
-            assert a.step_residual.hex() == b.step_residual.hex()
+        _assert_same_runs(built, raw, cfg, variant, x0=(5.0, -2.0))
 
     @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
     def test_list_shift_runs_as_the_same_array(self, variant):
@@ -125,14 +145,11 @@ class TestProblemSpec:
         base = make_prox_problem(f, np.zeros(2), terms)
         first, second = base.terms
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=20)
-        logs = [
-            run(dataclasses.replace(base, terms=(dataclasses.replace(first, r=r), second)), cfg, variant=variant)
+        listed, array = (
+            dataclasses.replace(base, terms=(dataclasses.replace(first, r=r), second))
             for r in ([1.0, 2.0], np.array([1.0, 2.0]))
-        ]
-        for a, b in zip(*logs, strict=True):
-            assert a.primal.tobytes() == b.primal.tobytes()
-            assert all(p.tobytes() == q.tobytes() for p, q in zip(a.duals, b.duals, strict=True))
-            assert a.step_residual == b.step_residual
+        )
+        _assert_same_runs(listed, array, cfg, variant)
 
 
 class TestValidateSteps:
@@ -705,6 +722,89 @@ class TestRunSemantics:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
             run(prob, cfg, variant="dr1", x0=d.observed.ravel())
         assert (err.value.quantity, err.value.iteration) == ("residual", 342)
+
+
+class TestLogRows:
+    """Every logged row keeps its primal; only the final row keeps the duals."""
+
+    RUN_ENDS = {
+        "residual_tol": dict(n_iters=10_000, residual_tol=1e-6, log_stride=7),
+        "n_iters": dict(n_iters=23, log_stride=5),
+        "zero_iters": dict(n_iters=0),
+    }
+
+    @pytest.mark.parametrize("end", list(RUN_ENDS))
+    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
+    def test_only_the_final_row_holds_duals(self, variant, end):
+        prob = TestReducedScheme()._reduced_problem()
+        cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=50)
+        x0 = np.array([0.9, -0.4, 0.2])
+        log = run(prob, cfg, variant=variant, x0=x0, **self.RUN_ENDS[end])
+        last = {"residual_tol": log.final.n, "n_iters": 22, "zero_iters": 0}[end]
+        stride = self.RUN_ENDS[end].get("log_stride", 1)
+        assert [row.n for row in log] == [k for k in range(last) if k % stride == 0] + [last]
+        if end == "residual_tol":
+            assert 0 < last < 10_000 - 1 and last % 7 != 0 and log.final.step_residual < 1e-6
+        assert all(row.duals is None for row in log.rows[:-1])
+        state = State.initial(prob, cfg, variant, x0=x0)
+        for _ in range(last + 1):
+            state = VARIANTS[variant].step(prob, cfg, None, state)
+        assert log.final.primal.tobytes() == state.p1.tobytes()
+        assert log.final.step_residual == state.residual
+        _assert_same_blocks(log.final.duals, state.duals)
+
+    def test_a_long_log_keeps_one_set_of_dual_blocks(self):
+        d = make_deblur_spec(shape=(64, 64))
+        prob = deblur_build(d)
+        cfg = deblur_step_config(prob, "dr1", max_iters=40)
+        x0 = d.observed.ravel()
+        run(prob, cfg, variant="dr1", n_iters=1, x0=x0)  # what a first sweep loads or caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = run(prob, cfg, variant="dr1", log_stride=1, x0=x0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 40
+        duals = sum(block.nbytes for block in log.final.duals)
+        # each row that also kept its duals would retain 4 primals more
+        assert duals == 4 * x0.nbytes
+        assert retained <= len(log) * x0.nbytes + duals + 64 * 1024
+
+
+class TestHugeUpdates:
+    def test_update_norm_rescales_only_an_overflowing_sum(self):
+        sqs = [0.25, 3.0, 1e-300, 7.5]
+        total = 0.0
+        for s in sqs:
+            total += s
+        assert _update_norm(sqs, []).hex() == math.sqrt(total).hex()
+        # every square finite, their sum not
+        assert _update_norm([1e308, 1e308, 4.0], []) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+        # a block whose own square overflowed counts with its norm
+        assert _update_norm([4.0, math.inf, 9.0], [1e160]) == pytest.approx(1e160, rel=1e-15)
+        assert _update_norm([4.0, math.inf], [math.inf]) == math.inf
+        assert math.isnan(_update_norm([math.nan, math.inf], [1e160]))
+
+    @pytest.mark.parametrize("variant", ["dr1", "dr2"])
+    @pytest.mark.parametrize("make", [heron1, heron2], ids=["heron1", "heron2"])
+    def test_a_huge_start_runs_with_finite_residuals(self, make, variant):
+        # From a 1e160 entry the sum of squares of the first updates overflows;
+        # the update norm does not, and the run goes on.
+        prob = heron_build(make())
+        cfg = heron_step_config(make.__name__, prob, variant, max_iters=400)
+        x0 = np.zeros(prob.dim)
+        x0[0] = 1e160
+        with np.errstate(over="ignore"):
+            log = run(prob, cfg, variant=variant, x0=x0)
+            first = VARIANTS[variant].step(prob, cfg, None, State.initial(prob, cfg, variant, x0=x0))
+        assert len(log) == 400
+        assert all(math.isfinite(row.step_residual) and np.all(np.isfinite(row.primal)) for row in log)
+        # the first residual is the norm of the first relaxed update; v and y start at zero
+        moved = [first.x - x0, *first.v, *(first.y or ())]
+        assert log.rows[0].step_residual == pytest.approx(math.hypot(*np.concatenate(moved)), rel=1e-12)
+        assert log.rows[0].step_residual > 1e159
 
 
 class TestMetric:
