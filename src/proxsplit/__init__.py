@@ -1,6 +1,6 @@
 """Primal-dual Douglas-Rachford splitting toolkit.
 
-A small numpy/scipy library for composite monotone inclusions and convex
+A small numpy library for composite monotone inclusions and convex
 minimization: two inexact primal-dual splitting iterations, the proximal
 calculus backing them, linear operators with certified norm bounds, and the
 bundled location and image-deblurring experiments.

@@ -8,7 +8,8 @@ validate <config.json>  make the checks run makes before its first sweep
 norms <config.json>     print power-iteration norm estimates vs declared bounds
 
 Exit codes: 0 success, 2 invalid configuration or step sizes (violation
-report on stderr), 3 divergence (non-finite iterate).
+report on stderr), 3 divergence (a non-finite iterate or a residual whose
+square overflows).
 
 CONFIG_KEYS is the configuration schema: each key's type, the experiments
 that read it and its help. Unknown keys, and keys the chosen experiment does

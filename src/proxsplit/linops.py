@@ -4,11 +4,6 @@ Operators act on flat float64 vectors; image-structured operators reshape
 internally (row-major). ``norm_bound`` is a declared upper bound on the
 operator norm: step-size validation trusts it, and power iteration
 cross-checks it.
-
-scipy is a required dependency, but only :class:`GaussianBlurOp` uses it, so
-``scipy.ndimage`` is imported when the first blur is built, not with this
-module: a process that builds no blur (the location problems and custom
-geometries) never loads it.
 """
 from __future__ import annotations
 
@@ -180,6 +175,34 @@ def gaussian_kernel(size: int, std: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _reflected(h: int, size: int) -> np.ndarray:
+    """Source index of each of the ``size + 2h`` reflect-padded positions.
+
+    The edge sample repeats, and the reflection has period ``2 * size``, so
+    it also serves kernels wider than the axis (np.pad's "symmetric" mode).
+    """
+    i = np.arange(-h, size + h) % (2 * size)
+    return np.minimum(i, 2 * size - 1 - i)
+
+
+def _symmetric_sum(padded: np.ndarray, k: np.ndarray, count: int) -> np.ndarray:
+    """Correlate ``padded`` along axis 0 with the symmetric kernel ``k``.
+
+    Output ``i`` reads ``padded[i : i + k.size]``. The sum runs on whole
+    slices in the order scipy's ``correlate1d`` uses for a symmetric kernel:
+    the center tap, then each pair of mirrored slices added before its tap
+    multiplies them, outermost pair first. So the output has its bits.
+    """
+    h = k.size // 2
+    out = padded[h : h + count] * k[h]
+    tmp = np.empty_like(out)
+    for j in range(h, 0, -1):
+        np.add(padded[h - j : h - j + count], padded[h + j : h + j + count], out=tmp)
+        tmp *= k[h - j]
+        out += tmp
+    return out
+
+
 class GaussianBlurOp(LinOp):
     """Separable Gaussian averaging with reflected boundary handling.
 
@@ -189,43 +212,36 @@ class GaussianBlurOp(LinOp):
     """
 
     def __init__(self, shape, kernel_size: int = 9, std: float = 4.0):
-        from scipy.ndimage import correlate1d
-
         m, n = (int(s) for s in shape)
         super().__init__(m * n, m * n, 1.0)
-        self._correlate1d = correlate1d
         self.shape = (m, n)
         self.kernel = gaussian_kernel(kernel_size, std)
-        # Row i of the reflect-padded image is input row _rows[i]: the edge
-        # row repeats, and the reflection has period 2m, so it also serves
-        # kernels wider than the image (np.pad's "symmetric" rows, cheaper).
         h = self.kernel.size // 2
-        i = np.arange(-h, m + h) % (2 * m)
-        self._rows = np.minimum(i, 2 * m - 1 - i)
+        # entry (i, j) of the image padded by h on both axes is input pixel
+        # (rows[i], cols[j]); _padded holds its index into the flat input
+        rows, cols = _reflected(h, m), _reflected(h, n)
+        self._padded = (rows[:, None] * n + cols).ravel()
 
     def apply(self, x):
         """Correlate down the columns (axis 0), then along the rows (axis 1).
 
-        The first pass is whole-row numpy slices of a reflect-padded copy,
-        summed in the order scipy's ``correlate1d`` uses for a symmetric
-        kernel: the center tap, then each pair of mirrored rows added before
-        its weight multiplies them, outermost pair first. Its output has
-        ``correlate1d``'s bits at less cost than that call's pass down the
-        columns, which strides by a whole row. The second pass runs along
-        contiguous rows, where ``correlate1d`` is already fast.
+        Both passes are :func:`_symmetric_sum`, so the output has the bits of
+        two ``correlate1d(..., mode="reflect")`` passes. The first runs on
+        whole rows of the image padded on both axes: it treats each column
+        alike, so its padded columns are the reflected columns of its output.
+        In that output, flattened, pixel (i, j) sits at ``i * w + j`` for the
+        padded width ``w``, and its row's taps at the next ``2h + 1`` entries.
+        So the second pass is the same sum on the flat vector, whose entries
+        are scalars, and the output keeps every ``w``-th run of ``n``.
         """
         k = self.kernel
         h = k.size // 2
-        m = self.shape[0]
-        padded = np.asarray(x, dtype=float).reshape(self.shape)[self._rows]
-        out = padded[h : h + m] * k[h]
-        tmp = np.empty_like(out)
-        for j in range(h, 0, -1):
-            np.add(padded[h - j : h - j + m], padded[h + j : h + j + m], out=tmp)
-            tmp *= k[h - j]
-            out += tmp
-        self._correlate1d(out, k, axis=1, mode="reflect", output=tmp)
-        return tmp.ravel()
+        m, n = self.shape
+        w = n + 2 * h
+        img = np.asarray(x, dtype=float).reshape(self.shape)
+        once = _symmetric_sum(img.take(self._padded).reshape(m + 2 * h, w), k, m)
+        twice = _symmetric_sum(once.ravel(), k, m * w - 2 * h)
+        return np.ndarray((m, n), buffer=twice, strides=(w * twice.itemsize, twice.itemsize)).ravel()
 
     adjoint = apply
 

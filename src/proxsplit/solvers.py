@@ -73,12 +73,23 @@ _SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 class DivergenceError(FloatingPointError):
-    """A non-finite value appeared in an iterate."""
+    """A non-finite value appeared in an iterate, or the residual outgrew ``_SQRT_MAX``.
 
-    def __init__(self, quantity: str, iteration: int):
+    Given the finite ``value`` of ``quantity`` past that limit, the message
+    names both; otherwise it names a non-finite value.
+    """
+
+    def __init__(self, quantity: str, iteration: int, value: float = math.nan):
         self.quantity = quantity
         self.iteration = int(iteration)
-        super().__init__(f"non-finite value in {quantity} at iteration {iteration}")
+        if math.isfinite(value):
+            message = (
+                f"{quantity} {value:.3g} at iteration {iteration} exceeds {_SQRT_MAX:.3g}, "
+                "the largest with a finite square"
+            )
+        else:
+            message = f"non-finite value in {quantity} at iteration {iteration}"
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -466,7 +477,7 @@ def _check_state(state: State, k: int, limit: float) -> None:
             if not np.all(np.isfinite(block)):
                 raise DivergenceError(f"{name}, term {i}", k)
     if not state.residual < limit:
-        raise DivergenceError("residual", k)
+        raise DivergenceError("residual", k, state.residual)
 
 
 def preflight(
@@ -524,25 +535,28 @@ def run(
     n_iters = cfg.max_iters if n_iters is None else int(n_iters)
     state = preflight(spec, cfg, variant, n_iters, log_stride, x0, v0, y0)
     step = VARIANTS[variant].step
-    # From a start whose blocks have finite squares, a residual whose square is
-    # not finite means divergence; a start beyond that may take updates as large.
-    starts = (state.x, *state.v, *(state.y if state.y is not None else ()))
-    limit = math.inf if any(b.dot(b) == math.inf for b in starts) else _SQRT_MAX
-
     log = IterateLog()
-    for k in range(max(n_iters, 1)):
-        state = step(spec, cfg, errs, state)
-        _check_state(state, k, limit)
-        stop = (
-            residual_tol is not None
-            and math.isfinite(residual_tol)
-            and state.residual < residual_tol
-        )
-        if k % log_stride == 0 or k == n_iters - 1 or stop:
-            obj = float(log_objective(state.p1)) if log_objective is not None else None
-            log.append(LogRow(n=k, primal=state.p1, duals=None, objective=obj, step_residual=state.residual))
-        if stop:
-            break
+    # A dot that overflows is rescaled (the residual, prox._norm) or caught by
+    # _check_state; numpy's warning on the way says nothing more.
+    with np.errstate(over="ignore"):
+        # From a start whose blocks have finite squares, a residual whose square
+        # is not finite means divergence; a start beyond that may take updates
+        # as large.
+        starts = (state.x, *state.v, *(state.y if state.y is not None else ()))
+        limit = math.inf if any(b.dot(b) == math.inf for b in starts) else _SQRT_MAX
+        for k in range(max(n_iters, 1)):
+            state = step(spec, cfg, errs, state)
+            _check_state(state, k, limit)
+            stop = (
+                residual_tol is not None
+                and math.isfinite(residual_tol)
+                and state.residual < residual_tol
+            )
+            if k % log_stride == 0 or k == n_iters - 1 or stop:
+                obj = float(log_objective(state.p1)) if log_objective is not None else None
+                log.append(LogRow(n=k, primal=state.p1, duals=None, objective=obj, step_residual=state.residual))
+            if stop:
+                break
     # the last sweep is always logged: its row alone keeps the dual blocks
     log.rows[-1] = replace(log.rows[-1], duals=state.duals)
     return log

@@ -1,5 +1,6 @@
-"""The documented surface: each module's ``__all__``, the README quickstart
-and the README's JSON configs."""
+"""The documented surface: each module's ``__all__``, the README quickstart,
+the README's JSON configs and the declared dependencies."""
+import ast
 import contextlib
 import importlib
 import io
@@ -14,7 +15,8 @@ from proxsplit.cli import main, pgm_write
 from proxsplit.problems import synthetic_image
 
 MODULES = [m.name for m in pkgutil.iter_modules(proxsplit.__path__, "proxsplit.")]
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_module_is_checked():
@@ -50,3 +52,48 @@ def test_readme_json_configs_validate(tmp_path, monkeypatch, capsys):
     for i, block in enumerate(blocks):
         (tmp_path / f"config{i}.json").write_text(block)
         assert main(["validate", f"config{i}.json"]) == 0, capsys.readouterr().err
+
+
+def _toml_string_arrays(text):
+    """The string arrays of a TOML file, nested by table: what this test reads
+    of ``pyproject.toml`` where ``tomllib`` (Python 3.11) is missing."""
+    doc = table = {}
+    for m in re.finditer(r"^\[([^\]]+)\]\s*$|^([\w-]+)\s*=\s*\[(.*?)\]", text, re.M | re.S):
+        if m.group(1):
+            table = doc
+            for part in m.group(1).split("."):
+                table = table.setdefault(part.strip(), {})
+        else:
+            table[m.group(2)] = re.findall(r'"([^"]*)"', m.group(3))
+    return doc
+
+
+def _requirement_names(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
+
+
+def test_scipy_is_only_a_test_dependency():
+    for path in sorted((ROOT / "src" / "proxsplit").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), f"{path.name}:{node.lineno} imports scipy"
+
+    text = (ROOT / "pyproject.toml").read_text()
+    arrays = _toml_string_arrays(text)
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        project = arrays["project"]
+    else:
+        project = tomllib.loads(text)["project"]
+        # the fallback reads the same lists as tomllib
+        assert arrays["project"]["dependencies"] == project["dependencies"]
+        assert arrays["project"]["optional-dependencies"] == project["optional-dependencies"]
+    assert "scipy" not in _requirement_names(project["dependencies"])
+    extras = {name: _requirement_names(reqs) for name, reqs in project["optional-dependencies"].items()}
+    assert [name for name, reqs in extras.items() if "scipy" in reqs] == ["test"]

@@ -264,6 +264,19 @@ class TestRunCommand:
         assert main(["run", path]) == 0
         assert len(csv.read_text().splitlines()) > 1
 
+    def test_a_finite_residual_past_the_limit_is_named_with_its_value(self, tmp_path, capsys):
+        # the rescaled residual of the first sweep is finite, but its square is not
+        path = _write_config(
+            tmp_path, experiment="heron1", algorithm="dr1", error_c=1e200, output_csv=str(tmp_path / "out.csv")
+        )
+        assert main(["run", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: residual 8.68e+200 at iteration 0 exceeds 1.34e+154, the largest with a finite square"
+        ]
+        assert captured.out == ""
+        assert not (tmp_path / "out.csv").exists()
+
     def test_divergence_prints_only_its_error_line(self, tmp_path):
         # numpy overflow warnings on the way to the non-finite iterate stay
         # off stderr; a child process sees the CLI's own warning state
@@ -562,9 +575,9 @@ class TestOtherCommands:
 
 
 class TestScipyImport:
-    """``scipy.ndimage`` loads with the first blur, not with the package, so
-    the location runs, which build none, never load it. Each check runs in a
-    fresh interpreter: this one loaded it for the blur tests."""
+    """No run loads scipy: the blur is numpy only, and scipy is a test
+    dependency. Each check runs in a fresh interpreter: this one loaded scipy
+    for the blur's reference tests."""
 
     @staticmethod
     def _last_line(tmp_path, code):
@@ -588,15 +601,21 @@ print("scipy.ndimage" in sys.modules)
 """
         assert self._last_line(tmp_path, code) == "False"
 
-    def test_the_first_blur_loads_scipy(self, tmp_path):
-        code = """
+    def test_deblur_runs_do_not_load_scipy(self, tmp_path):
+        path = _write_config(
+            tmp_path, experiment="deblur", algorithm="dr1", iters=3, image_size=16,
+            output_csv=str(tmp_path / "deblur.csv"), output_pgm=str(tmp_path / "deblur.pgm"),
+        )
+        code = f"""
 import sys
-import proxsplit
-assert "scipy.ndimage" not in sys.modules
-proxsplit.GaussianBlurOp((16, 16))
-print("scipy.ndimage" in sys.modules)
+import numpy as np
+import proxsplit, proxsplit.cli
+proxsplit.GaussianBlurOp((16, 12)).apply(np.ones(16 * 12))
+for command in ("validate", "run", "norms"):
+    assert proxsplit.cli.main([command, {path!r}]) == 0
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
 """
-        assert self._last_line(tmp_path, code) == "True"
+        assert self._last_line(tmp_path, code) == "[]"
 
 
 # Config values of every JSON kind: numbers (finite, infinite and NaN) are

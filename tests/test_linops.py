@@ -155,12 +155,16 @@ class TestBlur:
             assert abs(lhs - rhs) <= 1e-10 * (np.linalg.norm(x) * np.linalg.norm(y) + 1.0)
 
     @pytest.mark.parametrize("kernel_size", [1, 3, 9, 21, 41])
-    @pytest.mark.parametrize("shape", [(64, 64), (12, 10), (16, 48), (1, 7), (5, 1), (3, 5), (1, 1)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(64, 64), (12, 10), (16, 48), (1, 7), (5, 1), (3, 5), (1, 1), (256, 256), (48, 3), (64, 7), (7, 64)],
+    )
     def test_apply_matches_two_correlate1d_passes_bit_for_bit(self, shape, kernel_size, rng):
-        """The numpy first pass reproduces scipy's symmetric-kernel order on
-        this build, so the output has the two correlate1d passes' bits, signs
-        of zero included. Kernels of 21 and 41 taps are wider than some of
-        these images, where the reflection repeats."""
+        """Both numpy passes reproduce scipy's symmetric-kernel order on this
+        build, so the output has the two correlate1d passes' bits, signs of
+        zero included. Kernels of 21 and 41 taps are wider than some of these
+        images, where the reflection repeats; (48, 3) at 21 taps is wider
+        along axis 1 only. 256x256 at 9 taps is the benchmark's blur."""
         op = GaussianBlurOp(shape, kernel_size, std=2.5)
 
         def reference(x):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from unittest.mock import Mock
 
 import numpy as np
@@ -805,6 +806,27 @@ class TestHugeUpdates:
         moved = [first.x - x0, *first.v, *(first.y or ())]
         assert log.rows[0].step_residual == pytest.approx(math.hypot(*np.concatenate(moved)), rel=1e-12)
         assert log.rows[0].step_residual > 1e159
+
+    @pytest.mark.parametrize("variant", ["dr1", "dr2"])
+    @pytest.mark.parametrize("make", [heron1, heron2], ids=["heron1", "heron2"])
+    def test_a_huge_start_runs_without_warnings(self, make, variant):
+        # run silences numpy's overflow warnings itself; its rows are those of
+        # the same run under the caller's own np.errstate
+        prob = heron_build(make())
+        cfg = heron_step_config(make.__name__, prob, variant, max_iters=400)
+        x0 = np.zeros(prob.dim)
+        x0[0] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = run(prob, cfg, variant=variant, x0=x0)
+        with np.errstate(over="ignore"):
+            wrapped = run(prob, cfg, variant=variant, x0=x0)
+        assert len(log) == len(wrapped) == 400
+        for row, other in zip(log, wrapped):
+            assert row.n == other.n
+            assert row.primal.tobytes() == other.primal.tobytes()
+            assert row.step_residual.hex() == other.step_residual.hex()
+        _assert_same_blocks(log.final.duals, wrapped.final.duals)
 
 
 class TestMetric:
