@@ -241,6 +241,7 @@ class GaussianBlurOp(LinOp):
         img = np.asarray(x, dtype=float).reshape(self.shape)
         once = _symmetric_sum(img.take(self._padded).reshape(m + 2 * h, w), k, m)
         twice = _symmetric_sum(once.ravel(), k, m * w - 2 * h)
+        del once  # before the copy below, which is the output
         return np.ndarray((m, n), buffer=twice, strides=(w * twice.itemsize, twice.itemsize)).ravel()
 
     adjoint = apply

@@ -212,10 +212,15 @@ def isnr(clean, observed, current) -> float:
 def synthetic_image(shape=(64, 64)) -> np.ndarray:
     """Checkerboard over a diagonal brightness ramp, values in [0, 1]."""
     m, n = (int(s) for s in shape)
-    ii, jj = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
-    checker = ((ii // 8 + jj // 8) % 2).astype(float)
-    ramp = (ii + jj) / max(m + n - 2, 1)
-    return np.clip(0.55 * checker + 0.45 * ramp, 0.0, 1.0)
+    i, j = np.arange(m)[:, None], np.arange(n)
+    # 0.45 * ramp + 0.55 * checker, with the ramp (i + j) / max(m + n - 2, 1);
+    # adding 0.55 only on the odd squares skips additions of 0.0 to a ramp
+    # that holds no -0.0, so they change no bits
+    img = np.add(i, j, dtype=float)
+    img /= max(m + n - 2, 1)
+    img *= 0.45
+    np.add(img, 0.55, out=img, where=i // 8 % 2 != j // 8 % 2)
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def make_deblur_spec(
@@ -243,8 +248,11 @@ def make_deblur_spec(
     wavelet = HaarOp(shape, norm_bound=wavelet_norm_bound)
     grad = GradientOp(shape)
     rng = np.random.default_rng(int(noise_seed))
-    degraded = blur.apply(clean.ravel()).reshape(shape) + noise_std * rng.standard_normal(shape)
-    observed = np.clip(degraded, 0.0, 1.0)
+    # blur(clean) + noise_std * noise, clipped, in the buffer of the noise
+    observed = rng.standard_normal(shape)
+    observed *= noise_std
+    observed += blur.apply(clean.ravel()).reshape(shape)
+    np.clip(observed, 0.0, 1.0, out=observed)
     return DeblurSpec(
         observed=observed,
         alpha1=float(alpha1),

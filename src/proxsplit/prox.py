@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -87,12 +88,28 @@ class BoxIndicator(ProxFn):
         if not np.all(self.lo <= self.hi):
             raise ValueError("box bounds require lo <= hi componentwise")
 
+    @cached_property
+    def _membership(self):
+        """The bounds widened by the membership slack, and whether both are
+        scalars, which are then floats. Computed at the first membership test,
+        not at construction: most boxes (the location obstacles) are only
+        projected onto."""
+        lo, hi = self.lo - _MEMBERSHIP_ATOL, self.hi + _MEMBERSHIP_ATOL
+        if lo.ndim == 0 and hi.ndim == 0:
+            return float(lo), float(hi), True
+        return lo, hi, False
+
     def prox(self, x, gamma=1.0):
         return np.asarray(x, dtype=float).clip(self.lo, self.hi)
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        inside = np.all(x >= self.lo - _MEMBERSHIP_ATOL) and np.all(x <= self.hi + _MEMBERSHIP_ATOL)
+        lo, hi, scalar = self._membership
+        if scalar:
+            # a NaN entry makes both extremes NaN, which fails either test
+            inside = x.min(initial=math.inf) >= lo and x.max(initial=-math.inf) <= hi
+        else:
+            inside = np.all(x >= lo) and np.all(x <= hi)
         return 0.0 if inside else math.inf
 
 
@@ -274,7 +291,10 @@ class L21Norm(ProxFn):
         """
         x = np.asarray(x, dtype=float)
         p, q = self._split(x)
-        scale = self.weight / np.maximum(self.weight, np.hypot(p, q))
+        # weight / max(weight, hypot(p, q)), built in one array
+        scale = np.hypot(p, q)
+        np.maximum(scale, self.weight, out=scale)
+        np.divide(self.weight, scale, out=scale)
         # One broadcast product scales both fields: a single output pass, no
         # concatenation copy.
         return (x.reshape(2, -1) * scale).reshape(-1)

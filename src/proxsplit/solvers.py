@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -316,48 +316,76 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     """One sweep of the two-pass scheme (two evaluations of each L_i and L_i*).
 
     Error vectors, when scheduled, are added right after the corresponding
-    resolvent evaluations.
+    resolvent evaluations. Like :func:`dr2_step`, it writes only into arrays
+    it allocated itself, never into a state block or into what an operator or
+    a resolvent returned, which may be its argument; each in-place operation
+    is the one the plain formula makes, so the sweep keeps its bits.
     """
     n = state.n
     tau = cfg.tau
     lam = cfg.lam(n)
     x, v = state.x, state.v
 
+    arg = _adjoint_sum(spec, v)
+    arg *= 0.5 * tau
+    np.subtract(x, arg, out=arg)
     # without a tilt, 0.0 is still added: it turns -0.0 into +0.0 as a zero tilt does
-    tilt = 0.0 if spec.z is None else tau * spec.z
-    p1 = spec.res_a(x - 0.5 * tau * _adjoint_sum(spec, v) + tilt, tau)
+    arg += 0.0 if spec.z is None else tau * spec.z
+    p1 = spec.res_a(arg, tau)
+    del arg
     if errs is not None:
         p1 = p1 + errs.a(n)
-    w1 = 2.0 * p1 - x
+    w1 = 2.0 * p1
+    w1 -= x
 
-    p2s = []
+    p2s, w2s = [], []
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
-        arg = v[i] + 0.5 * s * term.L.apply(w1)
+        arg = (0.5 * s) * term.L.apply(w1)
+        arg += v[i]
         if term.r is not None:
-            arg = arg - s * term.r
+            arg -= s * term.r
         p2 = term.res_b_conj(arg, s)
+        del arg
         if errs is not None:
             p2 = p2 + errs.b(i, n)
         p2s.append(p2)
-    w2s = [2.0 * p2 - v[i] for i, p2 in enumerate(p2s)]
+        w2 = 2.0 * p2
+        w2 -= v[i]
+        w2s.append(w2)
+    del w2
 
-    z1 = w1 - 0.5 * tau * _adjoint_sum(spec, w2s)
+    z1 = _adjoint_sum(spec, w2s)
+    z1 *= 0.5 * tau
+    np.subtract(w1, z1, out=z1)
     dx = z1 - p1
-    x_new = x + lam * dx
-    u = 2.0 * z1 - w1
+    u = z1  # 2 * z1 - w1, built in the buffer of z1
+    u *= 2.0
+    u -= w1
+    del z1, w1
 
-    v_new, big = [], []
+    big = []
     sqs = [_sq(dx, big)]
-    del dx  # a primal-sized temporary: free it before the dual pass
+    x_new = dx  # x + lam * dx, built in the buffer of dx
+    x_new *= lam
+    x_new += x
+    del dx
+    v_new = []
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
-        z2 = term.res_d_conj(w2s[i] + 0.5 * s * term.L.apply(u), s)
+        arg = (0.5 * s) * term.L.apply(u)
+        arg += w2s[i]
+        w2s[i] = None
+        z2 = term.res_d_conj(arg, s)
+        del arg
         if errs is not None:
             z2 = z2 + errs.d(i, n)
         dv = z2 - p2s[i]
-        v_new.append(v[i] + lam * dv)
+        del z2
         sqs.append(_sq(dv, big))
+        dv *= lam
+        dv += v[i]
+        v_new.append(dv)
     residual = lam * _update_norm(sqs, big)
 
     return State(
@@ -375,47 +403,72 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
 
     A state without ``y`` runs the reduced scheme: the ``y`` block and its
     resolvent are skipped, which is the full sweep with ``y`` held at zero.
+    It writes only into arrays it allocated itself, as :func:`dr1_step` does.
     """
     n = state.n
     tau = cfg.tau
     lam = cfg.lam(n)
     x, y, v = state.x, state.y, state.v
 
-    adj = _adjoint_sum(spec, v)
+    arg = _adjoint_sum(spec, v)
     if spec.z is not None:
-        adj = adj - spec.z
-    p1 = spec.res_a(x - tau * adj, tau)
+        arg -= spec.z
+    arg *= tau
+    np.subtract(x, arg, out=arg)
+    p1 = spec.res_a(arg, tau)
+    del arg
     if errs is not None:
         p1 = p1 + errs.a(n)
     dx = p1 - x
-    x_new = x + lam * dx
-    u = 2.0 * p1 - x
+    u = 2.0 * p1
+    u -= x
 
-    y_new = None if y is None else []
-    v_new, p3s, big = [], [], []
+    big = []
     sqs = [_sq(dx, big)]
-    del dx  # a primal-sized temporary: free it before the dual pass
+    x_new = dx  # x + lam * dx, built in the buffer of dx
+    x_new *= lam
+    x_new += x
+    del dx
+    y_new = None if y is None else []
+    v_new, p3s = [], []
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         target = term.L.apply(u)
+        # None while target is the operator's output, which may be u itself;
+        # then the buffer of the sweep's own that target is built in
+        out = None
         if y is not None:
             g = state.gammas[i]
-            p2 = term.res_d(y[i] + g * v[i], g)
+            arg = g * v[i]
+            arg += y[i]
+            p2 = term.res_d(arg, g)
+            del arg
             if errs is not None:
                 p2 = p2 + errs.d(i, n)
             dy = p2 - y[i]
-            y_new.append(y[i] + lam * dy)
             sqs.append(_sq(dy, big))
-            target = target - (2.0 * p2 - y[i])
+            dy *= lam
+            dy += y[i]
+            y_new.append(dy)
+            out = 2.0 * p2
+            del p2
+            out -= y[i]
+            target = np.subtract(target, out, out=out)
         if term.r is not None:
-            target = target - term.r
-        p3 = term.res_b_conj(v[i] + s * target, s)
+            target = out = np.subtract(target, term.r, out=out)
+        arg = np.multiply(target, s, out=out)
+        del target, out
+        arg += v[i]
+        p3 = term.res_b_conj(arg, s)
+        del arg
         if errs is not None:
             p3 = p3 + errs.b(i, n)
-        dv = p3 - v[i]
-        v_new.append(v[i] + lam * dv)
         p3s.append(p3)
+        dv = p3 - v[i]
         sqs.append(_sq(dv, big))
+        dv *= lam
+        dv += v[i]
+        v_new.append(dv)
     residual = lam * _update_norm(sqs, big)
 
     return State(
@@ -522,8 +575,9 @@ def run(
     resolvent output, the objective at the primal point (when an evaluator is
     given) and the relaxed update norm. The final row also holds the dual
     resolvent outputs; every other row's ``duals`` is None, so a long log
-    keeps one set of dual blocks. Rows are kept every ``log_stride`` steps
-    plus the final one. ``n_iters`` overrides
+    keeps one set of dual blocks. Between sweeps only the iterate is kept,
+    so a sweep's ``p1`` outlives it only in a logged row.
+    Rows are kept every ``log_stride`` steps plus the final one. ``n_iters`` overrides
     ``cfg.max_iters``; ``n_iters = 0`` runs one sweep, as ``n_iters = 1``
     does, so row 0 is the step from the start. ``errs=None`` is the exact
     run. Before the first sweep, :func:`preflight` checks the budget, the
@@ -544,21 +598,24 @@ def run(
         # as large.
         starts = (state.x, *state.v, *(state.y if state.y is not None else ()))
         limit = math.inf if any(b.dot(b) == math.inf for b in starts) else _SQRT_MAX
+        del starts  # the first sweep's state drops the start blocks
         for k in range(max(n_iters, 1)):
             state = step(spec, cfg, errs, state)
             _check_state(state, k, limit)
-            stop = (
+            last = k == max(n_iters, 1) - 1 or (
                 residual_tol is not None
                 and math.isfinite(residual_tol)
                 and state.residual < residual_tol
             )
-            if k % log_stride == 0 or k == n_iters - 1 or stop:
+            if k % log_stride == 0 or last:
                 obj = float(log_objective(state.p1)) if log_objective is not None else None
-                log.append(LogRow(n=k, primal=state.p1, duals=None, objective=obj, step_residual=state.residual))
-            if stop:
+                # the last row alone keeps the dual blocks
+                duals = state.duals if last else None
+                log.append(LogRow(n=k, primal=state.p1, duals=duals, objective=obj, step_residual=state.residual))
+            if last:
                 break
-    # the last sweep is always logged: its row alone keeps the dual blocks
-    log.rows[-1] = replace(log.rows[-1], duals=state.duals)
+            # only the iterate goes on: this sweep's records are dropped before the next
+            state = State(x=state.x, v=state.v, y=state.y, gammas=state.gammas, n=state.n)
     return log
 
 

@@ -508,6 +508,29 @@ class TestEvaluation:
         assert BoxIndicator(-np.inf, np.inf)([0.0, np.nan]) == math.inf
         assert BoxIndicator(-np.inf, np.inf)([-np.inf, np.inf]) == 0.0
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, 1.0), (-np.inf, np.inf), (-2.0, -2.0), (np.zeros(3), np.ones(3)), (-1.0, [0.0, 1.0, 2.0]), (np.zeros(0), np.zeros(0))],
+        ids=["scalar", "scalar-unbounded", "scalar-degenerate", "vector", "mixed", "vector-empty"],
+    )
+    def test_box_membership_matches_the_componentwise_test(self, lo, hi):
+        """The scalar bounds' test on the extremes agrees with testing every
+        component against the bounds widened by ATOL."""
+        f = BoxIndicator(lo, hi)
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        lo_in, hi_in = lo - ATOL, hi + ATOL
+        mid = np.clip(0.5, lo, hi)
+        shape = np.broadcast_shapes(lo.shape, hi.shape, (3,)) if lo.size else (0,)
+        at = [np.broadcast_to(lo_in, shape), np.broadcast_to(hi_in, shape)]
+        beyond = [np.nextafter(a, direction) for a, direction in zip(at, (-np.inf, np.inf))]
+        inputs = at + beyond + [np.zeros(shape) + v for v in (np.nan, np.inf, -np.inf, mid)]
+        inputs += [np.where(np.arange(shape[0]) == 1, v, mid) for v in (np.nan, np.inf, -np.inf)]
+        if lo.ndim == 0 and hi.ndim == 0:
+            inputs += [np.zeros(0), np.zeros((0, 4)), np.full((2, 2), mid), np.float64(lo_in)]
+        for x in inputs:
+            reference = 0.0 if np.all(x >= lo_in) and np.all(x <= hi_in) else math.inf
+            assert f(x) == reference, x
+
     def test_norm_values(self):
         assert EuclideanNorm()([3.0, 4.0]) == pytest.approx(5.0)
         assert WeightedL1(2.0, shift=[1.0, 0.0])([2.0, -3.0]) == pytest.approx(8.0)

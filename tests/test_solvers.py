@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+import weakref
 from unittest.mock import Mock
 
 import numpy as np
@@ -772,6 +773,128 @@ class TestLogRows:
         # each row that also kept its duals would retain 4 primals more
         assert duals == 4 * x0.nbytes
         assert retained <= len(log) * x0.nbytes + duals + 64 * 1024
+
+
+def _track_sweeps(monkeypatch, variant):
+    """Make ``run`` sweep through a spy; returns, per sweep, the names of the
+    tracked arrays still live as it starts. Tracked are the start blocks
+    (``start``) and each sweep's ``p1`` and dual blocks (``p1 k``, ``duals k``)."""
+    refs, alive = {}, []
+    real = VARIANTS[variant].step
+
+    def step(spec, cfg, errs, state):
+        alive.append({name.rsplit(" ", 1)[0] for name, ref in refs.items() if ref() is not None})
+        if state.n == 0:
+            blocks = (state.x, *state.v, *(state.y if state.y is not None else ()))
+            refs.update((f"start {i}", weakref.ref(b)) for i, b in enumerate(blocks))
+        new = real(spec, cfg, errs, state)
+        refs[f"p1 {state.n} 0"] = weakref.ref(new.p1)
+        refs.update((f"duals {state.n} {i}", weakref.ref(b)) for i, b in enumerate(new.duals))
+        return new
+
+    monkeypatch.setitem(VARIANTS, variant, VARIANTS[variant]._replace(step=step))
+    return alive
+
+
+class TestSweepMemory:
+    """What a sweep allocates and writes to, and what a run keeps live."""
+
+    @pytest.fixture(scope="class")
+    def deblur16(self):
+        d = make_deblur_spec(shape=(16, 16))
+        return deblur_build(d), d.observed.ravel()
+
+    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
+    def test_start_blocks_are_not_live_after_the_first_sweep(self, monkeypatch, deblur16, variant):
+        prob, _ = deblur16
+        cfg = deblur_step_config(prob, variant, max_iters=4)
+        alive = _track_sweeps(monkeypatch, variant)
+        run(prob, cfg, variant=variant)  # without x0 and v0, run builds every start block
+        assert len(alive) == 4
+        assert not any("start" in names for names in alive[1:])
+
+    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
+    def test_run_drops_each_sweeps_records_before_the_next(self, monkeypatch, deblur16, variant):
+        prob, _ = deblur16
+        cfg = deblur_step_config(prob, variant, max_iters=6)
+        alive = _track_sweeps(monkeypatch, variant)
+        log = run(prob, cfg, variant=variant, log_stride=4)
+        assert [row.n for row in log] == [0, 4, 5]
+        # only the logged rows keep their p1: no earlier sweep's duals are live
+        assert alive == [set(), {"p1 0"}, {"p1 0"}, {"p1 0"}, {"p1 0"}, {"p1 0", "p1 4"}]
+
+    @pytest.mark.parametrize("variant, bound", [("dr1", 17), ("dr2-reduced", 15)])
+    def test_a_sweep_peaks_below_its_bound(self, variant, bound):
+        d = make_deblur_spec(shape=(64, 64))
+        prob = deblur_build(d)
+        cfg = deblur_step_config(prob, variant, max_iters=10)
+        step = VARIANTS[variant].step
+        state = State.initial(prob, cfg, variant, x0=d.observed.ravel())
+        for _ in range(3):
+            state = step(prob, cfg, None, state)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            new = step(prob, cfg, None, state)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        primal = state.x.nbytes
+        # the new state alone holds 10 primals: x, p1 and the 4 primals each of v and duals
+        assert sum(b.nbytes for b in (new.x, new.p1, *new.v, *new.duals)) == 10 * primal
+        assert peak <= bound * primal
+
+    @staticmethod
+    def _returning_problem(reduced):
+        """Maps that return their argument: the big ball's prox (f), IdentityOp,
+        EuclideanNorm's conjugate prox inside its ball and the origin
+        PointIndicator's; shifts and a tilt too."""
+        dim = 3
+        terms = [
+            (IdentityOp(dim), EuclideanNorm(), None if reduced else EuclideanNorm(), np.array([0.1, -0.2, 0.05])),
+            (IdentityOp(dim), PointIndicator(), None if reduced else WeightedL1(0.5), None),
+            (MatrixOp(0.5 * np.eye(dim)), WeightedL1(0.3), None if reduced else PointIndicator(), np.array([0.0, 0.2, -0.1])),
+        ]
+        return make_prox_problem(BallIndicator(np.zeros(dim), 10.0), np.array([0.05, 0.0, -0.1]), terms)
+
+    @staticmethod
+    def _spy_returns(prob, returned):
+        """prob with each resolvent adding its name to ``returned`` whenever it returns its argument."""
+
+        def spy(name, res):
+            def wrapped(arg, gamma):
+                out = res(arg, gamma)
+                if out is arg:
+                    returned.add(name)
+                return out
+
+            return wrapped
+
+        terms = [
+            dataclasses.replace(t, **{k: spy(f"{k} {i}", getattr(t, k)) for k in ("res_b_conj", "res_d_conj", "res_d")})
+            for i, t in enumerate(prob.terms)
+        ]
+        return dataclasses.replace(prob, res_a=spy("res_a", prob.res_a), terms=terms)
+
+    @pytest.mark.parametrize("inexact", [False, True], ids=["exact", "inexact"])
+    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
+    def test_a_sweep_writes_only_into_arrays_it_allocated(self, variant, inexact):
+        returned = set()
+        prob = self._spy_returns(self._returning_problem(reduced=variant == "dr2-reduced"), returned)
+        cfg = StepConfig(tau=0.1, sigmas=(0.1,) * 3, lambda_schedule=1.5, max_iters=10)
+        errs = make_power_error_schedule(1e-3, 2.0, (prob.dim, prob.block_signature), seed=1) if inexact else None
+        step = VARIANTS[variant].step
+        v0 = [np.array([0.1, -0.1, 0.2]), np.array([-0.2, 0.1, 0.0]), np.array([0.05, 0.1, -0.1])]
+        y0 = [0.5 * b for b in v0] if variant == "dr2" else None
+        state = State.initial(prob, cfg, variant, x0=np.array([0.3, -0.2, 0.1]), v0=v0, y0=y0)
+        state = step(prob, cfg, errs, state)
+        for _ in range(3):
+            y = state.y if state.y is not None else ()
+            arrays = [state.x, *state.v, *y, state.p1, *state.duals, prob.z, *(t.r for t in prob.terms if t.r is not None)]
+            before = [a.tobytes() for a in arrays]
+            state = step(prob, cfg, errs, state)
+            assert [a.tobytes() for a in arrays] == before
+        assert {"res_a", "res_b_conj 0", "res_b_conj 1"} <= returned
 
 
 class TestHugeUpdates:
