@@ -598,11 +598,12 @@ def run(
         # as large.
         starts = (state.x, *state.v, *(state.y if state.y is not None else ()))
         limit = math.inf if any(b.dot(b) == math.inf for b in starts) else _SQRT_MAX
-        del starts  # the first sweep's state drops the start blocks
-        for k in range(max(n_iters, 1)):
+        del starts  # so that the start blocks go with the first sweep's input
+        sweeps = max(n_iters, 1)
+        for k in range(sweeps):
             state = step(spec, cfg, errs, state)
             _check_state(state, k, limit)
-            last = k == max(n_iters, 1) - 1 or (
+            last = k == sweeps - 1 or (
                 residual_tol is not None
                 and math.isfinite(residual_tol)
                 and state.residual < residual_tol
