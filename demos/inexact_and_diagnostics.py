@@ -46,12 +46,19 @@ for _ in range(5000):
     state = dr1_step(problem, cfg, None, state)
 x_lim, v_lim = state.x, state.v
 
+
+def distance_to_limit(state):
+    # the dual iterate is a tuple of blocks, one per term: subtract block by block
+    dv = [b - b_lim for b, b_lim in zip(state.v, v_lim)]
+    return vnorm_dr1(problem, cfg, state.x - x_lim, dv)
+
+
 state = State.initial(problem, cfg, x0=x0)
-prev = vnorm_dr1(problem, cfg, state.x - x_lim, state.v - v_lim)
+prev = distance_to_limit(state)
 monotone = True
 for k in range(1, 201):
     state = dr1_step(problem, cfg, None, state)
-    dist = vnorm_dr1(problem, cfg, state.x - x_lim, state.v - v_lim)
+    dist = distance_to_limit(state)
     monotone = monotone and dist <= prev + 1e-9
     if k % 25 == 0:
         print(f"  k={k:4d}  distance to limit {dist:.3e}")

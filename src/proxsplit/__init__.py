@@ -7,7 +7,6 @@ bundled location and image-deblurring experiments.
 """
 
 from .core import (
-    BlockVector,
     ErrorSchedule,
     IterateLog,
     LogRow,

@@ -1,4 +1,4 @@
-"""Vectors, product-space blocks, step configuration and error schedules.
+"""Vectors, step configuration, error schedules and iterate logs.
 
 The objects here are plain values over float64 numpy arrays, not mutated after
 construction, so they can be shared across solver runs. The one exception is
@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "BlockVector",
     "ErrorSchedule",
     "IterateLog",
     "LogRow",
@@ -49,47 +48,6 @@ def as_vector(x) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     return v
-
-
-class BlockVector:
-    """Element of a product space G_1 x ... x G_m, stored block by block.
-
-    Holds the dual blocks of the solvers. Besides indexing and iteration it
-    offers the difference and the inner product (the sum of per-block inner
-    products) that the metric diagnostics use. Instances are treated as
-    immutable values: the stored arrays must not be written to.
-    """
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: Sequence[np.ndarray]):
-        self.blocks = tuple(map(as_vector, blocks))
-
-    @classmethod
-    def zeros(cls, signature: Sequence[int]) -> "BlockVector":
-        return cls([np.zeros(int(d)) for d in signature])
-
-    @property
-    def signature(self) -> tuple:
-        return tuple(b.shape[0] for b in self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.blocks[i]
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __sub__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector([a - b for a, b in zip(self.blocks, other.blocks, strict=True)])
-
-    def dot(self, other: "BlockVector") -> float:
-        return float(sum(np.dot(a, b) for a, b in zip(self.blocks, other.blocks, strict=True)))
-
-    def __repr__(self):
-        return f"BlockVector(signature={self.signature})"
 
 
 @dataclass(frozen=True)
@@ -186,13 +144,13 @@ def make_power_error_schedule(c: float, p: float, dims, seed: int) -> Optional[E
 class LogRow:
     """One logged iterate: counter, primal point, objective, residual.
 
-    ``duals`` holds the dual resolvent outputs on the final row of a run and
-    is None on every other row.
+    ``duals`` holds the dual resolvent outputs on the final row of a run, a
+    tuple of one 1-D array per term, and is None on every other row.
     """
 
     n: int
     primal: np.ndarray
-    duals: Optional[BlockVector]
+    duals: Optional[tuple]
     objective: Optional[float]
     step_residual: float
 

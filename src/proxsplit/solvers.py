@@ -28,7 +28,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    BlockVector,
     ErrorSchedule,
     IterateLog,
     LogRow,
@@ -221,22 +220,23 @@ def gamma_weights(spec: ProblemSpec, cfg: StepConfig) -> tuple:
     return tuple(total / s for s in cfg.sigmas)
 
 
-def _as_block(value, signature) -> BlockVector:
+def _as_block(value, signature) -> tuple:
+    """A start's dual block: one 1-D vector per item of ``value``, so the rows
+    of a 2-D array are blocks too; zeros of ``signature`` for None."""
     if value is None:
-        return BlockVector.zeros(signature)
-    if isinstance(value, BlockVector):
-        return value
-    return BlockVector(value)
+        return tuple(np.zeros(d) for d in signature)
+    return tuple(map(as_vector, value))
 
 
 @dataclass(frozen=True)
 class State:
     """Iterate of any variant, plus the records of the step that produced it.
 
-    ``x`` is the primal iterate and ``v`` the dual block. ``y`` is the extra
-    dual block of the single-pass scheme and ``gammas`` its per-term
-    resolvent weights; both exist only for ``dr2`` and are None for ``dr1``
-    and for ``dr2-reduced``, which is ``dr2`` with ``y`` held at zero.
+    ``x`` is the primal iterate and ``v`` the dual block, a tuple of one 1-D
+    array per term, as ``y`` and ``duals`` are. ``y`` is the extra dual block
+    of the single-pass scheme and ``gammas`` its per-term resolvent weights;
+    both exist only for ``dr2`` and are None for ``dr1`` and for
+    ``dr2-reduced``, which is ``dr2`` with ``y`` held at zero.
     ``p1``, ``duals`` and ``residual`` describe the step that produced this
     state: the primal resolvent output, the dual resolvent outputs
     (first-pass ones for ``dr1``) and the relaxed update norm in the product
@@ -244,12 +244,12 @@ class State:
     """
 
     x: np.ndarray
-    v: BlockVector
-    y: Optional[BlockVector] = None
+    v: tuple
+    y: Optional[tuple] = None
     gammas: Optional[tuple] = None
     n: int = 0
     p1: Optional[np.ndarray] = None
-    duals: Optional[BlockVector] = None
+    duals: Optional[tuple] = None
     residual: Optional[float] = None
 
     @classmethod
@@ -268,7 +268,9 @@ class State:
         x = np.zeros(spec.dim) if x0 is None else as_vector(x0)
         v = _as_block(v0, sig)
         y = _as_block(y0, sig) if carries_y else None
-        if x.shape[0] != spec.dim or v.signature != sig or (y is not None and y.signature != sig):
+        if x.shape[0] != spec.dim or any(
+            tuple(b.shape[0] for b in blocks) != sig for blocks in (v, y) if blocks is not None
+        ):
             raise ValueError("starting point does not match the problem dimensions")
         gammas = gamma_weights(spec, cfg) if y is not None else None
         return cls(x=x, v=v, y=y, gammas=gammas)
@@ -390,10 +392,10 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
 
     return State(
         x=x_new,
-        v=BlockVector(v_new),
+        v=tuple(v_new),
         n=n + 1,
         p1=p1,
-        duals=BlockVector(p2s),
+        duals=tuple(p2s),
         residual=residual,
     )
 
@@ -473,12 +475,12 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
 
     return State(
         x=x_new,
-        v=BlockVector(v_new),
-        y=None if y is None else BlockVector(y_new),
+        v=tuple(v_new),
+        y=None if y is None else tuple(y_new),
         gammas=state.gammas,
         n=n + 1,
         p1=p1,
-        duals=BlockVector(p3s),
+        duals=tuple(p3s),
         residual=residual,
     )
 
@@ -515,9 +517,19 @@ def _check_state(state: State, k: int, limit: float) -> None:
     is not below ``limit``, the update norm diverged and the residual is
     named: ``run`` sets the limit at ``_SQRT_MAX``, where the residual's
     square stops being finite, unless the start itself was that large.
+
+    The first step also checks that ``p1`` and each dual resolvent output
+    have the shape of their block, raising ValueError: an output of the
+    wrong shape, say a scalar, can broadcast through a sweep unnoticed.
     """
     if k > 0 and state.residual < _SQRT_MAX:
         return
+    if k == 0:
+        outputs = [("p1", state.p1, state.x)]
+        outputs += [(f"dual resolvent output, term {i}", d, b) for i, (d, b) in enumerate(zip(state.duals, state.v))]
+        for name, out, block in outputs:
+            if np.shape(out) != block.shape:
+                raise ValueError(f"{name} has shape {np.shape(out)}, not its block's {block.shape}")
     if not np.all(np.isfinite(state.p1)):
         raise DivergenceError("p1", k)
     for i, block in enumerate(state.duals):
@@ -620,18 +632,19 @@ def run(
     return log
 
 
-def metric_apply_dr1(spec: ProblemSpec, cfg: StepConfig, x, v: BlockVector):
-    """Apply the self-adjoint metric operator of the two-pass scheme."""
+def metric_apply_dr1(spec: ProblemSpec, cfg: StepConfig, x, v):
+    """Apply the self-adjoint metric operator of the two-pass scheme; ``v`` and
+    the dual part returned hold one block per term."""
     x = as_vector(x)
     out_x = x / cfg.tau - 0.5 * _adjoint_sum(spec, v)
     out_v = [v[i] / cfg.sigmas[i] - 0.5 * term.L.apply(x) for i, term in enumerate(spec.terms)]
-    return out_x, BlockVector(out_v)
+    return out_x, tuple(out_v)
 
 
-def vnorm_dr1(spec: ProblemSpec, cfg: StepConfig, x, v: BlockVector) -> float:
+def vnorm_dr1(spec: ProblemSpec, cfg: StepConfig, x, v) -> float:
     """Norm induced by the two-pass scheme's metric operator."""
     mx, mv = metric_apply_dr1(spec, cfg, x, v)
-    q = float(np.dot(as_vector(x), mx)) + v.dot(mv)
+    q = float(np.dot(as_vector(x), mx)) + float(sum(np.dot(a, b) for a, b in zip(v, mv, strict=True)))
     return math.sqrt(max(q, 0.0))
 
 

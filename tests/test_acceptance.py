@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from proxsplit.core import BlockVector, StepConfig, make_power_error_schedule
+from proxsplit.core import StepConfig, make_power_error_schedule
 from proxsplit.linops import (
     GaussianBlurOp,
     GradientOp,
@@ -219,12 +219,16 @@ def test_criterion_7_fejer_monotonicity():
         state = dr1_step(prob, cfg, None, state)
     x_lim, v_lim = state.x, state.v
 
+    def dist(state):
+        dv = [b - b_lim for b, b_lim in zip(state.v, v_lim, strict=True)]
+        return vnorm_dr1(prob, cfg, state.x - x_lim, dv)
+
     state = State.initial(prob, cfg, x0=x0)
     dists = []
     for _ in range(500):
-        dists.append(vnorm_dr1(prob, cfg, state.x - x_lim, state.v - v_lim))
+        dists.append(dist(state))
         state = dr1_step(prob, cfg, None, state)
-    dists.append(vnorm_dr1(prob, cfg, state.x - x_lim, state.v - v_lim))
+    dists.append(dist(state))
     increments = [b - a for a, b in zip(dists, dists[1:])]
     worst = max(increments)
     ok = worst <= 1e-9

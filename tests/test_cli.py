@@ -24,7 +24,7 @@ from proxsplit.cli import (
     pgm_read,
     pgm_write,
 )
-from proxsplit.core import BlockVector, IterateLog, LogRow
+from proxsplit.core import IterateLog, LogRow
 from proxsplit.problems import heron_objective, heron1
 
 
@@ -358,7 +358,7 @@ class TestCsvFormat:
         objectives = [54.4189143, math.inf, 0.0, math.nan]
         for k, n in enumerate((0, 1, 7, 1000)):
             primal = np.roll(np.array(self.SPECIAL), k)
-            log.append(LogRow(n, primal, BlockVector.zeros((1,)), objectives[k], 10.0 ** -k))
+            log.append(LogRow(n, primal, (np.zeros(1),), objectives[k], 10.0 ** -k))
         return log
 
     @pytest.mark.parametrize("with_isnr", [False, True], ids=["heron-columns", "deblur-columns"])

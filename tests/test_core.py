@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from proxsplit.core import (
-    BlockVector,
     IterateLog,
     LogRow,
     StepConfig,
@@ -13,29 +12,6 @@ from proxsplit.core import (
 )
 from proxsplit.problems import heron1, heron_build
 from proxsplit.solvers import preflight, run, validate_steps
-
-
-class TestBlockVector:
-    def test_norm_is_block_rss(self):
-        rng = np.random.default_rng(1)
-        for sig in [(2,), (3, 1), (4, 2, 5), (1, 1, 1, 1)]:
-            bv = BlockVector([rng.standard_normal(d) for d in sig])
-            expected = math.sqrt(sum(float(np.dot(b, b)) for b in bv))
-            assert math.sqrt(bv.dot(bv)) == pytest.approx(expected, abs=1e-14)
-            assert bv.signature == sig
-
-    def test_arithmetic(self):
-        a = BlockVector([np.array([1.0, 2.0]), np.array([3.0])])
-        b = BlockVector([np.array([0.5, -1.0]), np.array([2.0])])
-        d = a - b
-        assert d.signature == (2, 1)
-        assert np.allclose(d[0], [0.5, 3.0])
-        assert a.dot(b) == pytest.approx(0.5 - 2.0 + 6.0)
-
-    def test_zeros(self):
-        z = BlockVector.zeros((2, 3))
-        assert z.dot(z) == 0.0
-        assert z.signature == (2, 3)
 
 
 class TestStepConfig:
@@ -118,7 +94,7 @@ class TestErrorSchedule:
 class TestIterateLog:
     def test_strictly_increasing(self):
         log = IterateLog()
-        row = lambda n: LogRow(n, np.zeros(2), BlockVector.zeros((2,)), None, 0.0)
+        row = lambda n: LogRow(n, np.zeros(2), (np.zeros(2),), None, 0.0)
         log.append(row(0))
         log.append(row(2))
         with pytest.raises(ValueError):

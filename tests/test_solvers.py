@@ -8,7 +8,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from proxsplit.core import BlockVector, StepConfig, StepSizeError, make_power_error_schedule
+from proxsplit.core import StepConfig, StepSizeError, make_power_error_schedule
 from proxsplit.linops import IdentityOp, LinOp, MatrixOp
 from proxsplit.problems import (
     HERON_SETUPS,
@@ -54,6 +54,11 @@ def _point_norm_problem(dim=2):
     return make_prox_problem(
         f, np.zeros(dim), [(IdentityOp(dim), EuclideanNorm(), None, np.zeros(dim))]
     )
+
+
+def _block_dot(a, b) -> float:
+    """The product-space inner product: the sum of the per-block ones."""
+    return sum(float(np.dot(u, w)) for u, w in zip(a, b, strict=True))
 
 
 def _assert_same_blocks(a, b):
@@ -240,6 +245,52 @@ class TestVariants:
         assert (cfg.tau, cfg.sigmas[0], cfg.lam(0)) == HERON_SETUPS["heron1"][2][rec.published]
 
 
+class TestStartBlocks:
+    """``State.initial``, and so ``run``, checks every start block of heron1's eight terms."""
+
+    MISMATCH = "does not match the problem dimensions"
+    NOT_1D = "expected a 1-D vector"
+    BAD_BLOCKS = {
+        "wrong_length": ([np.zeros(2)] * 7 + [np.zeros(3)], MISMATCH),
+        "seven_blocks": ([np.zeros(2)] * 7, MISMATCH),
+        "nine_blocks": ([np.zeros(2)] * 9, MISMATCH),
+        "two_d_block": ([np.zeros(2)] * 7 + [np.zeros((1, 2))], NOT_1D),
+        "scalar_blocks": ([0.0] * 8, NOT_1D),
+    }
+
+    def _setup(self):
+        prob = heron_build(heron1())
+        return prob, heron_step_config("heron1", prob, "dr2", max_iters=5)
+
+    @pytest.mark.parametrize("case", sorted(BAD_BLOCKS))
+    @pytest.mark.parametrize("which", ["v0", "y0"])
+    def test_a_bad_start_block_is_rejected(self, which, case):
+        prob, cfg = self._setup()
+        blocks, message = self.BAD_BLOCKS[case]
+        with pytest.raises(ValueError, match=message):
+            State.initial(prob, cfg, "dr2", **{which: blocks})
+        with pytest.raises(ValueError, match=message):
+            run(prob, cfg, variant="dr2", **{which: blocks})
+
+    @pytest.mark.parametrize("which", ["v0", "y0"])
+    def test_rows_of_an_array_or_a_generator_are_blocks(self, which):
+        prob, cfg = self._setup()
+        rows = np.arange(16.0).reshape(8, 2)
+        for start in (rows, (row for row in rows)):
+            state = State.initial(prob, cfg, "dr2", **{which: start})
+            blocks = getattr(state, which[0])
+            assert type(blocks) is tuple and len(blocks) == 8
+            assert all(np.array_equal(b, row) for b, row in zip(blocks, rows, strict=True))
+            state = dr2_step(prob, cfg, None, state)
+            assert all(type(blocks) is tuple for blocks in (state.v, state.y, state.duals))
+
+    @pytest.mark.parametrize("x0, message", [(np.zeros(3), MISMATCH), (np.zeros((1, 2)), NOT_1D)], ids=["length", "two_d"])
+    def test_a_bad_primal_start_is_rejected(self, x0, message):
+        prob, cfg = self._setup()
+        with pytest.raises(ValueError, match=message):
+            State.initial(prob, cfg, "dr2", x0=x0)
+
+
 class TestGammaWeights:
     def test_formula(self):
         prob = heron_build(heron1())
@@ -258,7 +309,7 @@ class TestFixedPoints:
         cfg = StepConfig(tau=tau, sigmas=(sigma,), lambda_schedule=1.3, max_iters=5)
         v = np.array([0.5, 0.0])
         x = tau * v / (tau * sigma - 2.0)
-        state = State(x=x, v=BlockVector([v]))
+        state = State(x=x, v=(v,))
         new = dr1_step(prob, cfg, None, state)
         assert np.abs(new.x - x).max() <= 1e-12
         assert np.abs(new.v[0] - v).max() <= 1e-12
@@ -267,8 +318,8 @@ class TestFixedPoints:
     def test_dr2_fixed_point_invariant(self):
         prob = _point_norm_problem(2)
         cfg = StepConfig(tau=0.2, sigmas=(0.5,), lambda_schedule=1.3, max_iters=5)
-        v = BlockVector([np.array([0.5, 0.0])])
-        state = State(x=np.zeros(2), v=v, y=BlockVector.zeros((2,)), gammas=gamma_weights(prob, cfg))
+        v = (np.array([0.5, 0.0]),)
+        state = State(x=np.zeros(2), v=v, y=(np.zeros(2),), gammas=gamma_weights(prob, cfg))
         new = dr2_step(prob, cfg, None, state)
         assert np.abs(new.x).max() <= 1e-12
         assert np.abs(new.v[0] - v[0]).max() <= 1e-12
@@ -529,6 +580,52 @@ class TestSubgradientMembership:
         assert lo - tol <= 0.0 <= hi + tol
 
 
+class TestDifferentialOracle:
+    """The two algorithms solve the same primal-dual pair, so on small seeded
+    problems every variant that applies reaches the same objective.
+
+    f is the box [-1, 1]^d; each of 2-3 terms is ||.|| through a random
+    d x d matrix with a shift, in parallel sum with a ball's indicator or,
+    for ``dr2-reduced`` to apply too, with none.
+    """
+
+    @staticmethod
+    def _problem(seed, balls):
+        rng = np.random.default_rng(seed)
+        d, m = (int(k) for k in rng.integers(2, 4, size=2))
+        box = BoxIndicator(-np.ones(d), np.ones(d))
+        terms = []
+        for _ in range(m):
+            a, r = rng.standard_normal((d, d)), rng.standard_normal(d)
+            ball = BallIndicator(rng.standard_normal(d), float(rng.uniform(0.2, 1.0))) if balls else None
+            terms.append((MatrixOp(a), EuclideanNorm(), ball, r))
+
+        def objective(x):
+            # g_i inf-convolved with the ball's indicator is the distance to the ball
+            total = box(x)
+            for op, _, ball, r in terms:
+                u = op.apply(x) - r
+                total += np.linalg.norm(u) if ball is None else max(np.linalg.norm(u - ball.center) - ball.radius, 0.0)
+            return total
+
+        return make_prox_problem(box, None, terms), objective
+
+    @pytest.mark.parametrize("balls", [True, False], ids=["balls", "reduced"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_variants_reach_the_same_objective(self, seed, balls):
+        prob, objective = self._problem(seed, balls)
+        variants = ["dr1", "dr2"] if balls else ["dr1", "dr2", "dr2-reduced"]
+        values = []
+        for variant in variants:
+            # sigma = 1 and tau at 0.9 of the variant's budget
+            tau = 0.9 * VARIANTS[variant].budget / sum(b ** 2 for b in prob.norm_bounds)
+            cfg = StepConfig(tau=tau, sigmas=(1.0,) * prob.m, lambda_schedule=1.5, max_iters=4000)
+            log = run(prob, cfg, variant=variant, residual_tol=1e-10)
+            values.append(objective(log.final.primal))
+        assert all(math.isfinite(value) for value in values)
+        assert max(values) - min(values) <= 1e-8 * max(1.0, abs(values[0])), dict(zip(variants, values))
+
+
 class TestRunSemantics:
     def _setup(self):
         h = heron1()
@@ -701,6 +798,21 @@ class TestRunSemantics:
         assert err.value.quantity == "y, term 0"
         assert err.value.iteration == 0
 
+    @pytest.mark.parametrize("variant", ["dr1", "dr2"])
+    def test_a_scalar_resolvent_output_is_named(self, variant):
+        # a scalar broadcasts through a sweep on heron1's 2-vectors
+        prob = heron_build(heron1())
+        cfg = heron_step_config("heron1", prob, variant, max_iters=5)
+        wrong = lambda u, gamma: 0.0
+        terms = list(prob.terms)
+        terms[3] = dataclasses.replace(terms[3], res_b_conj=wrong)
+        for bad, name in [
+            (dataclasses.replace(prob, res_a=wrong), "p1"),
+            (dataclasses.replace(prob, terms=tuple(terms)), "dual resolvent output, term 3"),
+        ]:
+            with pytest.raises(ValueError, match=rf"^{name} has shape \(\), not its block's \(2,\)$"):
+                run(bad, cfg, variant=variant)
+
     def test_overflowing_residual_names_residual(self):
         # every block stays finite, but the squared update norm 2 * 1e400 is not
         zero = lambda y, s: np.zeros_like(y)
@@ -710,7 +822,9 @@ class TestRunSemantics:
             terms=(Term(L=IdentityOp(2), res_b_conj=zero, res_d_conj=zero, res_d=zero, r=np.zeros(2)),),
         )
         cfg = StepConfig(tau=0.1, sigmas=(0.1,), lambda_schedule=1.0, max_iters=5)
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+        # no np.errstate here: run silences the overflow itself, and the
+        # suite's error::RuntimeWarning filter checks that it stays quiet
+        with pytest.raises(DivergenceError) as err:
             run(bad, cfg, variant="dr1", n_iters=5)
         assert (err.value.quantity, err.value.iteration) == ("residual", 0)
 
@@ -721,7 +835,7 @@ class TestRunSemantics:
         d = make_deblur_spec(shape=(32, 32), wavelet_norm_bound=PAPER_WAVELET_NORM_BOUND)
         prob = deblur_build(d)
         cfg = deblur_step_config(prob, "dr1", max_iters=1000)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError) as err:
             run(prob, cfg, variant="dr1", x0=d.observed.ravel())
         assert (err.value.quantity, err.value.iteration) == ("residual", 342)
 
@@ -960,17 +1074,17 @@ class TestMetric:
 
     def test_zero_vector(self):
         prob, cfg = self._setup()
-        assert vnorm_dr1(prob, cfg, np.zeros(2), BlockVector.zeros((2,) * 8)) == 0.0
+        assert vnorm_dr1(prob, cfg, np.zeros(2), np.zeros((8, 2))) == 0.0
 
     def test_self_adjoint(self, rng):
         prob, cfg = self._setup()
         for _ in range(50):
-            x1, v1 = rng.standard_normal(2), BlockVector(rng.standard_normal((8, 2)))
-            x2, v2 = rng.standard_normal(2), BlockVector(rng.standard_normal((8, 2)))
+            x1, v1 = rng.standard_normal(2), rng.standard_normal((8, 2))
+            x2, v2 = rng.standard_normal(2), rng.standard_normal((8, 2))
             m1x, m1v = metric_apply_dr1(prob, cfg, x1, v1)
             m2x, m2v = metric_apply_dr1(prob, cfg, x2, v2)
-            lhs = float(np.dot(x1, m2x)) + v1.dot(m2v)
-            rhs = float(np.dot(x2, m1x)) + v2.dot(m1v)
+            lhs = float(np.dot(x1, m2x)) + _block_dot(v1, m2v)
+            rhs = float(np.dot(x2, m1x)) + _block_dot(v2, m1v)
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
     def test_strong_positivity(self, rng):
@@ -979,7 +1093,7 @@ class TestMetric:
         assert rho > 0.0
         for _ in range(1000):
             x = rng.standard_normal(2) * 3.0
-            v = BlockVector(rng.standard_normal((8, 2)) * 3.0)
+            v = rng.standard_normal((8, 2)) * 3.0
             sq = vnorm_dr1(prob, cfg, x, v) ** 2
-            norm_sq = float(np.dot(x, x)) + v.dot(v)
+            norm_sq = float(np.dot(x, x)) + _block_dot(v, v)
             assert sq >= rho * norm_sq - 1e-10 * (1 + norm_sq)
