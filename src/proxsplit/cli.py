@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ErrorSchedule, StepConfig, StepSizeError, make_power_error_schedule
+from .core import ErrorSchedule, StepConfig, make_power_error_schedule
 from .linops import op_norm_estimate
 from .prox import BallIndicator, BoxIndicator, LineIndicator
 from .problems import (
@@ -444,12 +444,12 @@ def _write_csv(path, log, prepared: PreparedRun) -> None:
             fh.write(template % (*head, *row.primal.tolist()))
 
 
-def cmd_run(config_path) -> int:
-    prepared = build_run(load_config(config_path))
+def cmd_run(prepared: PreparedRun) -> int:
     cfg = prepared.config
     # A diverging run ends with a DivergenceError naming the first non-finite
-    # quantity; numpy's overflow warnings on the way there only add noise.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # quantity; numpy's invalid-value warnings on the way there only add noise
+    # (run silences overflow itself).
+    with np.errstate(invalid="ignore"):
         log = run(
             prepared.problem,
             prepared.step_config,
@@ -478,8 +478,7 @@ def cmd_run(config_path) -> int:
     return EXIT_OK
 
 
-def cmd_validate(config_path) -> int:
-    prepared = build_run(load_config(config_path))
+def cmd_validate(prepared: PreparedRun) -> int:
     preflight(prepared.problem, prepared.step_config, prepared.variant, prepared.iters, prepared.log_stride, prepared.x0)
     total = weighted_bound_sum(prepared.problem, prepared.step_config)
     budget = VARIANTS[prepared.variant].budget
@@ -490,8 +489,7 @@ def cmd_validate(config_path) -> int:
     return EXIT_OK
 
 
-def cmd_norms(config_path) -> int:
-    prepared = build_run(load_config(config_path))
+def cmd_norms(prepared: PreparedRun) -> int:
     for i, term in enumerate(prepared.problem.terms):
         est = op_norm_estimate(term.L, iters=100, seed=0)
         print(f"term {i}: declared bound {term.L.norm_bound:.9g}, power-iteration estimate {est:.9g}")
@@ -513,12 +511,13 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to a JSON configuration file")
     args = parser.parse_args(argv)
     try:
+        prepared = build_run(load_config(args.config))
         if args.command == "run":
-            return cmd_run(args.config)
+            return cmd_run(prepared)
         if args.command == "validate":
-            return cmd_validate(args.config)
-        return cmd_norms(args.config)
-    except (ConfigError, PgmError, StepSizeError, ValueError) as exc:
+            return cmd_validate(prepared)
+        return cmd_norms(prepared)
+    except ValueError as exc:  # ConfigError, PgmError and StepSizeError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

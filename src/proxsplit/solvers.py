@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -290,13 +290,20 @@ def _adjoint_sum(spec: ProblemSpec, blocks) -> np.ndarray:
     return acc
 
 
-def _sq(u, big: list) -> float:
-    """``u . u``; when that overflows, the norm of ``u``, which ``prox._norm``
-    rescales, is also appended to ``big``."""
-    s = float(u.dot(u))
+def _relax(base, lam: float, new, old, sqs: list, big: list) -> np.ndarray:
+    """``base + lam * (new - old)``, built in the buffer of the move ``new - old``.
+
+    The move's square goes to ``sqs``; when it overflows, the move's norm,
+    which ``prox._norm`` rescales, also goes to ``big``.
+    """
+    d = new - old
+    s = float(d.dot(d))
+    sqs.append(s)
     if s == math.inf:
-        big.append(_norm(u))
-    return s
+        big.append(_norm(d))
+    d *= lam
+    d += base
+    return d
 
 
 def _update_norm(sqs: list, big: list) -> float:
@@ -360,18 +367,13 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     z1 = _adjoint_sum(spec, w2s)
     z1 *= 0.5 * tau
     np.subtract(w1, z1, out=z1)
-    dx = z1 - p1
+    sqs, big = [], []
+    x_new = _relax(x, lam, z1, p1, sqs, big)
     u = z1  # 2 * z1 - w1, built in the buffer of z1
     u *= 2.0
     u -= w1
     del z1, w1
 
-    big = []
-    sqs = [_sq(dx, big)]
-    x_new = dx  # x + lam * dx, built in the buffer of dx
-    x_new *= lam
-    x_new += x
-    del dx
     v_new = []
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
@@ -382,12 +384,8 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         del arg
         if errs is not None:
             z2 = z2 + errs.d(i, n)
-        dv = z2 - p2s[i]
+        v_new.append(_relax(v[i], lam, z2, p2s[i], sqs, big))
         del z2
-        sqs.append(_sq(dv, big))
-        dv *= lam
-        dv += v[i]
-        v_new.append(dv)
     residual = lam * _update_norm(sqs, big)
 
     return State(
@@ -421,16 +419,11 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     del arg
     if errs is not None:
         p1 = p1 + errs.a(n)
-    dx = p1 - x
+    sqs, big = [], []
+    x_new = _relax(x, lam, p1, x, sqs, big)
     u = 2.0 * p1
     u -= x
 
-    big = []
-    sqs = [_sq(dx, big)]
-    x_new = dx  # x + lam * dx, built in the buffer of dx
-    x_new *= lam
-    x_new += x
-    del dx
     y_new = None if y is None else []
     v_new, p3s = [], []
     for i, term in enumerate(spec.terms):
@@ -447,11 +440,7 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
             del arg
             if errs is not None:
                 p2 = p2 + errs.d(i, n)
-            dy = p2 - y[i]
-            sqs.append(_sq(dy, big))
-            dy *= lam
-            dy += y[i]
-            y_new.append(dy)
+            y_new.append(_relax(y[i], lam, p2, y[i], sqs, big))
             out = 2.0 * p2
             del p2
             out -= y[i]
@@ -466,11 +455,7 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         if errs is not None:
             p3 = p3 + errs.b(i, n)
         p3s.append(p3)
-        dv = p3 - v[i]
-        sqs.append(_sq(dv, big))
-        dv *= lam
-        dv += v[i]
-        v_new.append(dv)
+        v_new.append(_relax(v[i], lam, p3, v[i], sqs, big))
     residual = lam * _update_norm(sqs, big)
 
     return State(
@@ -517,19 +502,9 @@ def _check_state(state: State, k: int, limit: float) -> None:
     is not below ``limit``, the update norm diverged and the residual is
     named: ``run`` sets the limit at ``_SQRT_MAX``, where the residual's
     square stops being finite, unless the start itself was that large.
-
-    The first step also checks that ``p1`` and each dual resolvent output
-    have the shape of their block, raising ValueError: an output of the
-    wrong shape, say a scalar, can broadcast through a sweep unnoticed.
     """
     if k > 0 and state.residual < _SQRT_MAX:
         return
-    if k == 0:
-        outputs = [("p1", state.p1, state.x)]
-        outputs += [(f"dual resolvent output, term {i}", d, b) for i, (d, b) in enumerate(zip(state.duals, state.v))]
-        for name, out, block in outputs:
-            if np.shape(out) != block.shape:
-                raise ValueError(f"{name} has shape {np.shape(out)}, not its block's {block.shape}")
     if not np.all(np.isfinite(state.p1)):
         raise DivergenceError("p1", k)
     for i, block in enumerate(state.duals):
@@ -543,6 +518,31 @@ def _check_state(state: State, k: int, limit: float) -> None:
                 raise DivergenceError(f"{name}, term {i}", k)
     if not state.residual < limit:
         raise DivergenceError("residual", k, state.residual)
+
+
+def _shape_checked(spec: ProblemSpec) -> ProblemSpec:
+    """A copy of ``spec`` whose resolvents raise ValueError, naming the output, when
+    it is not of its argument's shape: a scalar, say, could broadcast through a sweep."""
+
+    def checked(res: ResolventMap, name: str) -> ResolventMap:
+        def call(arg, weight):
+            out = res(arg, weight)
+            if np.shape(out) != arg.shape:
+                raise ValueError(f"{name} has shape {np.shape(out)}, not its block's {arg.shape}")
+            return out
+
+        return call
+
+    terms = tuple(
+        replace(
+            t,
+            res_b_conj=checked(t.res_b_conj, f"dual resolvent output, term {i}"),
+            res_d_conj=checked(t.res_d_conj, f"second-pass dual resolvent output, term {i}"),
+            res_d=checked(t.res_d, f"y resolvent output, term {i}"),
+        )
+        for i, t in enumerate(spec.terms)
+    )
+    return replace(spec, res_a=checked(spec.res_a, "p1"), terms=terms)
 
 
 def preflight(
@@ -595,12 +595,15 @@ def run(
     run. Before the first sweep, :func:`preflight` checks the budget, the
     relaxation at every iteration the run may take and the starting point.
     A finite ``residual_tol`` stops the run once the update norm drops below
-    it (a non-finite tolerance never stops). Non-finite iterates abort with
-    a :class:`DivergenceError` naming the first offending quantity.
+    it (a non-finite tolerance never stops). The first sweep raises a ValueError
+    naming any resolvent output not of its argument's shape. Non-finite
+    iterates abort with a :class:`DivergenceError` naming the first offending quantity.
     """
     n_iters = cfg.max_iters if n_iters is None else int(n_iters)
     state = preflight(spec, cfg, variant, n_iters, log_stride, x0, v0, y0)
     step = VARIANTS[variant].step
+    tol = residual_tol if residual_tol is not None and math.isfinite(residual_tol) else -math.inf
+    checked = _shape_checked(spec)
     log = IterateLog()
     # A dot that overflows is rescaled (the residual, prox._norm) or caught by
     # _check_state; numpy's warning on the way says nothing more.
@@ -613,13 +616,9 @@ def run(
         del starts  # so that the start blocks go with the first sweep's input
         sweeps = max(n_iters, 1)
         for k in range(sweeps):
-            state = step(spec, cfg, errs, state)
+            state = step(checked if k == 0 else spec, cfg, errs, state)
             _check_state(state, k, limit)
-            last = k == sweeps - 1 or (
-                residual_tol is not None
-                and math.isfinite(residual_tol)
-                and state.residual < residual_tol
-            )
+            last = k == sweeps - 1 or state.residual < tol
             if k % log_stride == 0 or last:
                 obj = float(log_objective(state.p1)) if log_objective is not None else None
                 # the last row alone keeps the dual blocks

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -673,8 +674,9 @@ class TestRunSemantics:
 
     def test_nonfinite_tol_never_stops(self):
         _, prob, cfg = self._setup()
-        log = run(prob, cfg, variant="dr1", n_iters=12, residual_tol=math.inf, x0=np.array([5.0, 2.0]))
-        assert len(log) == 12
+        for tol in (math.inf, -math.inf, math.nan):
+            log = run(prob, cfg, variant="dr1", n_iters=12, residual_tol=tol, x0=np.array([5.0, 2.0]))
+            assert len(log) == 12
 
     def test_relaxation_checked_beyond_max_iters(self):
         # a run longer than max_iters must not use an unchecked lambda (this
@@ -798,20 +800,33 @@ class TestRunSemantics:
         assert err.value.quantity == "y, term 0"
         assert err.value.iteration == 0
 
-    @pytest.mark.parametrize("variant", ["dr1", "dr2"])
-    def test_a_scalar_resolvent_output_is_named(self, variant):
-        # a scalar broadcasts through a sweep on heron1's 2-vectors
+    @pytest.mark.parametrize("wrong", [0.0, np.zeros(3), np.zeros((1, 2))], ids=["scalar", "length3", "row"])
+    @pytest.mark.parametrize(
+        "variant, field, name",
+        [
+            pytest.param("dr1", "res_a", "p1", id="dr1-res_a"),
+            pytest.param("dr1", "res_b_conj", "dual resolvent output, term 3", id="dr1-res_b_conj"),
+            pytest.param("dr1", "res_d_conj", "second-pass dual resolvent output, term 3", id="dr1-res_d_conj"),
+            pytest.param("dr2", "res_a", "p1", id="dr2-res_a"),
+            pytest.param("dr2", "res_b_conj", "dual resolvent output, term 3", id="dr2-res_b_conj"),
+            pytest.param("dr2", "res_d", "y resolvent output, term 3", id="dr2-res_d"),
+        ],
+    )
+    def test_a_wrong_shaped_resolvent_output_is_named(self, variant, field, name, wrong):
+        # on heron1's 2-vectors a scalar broadcasts through a sweep; one from
+        # res_d_conj or res_d would end the run on a wrong point without error
         prob = heron_build(heron1())
         cfg = heron_step_config("heron1", prob, variant, max_iters=5)
-        wrong = lambda u, gamma: 0.0
-        terms = list(prob.terms)
-        terms[3] = dataclasses.replace(terms[3], res_b_conj=wrong)
-        for bad, name in [
-            (dataclasses.replace(prob, res_a=wrong), "p1"),
-            (dataclasses.replace(prob, terms=tuple(terms)), "dual resolvent output, term 3"),
-        ]:
-            with pytest.raises(ValueError, match=rf"^{name} has shape \(\), not its block's \(2,\)$"):
-                run(bad, cfg, variant=variant)
+        out = lambda u, gamma: wrong
+        if field == "res_a":
+            bad = dataclasses.replace(prob, res_a=out)
+        else:
+            terms = list(prob.terms)
+            terms[3] = dataclasses.replace(terms[3], **{field: out})
+            bad = dataclasses.replace(prob, terms=tuple(terms))
+        message = f"{name} has shape {np.shape(wrong)}, not its block's (2,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(bad, cfg, variant=variant)
 
     def test_overflowing_residual_names_residual(self):
         # every block stays finite, but the squared update norm 2 * 1e400 is not
