@@ -446,21 +446,17 @@ def _write_csv(path, log, prepared: PreparedRun) -> None:
 
 def cmd_run(prepared: PreparedRun) -> int:
     cfg = prepared.config
-    # A diverging run ends with a DivergenceError naming the first non-finite
-    # quantity; numpy's invalid-value warnings on the way there only add noise
-    # (run silences overflow itself).
-    with np.errstate(invalid="ignore"):
-        log = run(
-            prepared.problem,
-            prepared.step_config,
-            errs=prepared.errors,
-            variant=prepared.variant,
-            log_objective=prepared.objective,
-            n_iters=prepared.iters,
-            residual_tol=cfg.get("residual_tol"),
-            log_stride=prepared.log_stride,
-            x0=prepared.x0,
-        )
+    log = run(
+        prepared.problem,
+        prepared.step_config,
+        errs=prepared.errors,
+        variant=prepared.variant,
+        log_objective=prepared.objective,
+        n_iters=prepared.iters,
+        residual_tol=cfg.get("residual_tol"),
+        log_stride=prepared.log_stride,
+        x0=prepared.x0,
+    )
     csv_path = cfg.get("output_csv") or f"{cfg['experiment']}_{prepared.variant}.csv"
     _write_csv(csv_path, log, prepared)
     out = [f"wrote {csv_path} ({len(log)} rows)"]

@@ -18,7 +18,6 @@ __all__ = [
     "LogRow",
     "StepSizeError",
     "StepConfig",
-    "as_vector",
     "make_power_error_schedule",
 ]
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .core import _seeded_unit
+
 __all__ = [
     "LinOp",
     "MatrixOp",
@@ -256,14 +258,7 @@ def op_norm_estimate(op: LinOp, iters: int = 100, seed: int = 0) -> float:
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal(op.out_dim)
-    ny = np.linalg.norm(y)
-    if ny == 0.0:
-        y = np.zeros(op.out_dim)
-        y[0] = 1.0
-        ny = 1.0
-    y = y / ny
+    y = _seeded_unit(seed, op.out_dim)
     best = 0.0
     for _ in range(int(iters)):
         z = op.apply(op.adjoint(y))

@@ -23,7 +23,6 @@ __all__ = [
     "WeightedL1",
     "EuclideanNorm",
     "L21Norm",
-    "TiltedFn",
     "prox",
     "prox_conjugate",
     "distance_to_set",
@@ -302,22 +301,6 @@ class L21Norm(ProxFn):
     def __call__(self, x) -> float:
         p, q = self._split(x)
         return self.weight * float(np.hypot(p, q).sum())
-
-
-class TiltedFn(ProxFn):
-    """base(x) + <tilt, x>; prox shifts the argument by gamma * tilt."""
-
-    def __init__(self, base: ProxFn, tilt):
-        self.base = base
-        self.tilt = np.asarray(tilt, dtype=float)
-
-    def prox(self, x, gamma):
-        x = np.asarray(x, dtype=float)
-        return self.base.prox(x - gamma * self.tilt, gamma)
-
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return self.base(x) + float(np.dot(self.tilt, x))
 
 
 def prox(f: ProxFn, gamma: float, x) -> np.ndarray:

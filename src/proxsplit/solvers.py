@@ -51,7 +51,6 @@ __all__ = [
     "make_prox_problem",
     "validate_steps",
     "weighted_bound_sum",
-    "gamma_weights",
     "dr1_step",
     "dr2_step",
     "preflight",
@@ -214,12 +213,6 @@ def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1) -> No
         raise StepSizeError(total, budget, detail=variant)
 
 
-def gamma_weights(spec: ProblemSpec, cfg: StepConfig) -> tuple:
-    """Per-term resolvent weights sigma_i^{-1} * tau * sum_j sigma_j ||L_j||^2."""
-    total = weighted_bound_sum(spec, cfg)
-    return tuple(total / s for s in cfg.sigmas)
-
-
 def _as_block(value, signature) -> tuple:
     """A start's dual block: one 1-D vector per item of ``value``, so the rows
     of a 2-D array are blocks too; zeros of ``signature`` for None."""
@@ -272,8 +265,11 @@ class State:
             tuple(b.shape[0] for b in blocks) != sig for blocks in (v, y) if blocks is not None
         ):
             raise ValueError("starting point does not match the problem dimensions")
-        gammas = gamma_weights(spec, cfg) if y is not None else None
-        return cls(x=x, v=v, y=y, gammas=gammas)
+        if y is None:
+            return cls(x=x, v=v)
+        # the per-term resolvent weights sigma_i^{-1} * tau * sum_j sigma_j ||L_j||^2
+        total = weighted_bound_sum(spec, cfg)
+        return cls(x=x, v=v, y=y, gammas=tuple(total / s for s in cfg.sigmas))
 
 
 def _adjoint_sum(spec: ProblemSpec, blocks) -> np.ndarray:
@@ -520,29 +516,37 @@ def _check_state(state: State, k: int, limit: float) -> None:
         raise DivergenceError("residual", k, state.residual)
 
 
-def _shape_checked(spec: ProblemSpec) -> ProblemSpec:
-    """A copy of ``spec`` whose resolvents raise ValueError, naming the output, when
-    it is not of its argument's shape: a scalar, say, could broadcast through a sweep."""
+def _shape_checked(spec: ProblemSpec, errs: Optional[ErrorSchedule]) -> tuple:
+    """Copies of ``spec`` and ``errs`` whose resolvents and error vectors raise
+    ValueError, naming the output, when it is not of its block's shape: a
+    scalar, say, could broadcast through a sweep."""
 
-    def checked(res: ResolventMap, name: str) -> ResolventMap:
-        def call(arg, weight):
-            out = res(arg, weight)
-            if np.shape(out) != arg.shape:
-                raise ValueError(f"{name} has shape {np.shape(out)}, not its block's {arg.shape}")
-            return out
+    def check(out, shape: tuple, name: str):
+        if np.shape(out) != shape:
+            raise ValueError(f"{name} has shape {np.shape(out)}, not its block's {shape}")
+        return out
 
-        return call
+    def resolvent(res: ResolventMap, name: str) -> ResolventMap:
+        return lambda arg, weight: check(res(arg, weight), arg.shape, name)
 
     terms = tuple(
         replace(
             t,
-            res_b_conj=checked(t.res_b_conj, f"dual resolvent output, term {i}"),
-            res_d_conj=checked(t.res_d_conj, f"second-pass dual resolvent output, term {i}"),
-            res_d=checked(t.res_d, f"y resolvent output, term {i}"),
+            res_b_conj=resolvent(t.res_b_conj, f"dual resolvent output, term {i}"),
+            res_d_conj=resolvent(t.res_d_conj, f"second-pass dual resolvent output, term {i}"),
+            res_d=resolvent(t.res_d, f"y resolvent output, term {i}"),
         )
         for i, t in enumerate(spec.terms)
     )
-    return replace(spec, res_a=checked(spec.res_a, "p1"), terms=terms)
+    if errs is not None:
+        a, b, d = errs.a, errs.b, errs.d
+        blocks = [(dim,) for dim in spec.block_signature]
+        errs = ErrorSchedule(
+            a=lambda n: check(a(n), (spec.dim,), "error vector a"),
+            b=lambda i, n: check(b(i, n), blocks[i], f"error vector b, term {i}"),
+            d=lambda i, n: check(d(i, n), blocks[i], f"error vector d, term {i}"),
+        )
+    return replace(spec, res_a=resolvent(spec.res_a, "p1"), terms=terms), errs
 
 
 def preflight(
@@ -596,18 +600,19 @@ def run(
     relaxation at every iteration the run may take and the starting point.
     A finite ``residual_tol`` stops the run once the update norm drops below
     it (a non-finite tolerance never stops). The first sweep raises a ValueError
-    naming any resolvent output not of its argument's shape. Non-finite
+    naming any resolvent output or error vector not of its block's shape. Non-finite
     iterates abort with a :class:`DivergenceError` naming the first offending quantity.
     """
     n_iters = cfg.max_iters if n_iters is None else int(n_iters)
     state = preflight(spec, cfg, variant, n_iters, log_stride, x0, v0, y0)
     step = VARIANTS[variant].step
     tol = residual_tol if residual_tol is not None and math.isfinite(residual_tol) else -math.inf
-    checked = _shape_checked(spec)
+    checked, checked_errs = _shape_checked(spec, errs)
     log = IterateLog()
     # A dot that overflows is rescaled (the residual, prox._norm) or caught by
-    # _check_state; numpy's warning on the way says nothing more.
-    with np.errstate(over="ignore"):
+    # _check_state, as is every non-finite value; numpy's warnings on the way
+    # say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
         # From a start whose blocks have finite squares, a residual whose square
         # is not finite means divergence; a start beyond that may take updates
         # as large.
@@ -616,7 +621,7 @@ def run(
         del starts  # so that the start blocks go with the first sweep's input
         sweeps = max(n_iters, 1)
         for k in range(sweeps):
-            state = step(checked if k == 0 else spec, cfg, errs, state)
+            state = step(checked, cfg, checked_errs, state) if k == 0 else step(spec, cfg, errs, state)
             _check_state(state, k, limit)
             last = k == sweeps - 1 or state.residual < tol
             if k % log_stride == 0 or last:

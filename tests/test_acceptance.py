@@ -37,7 +37,6 @@ from proxsplit.prox import (
     L21Norm,
     LineIndicator,
     PointIndicator,
-    TiltedFn,
     WeightedL1,
     prox,
     prox_conjugate,
@@ -145,7 +144,6 @@ def test_criterion_4_moreau_identity_suite(rng):
         WeightedL1(1.3, shift=rng.standard_normal(dim)),
         EuclideanNorm(),
         L21Norm(0.6, dim // 2),
-        TiltedFn(EuclideanNorm(), rng.standard_normal(dim)),
     ]
     worst = 0.0
     for f in kinds:

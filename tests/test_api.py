@@ -19,8 +19,12 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
+# the modules whose public names are the package's; cli is the command line
+LIBRARY = ["proxsplit.core", "proxsplit.linops", "proxsplit.problems", "proxsplit.prox", "proxsplit.solvers"]
+
+
 def test_every_module_is_checked():
-    assert {"proxsplit.cli", "proxsplit.core", "proxsplit.linops", "proxsplit.problems"} <= set(MODULES)
+    assert {"proxsplit.cli", *LIBRARY} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -28,6 +32,15 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names what the module does not define: {missing}"
+
+
+def test_package_exports_each_library_module_list():
+    modules = [importlib.import_module(name) for name in LIBRARY]
+    assert sorted(proxsplit.__all__) == sorted(n for module in modules for n in module.__all__)
+    # one object per name, so proxsplit.prox is the function, not its module
+    for module in modules:
+        for n in module.__all__:
+            assert getattr(proxsplit, n) is getattr(module, n), f"proxsplit.{n} is not {module.__name__}.{n}"
 
 
 def test_readme_quickstart_prints_its_stated_row():

@@ -14,7 +14,6 @@ from proxsplit.prox import (
     LineIndicator,
     PointIndicator,
     ProxFn,
-    TiltedFn,
     WeightedL1,
     distance_to_set,
     prox,
@@ -28,7 +27,7 @@ EPS = np.finfo(float).eps
 
 def _kind_zoo(rng, dim=4):
     """One instance of every function kind on a common dimension, with the
-    centres, bases, directions, shifts and tilts drawn from ``rng``."""
+    centres, bases, directions and shifts drawn from ``rng``."""
     n_pairs = dim // 2
     return [
         BoxIndicator(np.full(dim, -1.0), np.full(dim, 2.0)),
@@ -38,7 +37,6 @@ def _kind_zoo(rng, dim=4):
         WeightedL1(0.7, shift=rng.standard_normal(dim)),
         EuclideanNorm(),
         L21Norm(0.9, n_pairs),
-        TiltedFn(WeightedL1(1.2), rng.standard_normal(dim)),
     ]
 
 
@@ -253,20 +251,17 @@ _POINT4 = st.lists(_ENTRY, min_size=4, max_size=4).map(np.array)
 @st.composite
 def _moreau_route_fn(draw):
     """(f, scale) for a function without a closed-form conjugate prox (box,
-    ball, line, tilted) on random geometry in R^4; ``scale`` bounds the
-    magnitudes of its data."""
-    kind = draw(st.sampled_from(["box", "ball", "line", "tilted"]))
+    ball, line) on random geometry in R^4; ``scale`` bounds the magnitudes of
+    its data."""
+    kind = draw(st.sampled_from(["box", "ball", "line"]))
     a = draw(_POINT4)
     if kind == "box":
         widths = np.abs(draw(_POINT4))
         return BoxIndicator(a, a + widths), float(np.abs(a + widths).max())
     if kind == "ball":
         return BallIndicator(a, draw(st.floats(0.01, 20.0))), float(np.abs(a).max()) + 20.0
-    if kind == "line":
-        direction = draw(_POINT4.filter(lambda d: np.abs(d).max() > 1e-3))
-        return LineIndicator(a, direction), float(np.abs(a).max())
-    base = draw(st.sampled_from([WeightedL1(0.8), EuclideanNorm(), BoxIndicator(-1.0, 1.0)]))
-    return TiltedFn(base, a), float(np.abs(a).max())
+    direction = draw(_POINT4.filter(lambda d: np.abs(d).max() > 1e-3))
+    return LineIndicator(a, direction), float(np.abs(a).max())
 
 
 class TestProxProperties:
@@ -274,7 +269,7 @@ class TestProxProperties:
     small-vector arithmetic of ``prox.py``: the norm helper and ``clip``."""
 
     @settings(max_examples=500)
-    @given(st.integers(0, 7), st.integers(0, 2**32 - 1), st.booleans(), _GAMMA, _POINT4, _POINT4)
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.booleans(), _GAMMA, _POINT4, _POINT4)
     def test_firmly_nonexpansive(self, kind, seed, conjugate, gamma, x, y):
         # ||Px - Py||^2 <= <Px - Py, x - y> holds exactly in real arithmetic;
         # in floating point each side carries a rounding error of a few ulps
@@ -291,8 +286,7 @@ class TestProxProperties:
         # x = prox_{gamma f}(x) + gamma * prox_{f*/gamma}(x / gamma); the
         # conjugate side goes through the generic Moreau route, which
         # evaluates prox at x and gamma up to rounding, so the residual is
-        # a few ulps of the largest magnitude in play (the tilted prox moves
-        # by gamma * tilt).
+        # a few ulps of the largest magnitude in play.
         f, scale = case
         p = prox(f, gamma, x)
         recon = p + gamma * prox_conjugate(f, 1.0 / gamma, x / gamma)
@@ -535,7 +529,3 @@ class TestEvaluation:
         assert EuclideanNorm()([3.0, 4.0]) == pytest.approx(5.0)
         assert WeightedL1(2.0, shift=[1.0, 0.0])([2.0, -3.0]) == pytest.approx(8.0)
         assert L21Norm(2.0, 2)([3.0, 0.0, 4.0, 1.0]) == pytest.approx(2 * (5.0 + 1.0))
-
-    def test_tilt(self):
-        f = TiltedFn(WeightedL1(1.0), [1.0, -1.0])
-        assert f([2.0, 2.0]) == pytest.approx(4.0 + 0.0)

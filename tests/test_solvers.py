@@ -9,7 +9,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from proxsplit.core import StepConfig, StepSizeError, make_power_error_schedule
+from proxsplit.core import ErrorSchedule, StepConfig, StepSizeError, make_power_error_schedule
 from proxsplit.linops import IdentityOp, LinOp, MatrixOp
 from proxsplit.problems import (
     HERON_SETUPS,
@@ -39,7 +39,6 @@ from proxsplit.solvers import (
     _update_norm,
     dr1_step,
     dr2_step,
-    gamma_weights,
     make_prox_problem,
     metric_apply_dr1,
     metric_rho_dr1,
@@ -296,7 +295,7 @@ class TestGammaWeights:
     def test_formula(self):
         prob = heron_build(heron1())
         cfg = StepConfig(tau=0.24, sigmas=(0.1,) * 8, lambda_schedule=1.8, max_iters=5)
-        g = gamma_weights(prob, cfg)
+        g = State.initial(prob, cfg, "dr2").gammas
         # sigma_i^{-1} * tau * sum_j sigma_j * 1^2 = 10 * 0.24 * 0.8
         assert g == pytest.approx((1.92,) * 8)
 
@@ -320,7 +319,7 @@ class TestFixedPoints:
         prob = _point_norm_problem(2)
         cfg = StepConfig(tau=0.2, sigmas=(0.5,), lambda_schedule=1.3, max_iters=5)
         v = (np.array([0.5, 0.0]),)
-        state = State(x=np.zeros(2), v=v, y=(np.zeros(2),), gammas=gamma_weights(prob, cfg))
+        state = dataclasses.replace(State.initial(prob, cfg, "dr2"), v=v)
         new = dr2_step(prob, cfg, None, state)
         assert np.abs(new.x).max() <= 1e-12
         assert np.abs(new.v[0] - v[0]).max() <= 1e-12
@@ -627,6 +626,9 @@ class TestDifferentialOracle:
         assert max(values) - min(values) <= 1e-8 * max(1.0, abs(values[0])), dict(zip(variants, values))
 
 
+_WRONG_OUTPUTS = {"scalar": 0.0, "length3": np.zeros(3), "row": np.zeros((1, 2))}
+
+
 class TestRunSemantics:
     def _setup(self):
         h = heron1()
@@ -800,25 +802,39 @@ class TestRunSemantics:
         assert err.value.quantity == "y, term 0"
         assert err.value.iteration == 0
 
-    @pytest.mark.parametrize("wrong", [0.0, np.zeros(3), np.zeros((1, 2))], ids=["scalar", "length3", "row"])
     @pytest.mark.parametrize(
-        "variant, field, name",
+        "variant, field, name, wrong",
         [
-            pytest.param("dr1", "res_a", "p1", id="dr1-res_a"),
-            pytest.param("dr1", "res_b_conj", "dual resolvent output, term 3", id="dr1-res_b_conj"),
-            pytest.param("dr1", "res_d_conj", "second-pass dual resolvent output, term 3", id="dr1-res_d_conj"),
-            pytest.param("dr2", "res_a", "p1", id="dr2-res_a"),
-            pytest.param("dr2", "res_b_conj", "dual resolvent output, term 3", id="dr2-res_b_conj"),
-            pytest.param("dr2", "res_d", "y resolvent output, term 3", id="dr2-res_d"),
+            pytest.param(variant, field, name, _WRONG_OUTPUTS[kind], id=f"{variant}-{field}-{kind}")
+            for variant, field, name, kinds in [
+                ("dr1", "res_a", "p1", _WRONG_OUTPUTS),
+                ("dr1", "res_b_conj", "dual resolvent output, term 3", _WRONG_OUTPUTS),
+                ("dr1", "res_d_conj", "second-pass dual resolvent output, term 3", _WRONG_OUTPUTS),
+                ("dr2", "res_a", "p1", _WRONG_OUTPUTS),
+                ("dr2", "res_b_conj", "dual resolvent output, term 3", _WRONG_OUTPUTS),
+                ("dr2", "res_d", "y resolvent output, term 3", _WRONG_OUTPUTS),
+                ("dr1", "errs.a", "error vector a", ["length3"]),
+                ("dr1", "errs.b", "error vector b, term 0", ["scalar"]),
+                ("dr1", "errs.d", "error vector d, term 0", ["row"]),
+                ("dr2", "errs.a", "error vector a", ["length3"]),
+                ("dr2", "errs.b", "error vector b, term 0", ["scalar"]),
+                ("dr2", "errs.d", "error vector d, term 0", ["row"]),
+            ]
+            for kind in kinds
         ],
     )
     def test_a_wrong_shaped_resolvent_output_is_named(self, variant, field, name, wrong):
         # on heron1's 2-vectors a scalar broadcasts through a sweep; one from
-        # res_d_conj or res_d would end the run on a wrong point without error
+        # res_d_conj, res_d or the schedule's b would end the run on a wrong
+        # point without error
         prob = heron_build(heron1())
         cfg = heron_step_config("heron1", prob, variant, max_iters=5)
-        out = lambda u, gamma: wrong
-        if field == "res_a":
+        out = lambda *key: wrong
+        bad, errs = prob, None
+        if field.startswith("errs."):
+            zero = lambda *key: np.zeros(2)
+            errs = dataclasses.replace(ErrorSchedule(a=zero, b=zero, d=zero), **{field.removeprefix("errs."): out})
+        elif field == "res_a":
             bad = dataclasses.replace(prob, res_a=out)
         else:
             terms = list(prob.terms)
@@ -826,7 +842,17 @@ class TestRunSemantics:
             bad = dataclasses.replace(prob, terms=tuple(terms))
         message = f"{name} has shape {np.shape(wrong)}, not its block's (2,)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(bad, cfg, errs=errs, variant=variant)
+
+    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
+    def test_an_infinite_resolvent_output_is_named(self, variant):
+        # inf - inf on the way to the check yields NaN; run keeps numpy's
+        # invalid-value warning quiet, under the suite's error::RuntimeWarning filter
+        bad = dataclasses.replace(_point_norm_problem(2), res_a=lambda x, t: np.full_like(x, np.inf))
+        cfg = StepConfig(tau=0.2, sigmas=(0.5,), lambda_schedule=1.0, max_iters=5)
+        with pytest.raises(DivergenceError) as err:
             run(bad, cfg, variant=variant)
+        assert (err.value.quantity, err.value.iteration) == ("p1", 0)
 
     def test_overflowing_residual_names_residual(self):
         # every block stays finite, but the squared update norm 2 * 1e400 is not
