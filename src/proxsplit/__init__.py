@@ -6,8 +6,6 @@ calculus backing them, linear operators with certified norm bounds, and the
 bundled location and image-deblurring experiments.
 
 The package's public names are those of its modules' ``__all__`` lists.
-``proxsplit.prox`` among them is the function; ``from proxsplit.prox import``
-still reaches the module.
 """
 
 from . import core, linops, problems, prox, solvers

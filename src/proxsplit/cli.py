@@ -8,8 +8,8 @@ validate <config.json>  make the checks run makes before its first sweep
 norms <config.json>     print power-iteration norm estimates vs declared bounds
 
 Exit codes: 0 success, 2 invalid configuration or step sizes (violation
-report on stderr), 3 divergence (a non-finite iterate or a residual whose
-square overflows).
+report on stderr) or an allocation that fails, 3 divergence (a non-finite
+iterate or a residual whose square overflows).
 
 CONFIG_KEYS is the configuration schema: each key's type, the experiments
 that read it and its help. Unknown keys, and keys the chosen experiment does
@@ -515,6 +515,9 @@ def main(argv=None) -> int:
         return cmd_norms(prepared)
     except ValueError as exc:  # ConfigError, PgmError and StepSizeError among them
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an image_size too large to allocate, for one
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ Every function here is proper, closed and convex with a closed-form prox, so
 resolvents never need an inner iterative solve. Subclasses implement
 ``prox``; the conjugate prox falls back to the Moreau decomposition, and the
 norms and the point indicator, whose conjugate proxes are projections onto
-their dual balls (or shifts), override it with those closed forms.
+their dual balls (or the identity), override it with those closed forms.
 """
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ __all__ = [
     "WeightedL1",
     "EuclideanNorm",
     "L21Norm",
-    "prox",
-    "prox_conjugate",
     "distance_to_set",
 ]
 
@@ -164,37 +162,23 @@ class LineIndicator(ProxFn):
 
 
 class PointIndicator(ProxFn):
-    """Indicator of a single point; the origin when no point is given.
+    """Indicator of the origin: the zero-point reduction of a parallel-sum slot.
 
-    Its prox is the constant map onto the point; with the origin, the
-    conjugate is the zero function, whose prox is the identity.
+    Its prox is the zero map and its conjugate, the zero function, has the
+    identity as its prox. A slot at another point p is the shift ``r_i``
+    moved by p, so it needs no function of its own.
     """
 
     is_indicator = True
 
-    def __init__(self, point=None):
-        self.point = None if point is None else np.asarray(point, dtype=float)
-
-    @property
-    def is_origin(self) -> bool:
-        return self.point is None or not np.any(self.point)
-
     def prox(self, x, gamma=1.0):
-        x = np.asarray(x, dtype=float)
-        if self.point is None:
-            return np.zeros_like(x)
-        return np.broadcast_to(self.point, x.shape).astype(float)
+        return np.zeros_like(np.asarray(x, dtype=float))
 
     def conjugate_prox(self, x, gamma):
-        """The conjugate is the linear map <point, .>: its prox shifts by -gamma * point."""
-        x = np.asarray(x, dtype=float)
-        if self.is_origin:
-            return x
-        return x - gamma * self.point
+        return np.asarray(x, dtype=float)
 
     def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return 0.0 if _norm(x if self.point is None else x - self.point) <= _MEMBERSHIP_ATOL else math.inf
+        return 0.0 if _norm(np.asarray(x, dtype=float)) <= _MEMBERSHIP_ATOL else math.inf
 
 
 def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
@@ -301,21 +285,6 @@ class L21Norm(ProxFn):
     def __call__(self, x) -> float:
         p, q = self._split(x)
         return self.weight * float(np.hypot(p, q).sum())
-
-
-def prox(f: ProxFn, gamma: float, x) -> np.ndarray:
-    """Minimizer of gamma * f(y) + 0.5 * ||y - x||^2: ``f.prox(x, gamma)`` in math order, gamma checked."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be strictly positive")
-    return f.prox(np.asarray(x, dtype=float), float(gamma))
-
-
-def prox_conjugate(f: ProxFn, gamma: float, x) -> np.ndarray:
-    """Prox of gamma * f* at x, ``f.conjugate_prox(x, gamma)`` in math order, gamma checked:
-    the closed form where ``f`` has one, else x - gamma * prox(f, 1/gamma, x/gamma)."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be strictly positive")
-    return f.conjugate_prox(np.asarray(x, dtype=float), float(gamma))
 
 
 def distance_to_set(omega: ProxFn, x) -> float:

@@ -177,7 +177,7 @@ def make_prox_problem(f: ProxFn, z, terms: Sequence) -> ProblemSpec:
                 res_d_conj=l.conjugate_prox,
                 res_d=l.prox,
                 r=r,
-                d_is_zero=isinstance(l, PointIndicator) and l.is_origin,
+                d_is_zero=isinstance(l, PointIndicator),
             )
         )
     return ProblemSpec(
@@ -188,8 +188,12 @@ def make_prox_problem(f: ProxFn, z, terms: Sequence) -> ProblemSpec:
 
 
 def _sigma_bound_sum(spec: ProblemSpec, sigmas) -> float:
-    """sum_i sigma_i * bound_i**2 over the declared norm bounds: the one spelling of the budget's sum."""
-    return sum(s * b ** 2 for s, b in zip(sigmas, spec.norm_bounds, strict=True))
+    """sum_i sigma_i * bound_i**2 over the declared norm bounds: the one spelling of the budget's sum.
+
+    Raises ValueError unless there is one sigma per term."""
+    if len(sigmas) != spec.m:
+        raise ValueError(f"expected {spec.m} sigmas, got {len(sigmas)}")
+    return sum(s * b ** 2 for s, b in zip(sigmas, spec.norm_bounds))
 
 
 def weighted_bound_sum(spec: ProblemSpec, cfg: StepConfig) -> float:
@@ -206,8 +210,6 @@ def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1) -> No
     the budget on violation.
     """
     budget = _variant(variant, spec).budget
-    if len(cfg.sigmas) != spec.m:
-        raise ValueError(f"expected {spec.m} sigmas, got {len(cfg.sigmas)}")
     total = weighted_bound_sum(spec, cfg)
     if not total < budget:
         raise StepSizeError(total, budget, detail=variant)

@@ -38,8 +38,6 @@ from proxsplit.prox import (
     LineIndicator,
     PointIndicator,
     WeightedL1,
-    prox,
-    prox_conjugate,
 )
 from proxsplit.solvers import (
     State,
@@ -150,7 +148,7 @@ def test_criterion_4_moreau_identity_suite(rng):
         for _ in range(100):
             gamma = float(rng.uniform(0.05, 20.0))
             x = rng.standard_normal(dim) * float(rng.uniform(0.5, 5.0))
-            recon = prox(f, gamma, x) + gamma * prox_conjugate(f, 1.0 / gamma, x / gamma)
+            recon = f.prox(x, gamma) + gamma * f.conjugate_prox(x / gamma, 1.0 / gamma)
             worst = max(worst, float(np.abs(recon - x).max()))
     ok = worst < 1e-10
     _report(4, ok, f"{len(kinds)} kinds, worst reconstruction residual {worst:.2e}")

@@ -37,10 +37,18 @@ def test_all_names_resolve(name):
 def test_package_exports_each_library_module_list():
     modules = [importlib.import_module(name) for name in LIBRARY]
     assert sorted(proxsplit.__all__) == sorted(n for module in modules for n in module.__all__)
-    # one object per name, so proxsplit.prox is the function, not its module
     for module in modules:
         for n in module.__all__:
             assert getattr(proxsplit, n) is getattr(module, n), f"proxsplit.{n} is not {module.__name__}.{n}"
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_import_as_binds_the_module(name):
+    """``import proxsplit.x as m`` reads the package attribute ``x`` first, so
+    a public name spelled like a module would be bound in its place."""
+    namespace = {}
+    exec(f"import {name} as m", namespace)
+    assert namespace["m"] is importlib.import_module(name)
 
 
 def test_readme_quickstart_prints_its_stated_row():

@@ -555,6 +555,32 @@ class TestOtherCommands:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_an_allocation_failure_is_named(self, tmp_path):
+        """An image_size far too large ends with exit 2 and a one-line error.
+        The child's address space is capped at 4 GiB, so the first large array
+        fails to allocate whatever the machine's overcommit policy."""
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+        path = _write_config(tmp_path, experiment="deblur", image_size=2_000_000)
+        for command in ("validate", "run"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "proxsplit.cli", command, path],
+                capture_output=True,
+                text=True,
+                cwd=tmp_path,
+                env=_child_env(),
+                preexec_fn=cap_address_space,
+                timeout=60,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("error: out of memory: "), proc.stderr
+            assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
     def test_norms_reports_estimates(self, tmp_path, capsys):
         path = _write_config(tmp_path, experiment="deblur", image_size=32)
         assert main(["norms", path]) == 0

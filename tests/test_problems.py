@@ -22,7 +22,7 @@ from proxsplit.problems import (
     make_deblur_spec,
     synthetic_image,
 )
-from proxsplit.prox import BallIndicator, BoxIndicator, L21Norm, LineIndicator, prox_conjugate
+from proxsplit.prox import BallIndicator, BoxIndicator, L21Norm, LineIndicator
 from proxsplit.solvers import VARIANTS, run, validate_steps, weighted_bound_sum
 
 class TestHeronGeometry:

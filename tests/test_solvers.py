@@ -42,9 +42,11 @@ from proxsplit.solvers import (
     make_prox_problem,
     metric_apply_dr1,
     metric_rho_dr1,
+    preflight,
     run,
     validate_steps,
     vnorm_dr1,
+    weighted_bound_sum,
 )
 
 
@@ -199,6 +201,25 @@ class TestValidateSteps:
         cfg = StepConfig(tau=0.1, sigmas=(0.1,) * 7, lambda_schedule=1.0, max_iters=5)
         with pytest.raises(ValueError):
             validate_steps(prob, cfg, "dr1")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda prob, cfg: validate_steps(prob, cfg, "dr1"),
+            weighted_bound_sum,
+            lambda prob, cfg: State.initial(prob, cfg, "dr2"),
+            lambda prob, cfg: preflight(prob, cfg, "dr2", 5),
+            metric_rho_dr1,
+        ],
+        ids=["validate_steps", "weighted_bound_sum", "State.initial", "preflight", "metric_rho_dr1"],
+    )
+    def test_every_budget_sum_names_a_wrong_sigma_count(self, entry):
+        """Each reader of the budget's sum names the count, where a bare zip
+        over the sigmas and the terms failed with Python's own message."""
+        prob = heron_build(heron1())
+        cfg = StepConfig(tau=0.1, sigmas=(0.1,), lambda_schedule=1.0, max_iters=5)
+        with pytest.raises(ValueError, match=r"^expected 8 sigmas, got 1$"):
+            entry(prob, cfg)
 
     def test_unknown_variant(self):
         prob = _point_norm_problem()
@@ -551,6 +572,41 @@ class TestShifts:
             if y is not None:
                 assert all(_same_bits(a, b) for a, b in zip(state.y, y, strict=True))
             assert state.residual == residual
+
+    @pytest.mark.parametrize(
+        "variant, tau, sigma, sweeps", [("dr1", 1.5, 1.5, 1000), ("dr2", 1.0, 0.2, 3000)], ids=["dr1", "dr2"]
+    )
+    def test_a_slot_at_a_point_is_the_shift_moved_by_it(self, variant, tau, sigma, sweeps):
+        """With l_i the indicator of {p}, the slot is g_i(L_i x - r_i - p): the
+        zero-point reduction with the shift r_i + p has the same minimizer.
+        The slot at p is written with its own resolvents: the conjugate prox
+        y - gamma * p and the constant prox p."""
+        rng = np.random.default_rng(1)
+        ops = [MatrixOp(0.5 * rng.standard_normal((3, 3))) for _ in range(2)]
+        gs = [EuclideanNorm(), WeightedL1(0.5)]
+        points = [np.array([0.3, -0.2, 0.1]), np.array([-0.4, 0.0, 0.5])]
+        shifts = [np.array([0.1, 0.2, -0.3]), None]
+        f, z = BallIndicator(np.zeros(3), 2.0), np.array([0.2, -0.1, 0.3])
+        moved = make_prox_problem(
+            f, z, [(L, g, None, p if r is None else r + p) for L, g, p, r in zip(ops, gs, points, shifts)]
+        )
+        at_points = ProblemSpec(
+            res_a=f.prox,
+            z=z,
+            terms=tuple(
+                Term(
+                    L=L,
+                    res_b_conj=g.conjugate_prox,
+                    res_d_conj=lambda y, gamma, p=p: y - gamma * p,
+                    res_d=lambda y, gamma, p=p: np.broadcast_to(p, y.shape).copy(),
+                    r=r,
+                )
+                for L, g, p, r in zip(ops, gs, points, shifts)
+            ),
+        )
+        cfg = StepConfig(tau=tau, sigmas=(sigma, sigma), lambda_schedule=1.5, max_iters=sweeps)
+        ends = [run(prob, cfg, variant=variant, n_iters=sweeps).final.primal for prob in (moved, at_points)]
+        np.testing.assert_allclose(ends[0], ends[1], rtol=0.0, atol=1e-9)
 
     def test_bundled_problems_build_no_shifts(self):
         # the benchmark workloads run these builders: no tilt or shift is subtracted
