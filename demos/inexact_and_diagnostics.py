@@ -10,12 +10,12 @@ Run:  python demos/inexact_and_diagnostics.py
 import numpy as np
 
 from proxsplit import (
-    State,
     StepConfig,
     dr1_step,
     heron1,
     heron_build,
     make_power_error_schedule,
+    preflight,
     run,
     vnorm_dr1,
 )
@@ -41,7 +41,7 @@ for row in log:
 
 print()
 print("=== monotone approach in the metric-induced norm ===")
-state = State.initial(problem, cfg, x0=x0)
+state = preflight(problem, cfg, "dr1", 5000, x0=x0)
 for _ in range(5000):
     state = dr1_step(problem, cfg, None, state)
 x_lim, v_lim = state.x, state.v
@@ -53,7 +53,7 @@ def distance_to_limit(state):
     return vnorm_dr1(problem, cfg, state.x - x_lim, dv)
 
 
-state = State.initial(problem, cfg, x0=x0)
+state = preflight(problem, cfg, "dr1", 5000, x0=x0)
 prev = distance_to_limit(state)
 monotone = True
 for k in range(1, 201):

@@ -176,6 +176,16 @@ def _integer(value) -> int:
     return value if isinstance(value, int) else int(number)
 
 
+def _integer_from(low: int):
+    def check(value) -> int:
+        number = _integer(value)
+        if number < low:
+            raise ValueError(f"{value!r} is below {low}")
+        return number
+
+    return check
+
+
 def _number_list(value) -> list:
     if not isinstance(value, list):
         raise TypeError("not a list")
@@ -203,6 +213,8 @@ def _of_type(kind):
 _NAME = (_of_type(str), "a string")  # its value is checked in load_config
 _NUMBER = (_number, "a number")
 _INTEGER = (_integer, "an integer")
+_COUNT = (_integer_from(0), "a nonnegative integer")
+_SIZE = (_integer_from(1), "a positive integer")
 _NUMBERS = (_number_list, "a list of numbers")
 _POINT = (lambda value: _finite(_number_list(value)), "a list of finite numbers")
 _PATH = (_of_type(str), "a path string")
@@ -220,7 +232,7 @@ CONFIG_KEYS = {
     "sigma": (*_NUMBER, _EVERY, "scalar dual step size applied to every term"),
     "sigmas": (*_NUMBERS, _EVERY, "per-term dual step sizes (instead of sigma)"),
     "lambda": (*_NUMBER, _EVERY, "constant relaxation in (0, 2) (default: published, 1.8 for custom)"),
-    "iters": (*_INTEGER, _EVERY, "iteration count (default 100 heron, 200 deblur; 0 runs one, as 1 does)"),
+    "iters": (*_COUNT, _EVERY, "iteration count (default 100 heron, 200 deblur; 0 runs one, as 1 does)"),
     "log_stride": (*_INTEGER, _EVERY, "log every k-th iteration (default 1 heron, 10 deblur)"),
     "residual_tol": (*_NUMBER, _EVERY, "stop once the update norm falls below this (default none)"),
     "x0": (*_POINT, _HERONS, "starting primal point (default: published, origin for custom)"),
@@ -236,7 +248,7 @@ CONFIG_KEYS = {
     "noise_std": (*_NUMBER, _DEBLUR, "additive noise standard deviation"),
     "noise_seed": (*_INTEGER, _DEBLUR, "noise generator seed"),
     "image": (*_PATH, _DEBLUR, "clean PGM to degrade and restore (default: synthetic scene)"),
-    "image_size": (*_INTEGER, _DEBLUR, "side of the synthetic scene (instead of image)"),
+    "image_size": (*_SIZE, _DEBLUR, "side of the synthetic scene (instead of image)"),
     "custom": (_of_type(dict), "a JSON object", ("custom",), "ball/box/line geometry block"),
 }
 

@@ -7,6 +7,7 @@ construction, so they can be shared across solver runs. The one exception is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -20,6 +21,30 @@ __all__ = [
     "StepConfig",
     "make_power_error_schedule",
 ]
+
+
+# A norm below this square root of the smallest normal float comes from a dot
+# that underflowed into the subnormals, with lost bits, or to zero.
+_SQRT_TINY = math.sqrt(sys.float_info.min)
+
+
+def _norm(u: np.ndarray) -> float:
+    """Euclidean norm of a float array, bit for bit ``np.linalg.norm(u)`` unless
+    the dot overflows or underflows at a finite nonzero input: then the
+    largest magnitude is factored out.
+
+    It is that function's own computation for real input, the square root of
+    the dot of the array flattened in memory order (``"K"``) with itself,
+    without its Python wrapper, which dominates the cost on small vectors.
+    It returns a Python float, which raises on division by zero where an
+    ``np.float64`` warns: every division by it sits behind a guard that
+    excludes a zero norm.
+    """
+    u = u.ravel("K")
+    n = math.sqrt(u.dot(u))
+    if not _SQRT_TINY <= n < math.inf and 0.0 < (m := float(np.abs(u).max(initial=0.0))) < math.inf:
+        return m * _norm(u / m)
+    return n
 
 
 class StepSizeError(ValueError):
@@ -101,7 +126,7 @@ class ErrorSchedule:
 def _seeded_unit(key, dim: int) -> np.ndarray:
     rng = np.random.default_rng(key)
     v = rng.standard_normal(dim)
-    nv = np.linalg.norm(v)
+    nv = _norm(v)
     if nv == 0.0:
         v = np.zeros(dim)
         v[0] = 1.0

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import _seeded_unit
+from .core import _norm, _seeded_unit
 
 __all__ = [
     "LinOp",
@@ -265,7 +265,7 @@ def op_norm_estimate(op: LinOp, iters: int = 100, seed: int = 0) -> float:
         # Rayleigh quotient of op*op^T at the unit vector y
         val = math.sqrt(max(float(np.dot(y, z)), 0.0))
         best = max(best, val)
-        nz = np.linalg.norm(z)
+        nz = _norm(z)
         if nz == 0.0:
             return best
         y = z / nz

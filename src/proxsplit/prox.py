@@ -9,10 +9,10 @@ their dual balls (or the identity), override it with those closed forms.
 from __future__ import annotations
 
 import math
-import sys
-from functools import cached_property
 
 import numpy as np
+
+from .core import _norm
 
 __all__ = [
     "ProxFn",
@@ -28,28 +28,6 @@ __all__ = [
 
 # Slack used when deciding set membership for indicator evaluation.
 _MEMBERSHIP_ATOL = 1e-12
-# A norm below this square root of the smallest normal float comes from a dot
-# that underflowed into the subnormals, with lost bits, or to zero.
-_SQRT_TINY = math.sqrt(sys.float_info.min)
-
-
-def _norm(u: np.ndarray) -> float:
-    """Euclidean norm of a float array, bit for bit ``np.linalg.norm(u)`` unless
-    the dot overflows or underflows at a finite nonzero input: then the
-    largest magnitude is factored out.
-
-    It is that function's own computation for real input, the square root of
-    the dot of the array flattened in memory order (``"K"``) with itself,
-    without its Python wrapper, which dominates the cost on small vectors.
-    It returns a Python float, which raises on division by zero where an
-    ``np.float64`` warns: every division by it sits behind a guard that
-    excludes a zero norm.
-    """
-    u = u.ravel("K")
-    n = math.sqrt(u.dot(u))
-    if not _SQRT_TINY <= n < math.inf and 0.0 < (m := float(np.abs(u).max(initial=0.0))) < math.inf:
-        return m * _norm(u / m)
-    return n
 
 
 class ProxFn:
@@ -85,28 +63,12 @@ class BoxIndicator(ProxFn):
         if not np.all(self.lo <= self.hi):
             raise ValueError("box bounds require lo <= hi componentwise")
 
-    @cached_property
-    def _membership(self):
-        """The bounds widened by the membership slack, and whether both are
-        scalars, which are then floats. Computed at the first membership test,
-        not at construction: most boxes (the location obstacles) are only
-        projected onto."""
-        lo, hi = self.lo - _MEMBERSHIP_ATOL, self.hi + _MEMBERSHIP_ATOL
-        if lo.ndim == 0 and hi.ndim == 0:
-            return float(lo), float(hi), True
-        return lo, hi, False
-
     def prox(self, x, gamma=1.0):
         return np.asarray(x, dtype=float).clip(self.lo, self.hi)
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        lo, hi, scalar = self._membership
-        if scalar:
-            # a NaN entry makes both extremes NaN, which fails either test
-            inside = x.min(initial=math.inf) >= lo and x.max(initial=-math.inf) <= hi
-        else:
-            inside = np.all(x >= lo) and np.all(x <= hi)
+        inside = np.all(x >= self.lo - _MEMBERSHIP_ATOL) and np.all(x <= self.hi + _MEMBERSHIP_ATOL)
         return 0.0 if inside else math.inf
 
 
@@ -181,6 +143,14 @@ class PointIndicator(ProxFn):
         return 0.0 if _norm(np.asarray(x, dtype=float)) <= _MEMBERSHIP_ATOL else math.inf
 
 
+def _positive_weight(weight) -> float:
+    """``weight`` as a float, checked to be finite and strictly positive."""
+    weight = float(weight)
+    if not 0.0 < weight < math.inf:
+        raise ValueError(f"weight must be finite and strictly positive, got {weight}")
+    return weight
+
+
 def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
@@ -189,10 +159,11 @@ class WeightedL1(ProxFn):
     """weight * ||x - shift||_1; prox is soft thresholding around the shift."""
 
     def __init__(self, weight: float = 1.0, shift=0.0):
-        self.weight = float(weight)
-        if self.weight <= 0.0:
-            raise ValueError("weight must be strictly positive")
+        self.weight = _positive_weight(weight)
         self.shift = np.asarray(shift, dtype=float)
+        bad = self.shift[~np.isfinite(self.shift)]
+        if bad.size:
+            raise ValueError(f"shift must be finite, got {bad[0]}")
         self._shifted = bool(np.any(self.shift))
 
     def prox(self, x, gamma):
@@ -244,10 +215,8 @@ class L21Norm(ProxFn):
     """
 
     def __init__(self, weight: float, n_pairs: int):
-        self.weight = float(weight)
+        self.weight = _positive_weight(weight)
         self.n_pairs = int(n_pairs)
-        if self.weight <= 0.0:
-            raise ValueError("weight must be strictly positive")
         if self.n_pairs <= 0:
             raise ValueError("n_pairs must be positive")
 

@@ -33,10 +33,11 @@ from .core import (
     LogRow,
     StepConfig,
     StepSizeError,
+    _norm,
     as_vector,
 )
 from .linops import LinOp
-from .prox import PointIndicator, ProxFn, _norm
+from .prox import PointIndicator, ProxFn
 
 __all__ = [
     "DR1",
@@ -201,8 +202,8 @@ def weighted_bound_sum(spec: ProblemSpec, cfg: StepConfig) -> float:
     return cfg.tau * _sigma_bound_sum(spec, cfg.sigmas)
 
 
-def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1) -> None:
-    """Check the strict step-size budget of the chosen variant.
+def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1) -> float:
+    """Check the strict step-size budget of the chosen variant; returns the checked sum.
 
     This is the one place the budget is checked, and it trusts the declared
     norm bounds; ``proxsplit norms`` compares them with power-iteration
@@ -213,6 +214,7 @@ def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1) -> No
     total = weighted_bound_sum(spec, cfg)
     if not total < budget:
         raise StepSizeError(total, budget, detail=variant)
+    return total
 
 
 def _as_block(value, signature) -> tuple:
@@ -235,7 +237,7 @@ class State:
     ``p1``, ``duals`` and ``residual`` describe the step that produced this
     state: the primal resolvent output, the dual resolvent outputs
     (first-pass ones for ``dr1``) and the relaxed update norm in the product
-    space.
+    space. :func:`preflight` builds a run's start.
     """
 
     x: np.ndarray
@@ -246,32 +248,6 @@ class State:
     p1: Optional[np.ndarray] = None
     duals: Optional[tuple] = None
     residual: Optional[float] = None
-
-    @classmethod
-    def initial(cls, spec: ProblemSpec, cfg: StepConfig, variant: str = DR1, x0=None, v0=None, y0=None) -> "State":
-        """Starting state of ``variant``; ``y0`` is read by ``dr2`` only.
-
-        Raises ValueError for an unknown variant, for ``dr2-reduced`` when
-        some parallel-sum slot is not the zero-point reduction, when ``y0`` is
-        given to a variant without a ``y`` block, or when a starting block
-        does not match the problem dimensions.
-        """
-        carries_y = _variant(variant, spec).carries_y
-        if y0 is not None and not carries_y:
-            raise ValueError(f"y0 is read by dr2 only, not by {variant}")
-        sig = spec.block_signature
-        x = np.zeros(spec.dim) if x0 is None else as_vector(x0)
-        v = _as_block(v0, sig)
-        y = _as_block(y0, sig) if carries_y else None
-        if x.shape[0] != spec.dim or any(
-            tuple(b.shape[0] for b in blocks) != sig for blocks in (v, y) if blocks is not None
-        ):
-            raise ValueError("starting point does not match the problem dimensions")
-        if y is None:
-            return cls(x=x, v=v)
-        # the per-term resolvent weights sigma_i^{-1} * tau * sum_j sigma_j ||L_j||^2
-        total = weighted_bound_sum(spec, cfg)
-        return cls(x=x, v=v, y=y, gammas=tuple(total / s for s in cfg.sigmas))
 
 
 def _adjoint_sum(spec: ProblemSpec, blocks) -> np.ndarray:
@@ -292,7 +268,7 @@ def _relax(base, lam: float, new, old, sqs: list, big: list) -> np.ndarray:
     """``base + lam * (new - old)``, built in the buffer of the move ``new - old``.
 
     The move's square goes to ``sqs``; when it overflows, the move's norm,
-    which ``prox._norm`` rescales, also goes to ``big``.
+    which ``core._norm`` rescales, also goes to ``big``.
     """
     d = new - old
     s = float(d.dot(d))
@@ -554,15 +530,16 @@ def _shape_checked(spec: ProblemSpec, errs: Optional[ErrorSchedule]) -> tuple:
 def preflight(
     spec: ProblemSpec, cfg: StepConfig, variant: str, n_iters: int, log_stride: int = 1, x0=None, v0=None, y0=None
 ) -> State:
-    """The checks :func:`run` makes before its first sweep; returns the start.
+    """The checks :func:`run` makes before its first sweep; returns the start it builds.
 
-    Checks the step-size budget, ``n_iters``, ``log_stride``, the starting
-    point and the relaxation, raising :class:`StepSizeError` or ValueError.
-    The relaxations a run uses depend on its length, so this is where they
-    are checked to lie in (0, 2), as :func:`validate_steps` checks the
-    budget: a constant once, a schedule at each of the run's sweeps.
+    Checks the step-size budget, ``n_iters``, ``log_stride``, the relaxation
+    and the starting point (``y0`` is read by ``dr2`` only), raising
+    :class:`StepSizeError` or ValueError. The relaxations a run uses depend
+    on its length, so this is where they are checked to lie in (0, 2), as
+    :func:`validate_steps` checks the budget: a constant once, a schedule at
+    each of the run's sweeps.
     """
-    validate_steps(spec, cfg, variant)
+    total = validate_steps(spec, cfg, variant)
     if n_iters < 0:
         raise ValueError("n_iters must be nonnegative")
     if log_stride < 1:
@@ -571,7 +548,21 @@ def preflight(
         lam = cfg.lam(n)
         if not 0.0 < lam < 2.0:
             raise ValueError(f"relaxation out of (0, 2) at n={n}: {lam}")
-    return State.initial(spec, cfg, variant, x0, v0, y0)
+    carries_y = VARIANTS[variant].carries_y
+    if y0 is not None and not carries_y:
+        raise ValueError(f"y0 is read by dr2 only, not by {variant}")
+    sig = spec.block_signature
+    x = np.zeros(spec.dim) if x0 is None else as_vector(x0)
+    v = _as_block(v0, sig)
+    y = _as_block(y0, sig) if carries_y else None
+    if x.shape[0] != spec.dim or any(
+        tuple(b.shape[0] for b in blocks) != sig for blocks in (v, y) if blocks is not None
+    ):
+        raise ValueError("starting point does not match the problem dimensions")
+    if y is None:
+        return State(x=x, v=v)
+    # the per-term resolvent weights sigma_i^{-1} * tau * sum_j sigma_j ||L_j||^2
+    return State(x=x, v=v, y=y, gammas=tuple(total / s for s in cfg.sigmas))
 
 
 def run(
@@ -611,7 +602,7 @@ def run(
     tol = residual_tol if residual_tol is not None and math.isfinite(residual_tol) else -math.inf
     checked, checked_errs = _shape_checked(spec, errs)
     log = IterateLog()
-    # A dot that overflows is rescaled (the residual, prox._norm) or caught by
+    # A dot that overflows is rescaled (the residual, core._norm) or caught by
     # _check_state, as is every non-finite value; numpy's warnings on the way
     # say nothing more.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -118,3 +118,15 @@ def test_scipy_is_only_a_test_dependency():
     assert "scipy" not in _requirement_names(project["dependencies"])
     extras = {name: _requirement_names(reqs) for name, reqs in project["optional-dependencies"].items()}
     assert [name for name, reqs in extras.items() if "scipy" in reqs] == ["test"]
+
+
+def test_every_vector_norm_is_core_norm():
+    """The package calls numpy's norm only with an explicit ``ord``, which is
+    ``MatrixOp``'s spectral norm; every vector norm is ``core._norm``."""
+    for path in sorted((ROOT / "src" / "proxsplit").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                assert "norm" not in [alias.name for alias in node.names], f"{path.name}:{node.lineno} imports norm"
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.norm"):
+                explicit = len(node.args) >= 2 or any(k.arg == "ord" for k in node.keywords)
+                assert explicit, f"{path.name}:{node.lineno} takes a vector norm with np.linalg.norm"

@@ -126,6 +126,9 @@ class TestConfig:
             ("residual_tol", {"experiment": "heron1", "residual_tol": "x"}),
             ("iters", {"experiment": "heron1", "iters": True}),
             ("tau", {"experiment": "heron1", "tau": True}),
+            ("iters", {"experiment": "heron1", "iters": -2}),
+            ("image_size", {"experiment": "deblur", "image_size": 0}),
+            ("image_size", {"experiment": "deblur", "image_size": -5}),
         ],
     )
     def test_malformed_value_type_is_named_config_error(self, tmp_path, capsys, key, body):
@@ -422,6 +425,9 @@ class TestOtherCommands:
         [
             dict(experiment="heron1", x0=[1, 2, 3]),
             dict(experiment="heron1", log_stride=0),
+            dict(experiment="heron1", iters=-2),
+            dict(experiment="deblur", image_size=0),
+            dict(experiment="deblur", image_size=-5),
             dict(
                 experiment="custom",
                 tau=0.3,
@@ -472,6 +478,9 @@ class TestOtherCommands:
         ids=[
             "x0-dimension",
             "log_stride-zero",
+            "iters-negative",
+            "image_size-zero",
+            "image_size-negative",
             "custom-set-dimension",
             "error-p-not-summable",
             "error-p-not-summable-exact",

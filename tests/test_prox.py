@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -161,6 +162,25 @@ class TestProjections:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="base and direction must be finite"):
                 LineIndicator(base, direction)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: WeightedL1(math.nan), "weight must be finite and strictly positive, got nan"),
+            (lambda: WeightedL1(math.inf), "weight must be finite and strictly positive, got inf"),
+            (lambda: WeightedL1(-1.0), "weight must be finite and strictly positive, got -1.0"),
+            (lambda: WeightedL1(1.0, shift=[0.0, math.nan]), "shift must be finite, got nan"),
+            (lambda: WeightedL1(1.0, shift=-math.inf), "shift must be finite, got -inf"),
+            (lambda: L21Norm(math.nan, 2), "weight must be finite and strictly positive, got nan"),
+            (lambda: L21Norm(math.inf, 2), "weight must be finite and strictly positive, got inf"),
+        ],
+        ids=["l1-nan", "l1-inf", "l1-negative", "l1-shift-nan", "l1-shift-inf", "l21-nan", "l21-inf"],
+    )
+    def test_a_non_finite_weight_or_shift_is_refused(self, make, message):
+        """A NaN weight or shift passed ``preflight`` and ended its run at
+        sweep 0, and an infinite weight valued the shift itself at inf * 0."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
 
 _DUAL_BALLS = ("l1", "norm", "l21")
@@ -497,8 +517,8 @@ class TestEvaluation:
         ids=["scalar", "scalar-unbounded", "scalar-degenerate", "vector", "mixed", "vector-empty"],
     )
     def test_box_membership_matches_the_componentwise_test(self, lo, hi):
-        """The scalar bounds' test on the extremes agrees with testing every
-        component against the bounds widened by ATOL."""
+        """Membership is every component tested against the bounds widened by
+        ATOL, for scalar, vector and mixed bounds and at the edges."""
         f = BoxIndicator(lo, hi)
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         lo_in, hi_in = lo - ATOL, hi + ATOL

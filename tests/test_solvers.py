@@ -1,14 +1,20 @@
 import dataclasses
+import itertools
 import math
 import re
+import traceback
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 from unittest.mock import Mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import proxsplit
 from proxsplit.core import ErrorSchedule, StepConfig, StepSizeError, make_power_error_schedule
 from proxsplit.linops import IdentityOp, LinOp, MatrixOp
 from proxsplit.problems import (
@@ -78,7 +84,7 @@ def _assert_same_runs(spec_a, spec_b, cfg, variant, x0=None):
         assert a.step_residual.hex() == b.step_residual.hex()
     _assert_same_blocks(logs[0].final.duals, logs[1].final.duals)
     step = VARIANTS[variant].step
-    a, b = (State.initial(p, cfg, variant, x0=x0) for p in (spec_a, spec_b))
+    a, b = (preflight(p, cfg, variant, cfg.max_iters, x0=x0) for p in (spec_a, spec_b))
     for _ in range(cfg.max_iters):
         a, b = step(spec_a, cfg, None, a), step(spec_b, cfg, None, b)
         _assert_same_blocks(a.duals, b.duals)
@@ -207,11 +213,10 @@ class TestValidateSteps:
         [
             lambda prob, cfg: validate_steps(prob, cfg, "dr1"),
             weighted_bound_sum,
-            lambda prob, cfg: State.initial(prob, cfg, "dr2"),
             lambda prob, cfg: preflight(prob, cfg, "dr2", 5),
             metric_rho_dr1,
         ],
-        ids=["validate_steps", "weighted_bound_sum", "State.initial", "preflight", "metric_rho_dr1"],
+        ids=["validate_steps", "weighted_bound_sum", "preflight", "metric_rho_dr1"],
     )
     def test_every_budget_sum_names_a_wrong_sigma_count(self, entry):
         """Each reader of the budget's sum names the count, where a bare zip
@@ -230,14 +235,14 @@ class TestValidateSteps:
 
 class TestVariants:
     @pytest.mark.parametrize(
-        "entry", ["validate_steps", "State.initial", "heron_step_config", "deblur_step_config"]
+        "entry", ["validate_steps", "preflight", "heron_step_config", "deblur_step_config"]
     )
     def test_unknown_variant_has_one_message(self, entry):
         prob = _point_norm_problem()
         cfg = StepConfig(tau=0.1, sigmas=(0.1,), lambda_schedule=1.0, max_iters=5)
         calls = {
             "validate_steps": lambda: validate_steps(prob, cfg, "dr3"),
-            "State.initial": lambda: State.initial(prob, cfg, "dr3"),
+            "preflight": lambda: preflight(prob, cfg, "dr3", cfg.max_iters),
             "heron_step_config": lambda: heron_step_config("heron1", prob, "dr3"),
             "deblur_step_config": lambda: deblur_step_config(prob, "dr3"),
         }
@@ -253,7 +258,7 @@ class TestVariants:
         validate_steps(prob, StepConfig(tau=math.nextafter(rec.budget, 0.0), **kw), name)
         with pytest.raises(StepSizeError):
             validate_steps(prob, StepConfig(tau=rec.budget, **kw), name)
-        assert (State.initial(prob, StepConfig(tau=0.1, **kw), name).y is None) == (not rec.carries_y)
+        assert (preflight(prob, StepConfig(tau=0.1, **kw), name, 5).y is None) == (not rec.carries_y)
 
         heron = heron_build(heron1())  # obstacles occupy the parallel-sum slots
         cfg = heron_step_config("heron1", heron, name)
@@ -267,7 +272,7 @@ class TestVariants:
 
 
 class TestStartBlocks:
-    """``State.initial``, and so ``run``, checks every start block of heron1's eight terms."""
+    """``preflight``, and so ``run``, checks every start block of heron1's eight terms."""
 
     MISMATCH = "does not match the problem dimensions"
     NOT_1D = "expected a 1-D vector"
@@ -289,7 +294,7 @@ class TestStartBlocks:
         prob, cfg = self._setup()
         blocks, message = self.BAD_BLOCKS[case]
         with pytest.raises(ValueError, match=message):
-            State.initial(prob, cfg, "dr2", **{which: blocks})
+            preflight(prob, cfg, "dr2", cfg.max_iters, **{which: blocks})
         with pytest.raises(ValueError, match=message):
             run(prob, cfg, variant="dr2", **{which: blocks})
 
@@ -298,7 +303,7 @@ class TestStartBlocks:
         prob, cfg = self._setup()
         rows = np.arange(16.0).reshape(8, 2)
         for start in (rows, (row for row in rows)):
-            state = State.initial(prob, cfg, "dr2", **{which: start})
+            state = preflight(prob, cfg, "dr2", cfg.max_iters, **{which: start})
             blocks = getattr(state, which[0])
             assert type(blocks) is tuple and len(blocks) == 8
             assert all(np.array_equal(b, row) for b, row in zip(blocks, rows, strict=True))
@@ -309,14 +314,14 @@ class TestStartBlocks:
     def test_a_bad_primal_start_is_rejected(self, x0, message):
         prob, cfg = self._setup()
         with pytest.raises(ValueError, match=message):
-            State.initial(prob, cfg, "dr2", x0=x0)
+            preflight(prob, cfg, "dr2", cfg.max_iters, x0=x0)
 
 
 class TestGammaWeights:
     def test_formula(self):
         prob = heron_build(heron1())
         cfg = StepConfig(tau=0.24, sigmas=(0.1,) * 8, lambda_schedule=1.8, max_iters=5)
-        g = State.initial(prob, cfg, "dr2").gammas
+        g = preflight(prob, cfg, "dr2", cfg.max_iters).gammas
         # sigma_i^{-1} * tau * sum_j sigma_j * 1^2 = 10 * 0.24 * 0.8
         assert g == pytest.approx((1.92,) * 8)
 
@@ -340,7 +345,7 @@ class TestFixedPoints:
         prob = _point_norm_problem(2)
         cfg = StepConfig(tau=0.2, sigmas=(0.5,), lambda_schedule=1.3, max_iters=5)
         v = (np.array([0.5, 0.0]),)
-        state = dataclasses.replace(State.initial(prob, cfg, "dr2"), v=v)
+        state = dataclasses.replace(preflight(prob, cfg, "dr2", cfg.max_iters), v=v)
         new = dr2_step(prob, cfg, None, state)
         assert np.abs(new.x).max() <= 1e-12
         assert np.abs(new.v[0] - v[0]).max() <= 1e-12
@@ -364,7 +369,7 @@ class TestOperatorAccounting:
     def test_dr1_two_evaluations_each(self):
         prob, ops = self._counting_problem()
         cfg = StepConfig(tau=0.2, sigmas=(0.3,) * 3, lambda_schedule=1.5, max_iters=10)
-        state = State.initial(prob, cfg)
+        state = preflight(prob, cfg, "dr1", cfg.max_iters)
         for _ in range(7):
             state = dr1_step(prob, cfg, None, state)
         for op in ops:
@@ -374,7 +379,7 @@ class TestOperatorAccounting:
     def test_dr2_one_evaluation_each(self):
         prob, ops = self._counting_problem()
         cfg = StepConfig(tau=0.2, sigmas=(0.2,) * 3, lambda_schedule=1.5, max_iters=10)
-        state = State.initial(prob, cfg, "dr2")
+        state = preflight(prob, cfg, "dr2", cfg.max_iters)
         for _ in range(7):
             state = dr2_step(prob, cfg, None, state)
         for op in ops:
@@ -396,8 +401,8 @@ class TestReducedScheme:
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=101)
         validate_steps(prob, cfg, "dr2")
         x0 = np.array([0.9, -0.4, 0.2])
-        full = State.initial(prob, cfg, "dr2", x0=x0)
-        red = State.initial(prob, cfg, "dr2-reduced", x0=x0)
+        full = preflight(prob, cfg, "dr2", cfg.max_iters, x0=x0)
+        red = preflight(prob, cfg, "dr2-reduced", cfg.max_iters, x0=x0)
         assert full.y is not None and red.y is None
         for _ in range(100):
             full = dr2_step(prob, cfg, None, full)
@@ -413,7 +418,7 @@ class TestReducedScheme:
         prob = self._reduced_problem()
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=1)
         errs = make_power_error_schedule(1.0, 2.0, (prob.dim, prob.block_signature), seed=0)
-        full = dr2_step(prob, cfg, errs, State.initial(prob, cfg, "dr2", x0=np.array([0.9, -0.4, 0.2])))
+        full = dr2_step(prob, cfg, errs, preflight(prob, cfg, "dr2", cfg.max_iters, x0=np.array([0.9, -0.4, 0.2])))
         assert any(np.any(block != 0.0) for block in full.y)
 
     def test_reduced_accepts_larger_budget(self):
@@ -428,7 +433,7 @@ class TestReducedScheme:
         prob = heron_build(heron1())
         cfg = StepConfig(tau=0.02, sigmas=(0.1,) * 8, lambda_schedule=1.0, max_iters=5)
         with pytest.raises(ValueError, match="zero-point reduction"):
-            State.initial(prob, cfg, "dr2-reduced")
+            preflight(prob, cfg, "dr2-reduced", cfg.max_iters)
 
     @pytest.mark.parametrize("variant", ["dr1", "dr2-reduced"])
     def test_y0_rejected_without_y_block(self, variant):
@@ -436,16 +441,16 @@ class TestReducedScheme:
         prob = self._reduced_problem()
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=5)
         y0 = [np.ones(3), np.ones(3)]
-        State.initial(prob, cfg, "dr2", y0=y0)
+        preflight(prob, cfg, "dr2", cfg.max_iters, y0=y0)
         with pytest.raises(ValueError, match="y0"):
-            State.initial(prob, cfg, variant, y0=y0)
+            preflight(prob, cfg, variant, cfg.max_iters, y0=y0)
         with pytest.raises(ValueError, match="y0"):
             run(prob, cfg, variant=variant, n_iters=2, y0=y0)
 
     def test_reduced_fixed_point(self):
         prob = self._reduced_problem()
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=2001)
-        state = State.initial(prob, cfg, "dr2-reduced", x0=np.zeros(3))
+        state = preflight(prob, cfg, "dr2-reduced", cfg.max_iters, x0=np.zeros(3))
         for _ in range(2000):
             state = dr2_step(prob, cfg, None, state)
         again = dr2_step(prob, cfg, None, state)
@@ -561,7 +566,7 @@ class TestShifts:
         x0 = np.array([-0.0, 0.0, 0.3, -0.2])
         v0 = [np.array([-0.0, -0.0, 0.1, 0.0]), np.array([0.0, -0.0, -0.3, -0.0])]
         y0 = [np.array([-0.0, 0.2, 0.0, -0.1]), np.array([0.1, -0.0, 0.0, 0.0])] if variant == "dr2" else None
-        state = State.initial(prob, cfg, variant, x0=x0, v0=v0, y0=y0)
+        state = preflight(prob, cfg, variant, cfg.max_iters, x0=x0, v0=v0, y0=y0)
         for _ in range(4):
             x, v, y, p1, duals, residual = reference(prob, cfg, state)
             state = step(prob, cfg, None, state)
@@ -959,7 +964,7 @@ class TestLogRows:
         if end == "residual_tol":
             assert 0 < last < 10_000 - 1 and last % 7 != 0 and log.final.step_residual < 1e-6
         assert all(row.duals is None for row in log.rows[:-1])
-        state = State.initial(prob, cfg, variant, x0=x0)
+        state = preflight(prob, cfg, variant, cfg.max_iters, x0=x0)
         for _ in range(last + 1):
             state = VARIANTS[variant].step(prob, cfg, None, state)
         assert log.final.primal.tobytes() == state.p1.tobytes()
@@ -1040,7 +1045,7 @@ class TestSweepMemory:
         prob = deblur_build(d)
         cfg = deblur_step_config(prob, variant, max_iters=10)
         step = VARIANTS[variant].step
-        state = State.initial(prob, cfg, variant, x0=d.observed.ravel())
+        state = preflight(prob, cfg, variant, cfg.max_iters, x0=d.observed.ravel())
         for _ in range(3):
             state = step(prob, cfg, None, state)
         tracemalloc.start()
@@ -1097,7 +1102,7 @@ class TestSweepMemory:
         step = VARIANTS[variant].step
         v0 = [np.array([0.1, -0.1, 0.2]), np.array([-0.2, 0.1, 0.0]), np.array([0.05, 0.1, -0.1])]
         y0 = [0.5 * b for b in v0] if variant == "dr2" else None
-        state = State.initial(prob, cfg, variant, x0=np.array([0.3, -0.2, 0.1]), v0=v0, y0=y0)
+        state = preflight(prob, cfg, variant, cfg.max_iters, x0=np.array([0.3, -0.2, 0.1]), v0=v0, y0=y0)
         state = step(prob, cfg, errs, state)
         for _ in range(3):
             y = state.y if state.y is not None else ()
@@ -1133,7 +1138,7 @@ class TestHugeUpdates:
         x0[0] = 1e160
         with np.errstate(over="ignore"):
             log = run(prob, cfg, variant=variant, x0=x0)
-            first = VARIANTS[variant].step(prob, cfg, None, State.initial(prob, cfg, variant, x0=x0))
+            first = VARIANTS[variant].step(prob, cfg, None, preflight(prob, cfg, variant, cfg.max_iters, x0=x0))
         assert len(log) == 400
         assert all(math.isfinite(row.step_residual) and np.all(np.isfinite(row.primal)) for row in log)
         # the first residual is the norm of the first relaxed update; v and y start at zero
@@ -1161,6 +1166,147 @@ class TestHugeUpdates:
             assert row.primal.tobytes() == other.primal.tobytes()
             assert row.step_residual.hex() == other.step_residual.hex()
         _assert_same_blocks(log.final.duals, wrapped.final.duals)
+
+
+PACKAGE = Path(proxsplit.__file__).parent
+# What a fuzzed run may get wrong: each case has the one it is named after,
+# and may draw a second.
+_FAULTS = ["variant", "tau", "sigmas", "lambda", "x0", "v0", "y0", "resolvent", "errs", "log_stride"]
+_ODD_STEPS = [math.nan, math.inf, 0.0, -1.0, 1e-320, 1e300]
+
+
+@st.composite
+def _fuzz_spec(draw):
+    """heron1, or a seeded spec of 1-2 ``MatrixOp`` terms in 1-3 dimensions."""
+    if draw(st.booleans()):
+        return heron_build(heron1())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 3))
+    f = draw(st.sampled_from([BallIndicator(np.zeros(dim), 1.0), BoxIndicator(-1.0, 1.0), WeightedL1(0.5)]))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        out = draw(st.integers(1, 3))
+        g = draw(st.sampled_from([EuclideanNorm(), WeightedL1(0.7, shift=rng.standard_normal(out)), BoxIndicator(-1.0, 1.0)]))
+        l = draw(st.sampled_from([None, None, EuclideanNorm(), BallIndicator(np.zeros(out), 0.5)]))
+        r = rng.standard_normal(out) if draw(st.booleans()) else None
+        terms.append((MatrixOp(rng.standard_normal((out, dim))), g, l, r))
+    return make_prox_problem(f, rng.standard_normal(dim) if draw(st.booleans()) else None, terms)
+
+
+@st.composite
+def _fuzz_start(draw, dims, faulty: bool):
+    """None, or one seeded vector per entry of ``dims``, perhaps huge; a
+    faulty start has a non-finite entry, a block too short, one block too
+    many or a 2-D block."""
+    kinds = ["nan", "inf", "short", "extra", "2d"] if faulty else ["none", "finite", "huge"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "none":
+        return None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [rng.standard_normal(d) for d in dims]
+    i = draw(st.integers(0, len(dims) - 1))
+    if kind in ("nan", "inf", "huge"):
+        blocks[i][draw(st.integers(0, dims[i] - 1))] = {"nan": math.nan, "inf": -math.inf, "huge": 1e300}[kind]
+    elif kind == "short":
+        blocks[i] = blocks[i][:-1]
+    elif kind == "extra":
+        blocks.append(np.zeros(1))
+    elif kind == "2d":
+        blocks[i] = blocks[i][None]
+    return blocks
+
+
+def _fuzz_resolvent(res, how: str, first: int):
+    """``res`` with a non-finite output from its call ``first`` on, or a
+    mis-shaped output at every call."""
+    calls = itertools.count()
+
+    def out(arg, weight):
+        p = res(arg, weight)
+        if how in ("nan", "inf"):
+            return p if next(calls) < first else np.full(np.shape(p), float(how))
+        return {"scalar": 0.0, "short": p[:-1], "2d": p[None]}[how]
+
+    return out
+
+
+class TestRunFuzz:
+    """Whatever start, steps, error schedule and resolvent outputs ``run`` is
+    given, it returns a log of finite rows or raises a ValueError (a
+    StepSizeError is one) or a DivergenceError from a ``raise`` of the
+    package: never numpy's own error, another exception or a warning."""
+
+    @pytest.mark.parametrize("fault", ["none", *_FAULTS])
+    @settings(max_examples=40)
+    @given(data=st.data(), spec=_fuzz_spec(), more=st.sets(st.sampled_from(_FAULTS), max_size=1))
+    def test_a_run_ends_in_a_log_or_a_named_error(self, fault, data, spec, more):
+        draw = data.draw
+        faults = more | {fault}
+        reduced = all(t.d_is_zero for t in spec.terms)
+        variant = draw(st.sampled_from(sorted(VARIANTS) if reduced or "variant" in faults else ["dr1", "dr2"]))
+        if "resolvent" in faults:
+            broken = draw(st.sampled_from(["nan", "inf", "scalar", "short", "2d"])), draw(st.integers(0, 3))
+            where = draw(st.sampled_from(["res_a", "res_b_conj", "res_d_conj", "res_d"]))
+            if where == "res_a":
+                spec = dataclasses.replace(spec, res_a=_fuzz_resolvent(spec.res_a, *broken))
+            else:
+                i = draw(st.integers(0, spec.m - 1))
+                term = dataclasses.replace(spec.terms[i], **{where: _fuzz_resolvent(getattr(spec.terms[i], where), *broken)})
+                spec = dataclasses.replace(spec, terms=spec.terms[:i] + (term,) + spec.terms[i + 1 :])
+        sigmas = draw(st.lists(st.floats(0.1, 1.0), min_size=spec.m, max_size=spec.m))
+        # a fraction of the variant's budget, or beyond it
+        share = draw(st.sampled_from([1.0, 2.0]) if "tau" in faults else st.floats(0.05, 0.99))
+        tau = share * VARIANTS[variant].budget / sum(s * b**2 for s, b in zip(sigmas, spec.norm_bounds))
+        if "tau" in faults and draw(st.booleans()):
+            tau = draw(st.sampled_from(_ODD_STEPS))
+        if "sigmas" in faults:
+            sigmas[draw(st.integers(0, spec.m - 1))] = draw(st.sampled_from(_ODD_STEPS))
+            sigmas += [0.5] * draw(st.integers(0, 1))
+        lam = draw(st.floats(0.1, 1.9))
+        if "lambda" in faults:
+            bad, turn = draw(st.sampled_from([math.nan, 0.0, 2.0, -1.0])), draw(st.integers(0, 4))
+            lam = draw(st.sampled_from([bad, lambda n: 1.5 if n < turn else bad]))
+        errs = None
+        if "errs" in faults:
+            kind = draw(st.sampled_from(["nan", "short", "huge"]))
+            if kind == "huge":
+                errs = make_power_error_schedule(1e200, 2.0, (spec.dim, spec.block_signature), 0)
+            else:
+                a = np.full(spec.dim, math.nan) if kind == "nan" else np.zeros(spec.dim - 1)
+                sig = spec.block_signature
+                errs = ErrorSchedule(a=lambda n: a, b=lambda i, n: np.zeros(sig[i]), d=lambda i, n: np.zeros(sig[i]))
+        elif draw(st.booleans()):
+            errs = make_power_error_schedule(draw(st.sampled_from([1e-3, 1.0])), 2.0, (spec.dim, spec.block_signature), 0)
+        x0 = draw(_fuzz_start((spec.dim,), "x0" in faults))
+        starts = dict(
+            x0=None if x0 is None else x0[0] if len(x0) == 1 else np.concatenate(x0),
+            v0=draw(_fuzz_start(spec.block_signature, "v0" in faults)),
+            y0=draw(_fuzz_start(spec.block_signature, "y0" in faults)) if variant == "dr2" or "y0" in faults else None,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                cfg = StepConfig(tau=tau, sigmas=sigmas, lambda_schedule=lam, max_iters=4)
+                log = run(
+                    spec,
+                    cfg,
+                    errs,
+                    variant=variant,
+                    n_iters=draw(st.integers(0, 4)),
+                    log_stride=0 if "log_stride" in faults else draw(st.integers(1, 2)),
+                    residual_tol=draw(st.sampled_from([None, math.nan, 1e-3])),
+                    **starts,
+                )
+            except (ValueError, DivergenceError) as err:
+                raised = traceback.extract_tb(err.__traceback__)[-1]
+                assert Path(raised.filename).parent == PACKAGE and raised.line.startswith("raise "), repr(err)
+                return
+        assert len(log) >= 1
+        for row in log:
+            assert row.primal.shape == (spec.dim,) and np.all(np.isfinite(row.primal))
+            assert math.isfinite(row.step_residual)
+        assert tuple(b.shape[0] for b in log.final.duals) == spec.block_signature
+        assert all(np.all(np.isfinite(b)) for b in log.final.duals)
 
 
 class TestMetric:
