@@ -36,7 +36,6 @@ for variant in ("dr1", "dr2-reduced"):
         cfg,
         variant=variant,
         log_objective=objective,
-        n_iters=200,
         log_stride=40,
         x0=dspec.observed.ravel(),
     )

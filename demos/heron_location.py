@@ -25,7 +25,7 @@ for name, (builder, x0, _) in HERON_SETUPS.items():
     print(f"=== {TITLES[name]} ===")
     for variant in ("dr1", "dr2"):
         cfg = heron_step_config(name, prob, variant, max_iters=51)
-        log = run(prob, cfg, variant=variant, log_objective=obj, n_iters=51, x0=np.array(x0))
+        log = run(prob, cfg, variant=variant, log_objective=obj, x0=np.array(x0))
         rows = {r.n: r for r in log}
         print(f"  {variant} (tau={cfg.tau}, sigma={cfg.sigmas[0]}, lambda={cfg.lam(0)}):")
         print(f"    {'k':>4s}  {'primal':<36s}  objective")

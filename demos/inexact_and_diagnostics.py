@@ -26,10 +26,10 @@ cfg = StepConfig(tau=0.24, sigmas=(0.5,) * 8, lambda_schedule=1.8, max_iters=500
 x0 = np.array([5.0, 2.0])
 
 print("=== summable errors leave the limit unchanged ===")
-exact = run(problem, cfg, variant="dr1", n_iters=5000, log_stride=5000, x0=x0)
+exact = run(problem, cfg, variant="dr1", log_stride=5000, x0=x0)
 for c in (0.01, 0.1, 0.5):
     sched = make_power_error_schedule(c, 2.0, (problem.dim, problem.block_signature), seed=7)
-    noisy = run(problem, cfg, variant="dr1", errs=sched, n_iters=5000, log_stride=5000, x0=x0)
+    noisy = run(problem, cfg, variant="dr1", errs=sched, log_stride=5000, x0=x0)
     gap = np.abs(exact.final.primal - noisy.final.primal).max()
     print(f"  error magnitude c={c:4.2f} (norms c/(n+1)^2): final primal gap {gap:.2e}")
 
@@ -41,7 +41,7 @@ for row in log:
 
 print()
 print("=== monotone approach in the metric-induced norm ===")
-state = preflight(problem, cfg, "dr1", 5000, x0=x0)
+state = preflight(problem, cfg, "dr1", x0=x0)
 for _ in range(5000):
     state = dr1_step(problem, cfg, None, state)
 x_lim, v_lim = state.x, state.v
@@ -53,7 +53,7 @@ def distance_to_limit(state):
     return vnorm_dr1(problem, cfg, state.x - x_lim, dv)
 
 
-state = preflight(problem, cfg, "dr1", 5000, x0=x0)
+state = preflight(problem, cfg, "dr1", x0=x0)
 prev = distance_to_limit(state)
 monotone = True
 for k in range(1, 201):

@@ -8,15 +8,18 @@ validate <config.json>  make the checks run makes before its first sweep
 norms <config.json>     print power-iteration norm estimates vs declared bounds
 
 Exit codes: 0 success, 2 invalid configuration or step sizes (violation
-report on stderr) or an allocation that fails, 3 divergence (a non-finite
-iterate or a residual whose square overflows).
+report on stderr), an allocation that fails or an artifact that cannot be
+written, 3 divergence (a non-finite iterate or a residual whose square
+overflows).
 
 CONFIG_KEYS is the configuration schema: each key's type, the experiments
 that read it and its help. Unknown keys, and keys the chosen experiment does
 not read, are rejected. An unset key takes the experiment's own default,
 applied where the experiment is built: the published heron set-ups in
-problems.HERON_SETUPS, the deblur step recipe in deblur_step_config and the
-deblur model defaults in the signature of make_deblur_spec.
+problems.HERON_SETUPS, the deblur step recipe in deblur_step_config, the run
+length (``iters``, the step config's max_iters) in the signatures of
+heron_step_config and deblur_step_config, and the deblur model defaults in
+the signature of make_deblur_spec.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -340,7 +344,6 @@ class PreparedRun:
     errors: Optional[ErrorSchedule]
     objective: object
     x0: Optional[np.ndarray]
-    iters: int
     log_stride: int
     deblur_spec: object = None
     pad: tuple = (0, 0)
@@ -381,8 +384,8 @@ def build_run(cfg: dict) -> PreparedRun:
         # step-size budget.
         if variant == DR2:
             variant = DR2_REDUCED
-        iters, log_stride = cfg.get("iters", 200), cfg.get("log_stride", 10)
-        published = deblur_step_config(problem, variant, max_iters=max(iters, 1))
+        log_stride = cfg.get("log_stride", 10)
+        published = deblur_step_config(problem, variant)
         objective = lambda x, d=dspec: deblur_objective(d, x)
         x0 = dspec.observed.ravel()
     else:
@@ -392,13 +395,13 @@ def build_run(cfg: dict) -> PreparedRun:
             build, start, _ = HERON_SETUPS[experiment]
             hspec = build()
         problem = heron_build(hspec)
-        iters, log_stride = cfg.get("iters", 100), cfg.get("log_stride", 1)
-        published = None if experiment == "custom" else heron_step_config(experiment, problem, variant, max(iters, 1))
+        log_stride = cfg.get("log_stride", 1)
+        published = None if experiment == "custom" else heron_step_config(experiment, problem, variant)
         objective = lambda x, h=hspec: heron_objective(h, x)
         x0 = cfg.get("x0", start)
         x0 = None if x0 is None else np.asarray(x0, dtype=float)
 
-    overrides = {}
+    overrides = {"max_iters": max(cfg["iters"], 1)} if "iters" in cfg else {}
     if "tau" in cfg:
         overrides["tau"] = cfg["tau"]
     if "sigmas" in cfg:
@@ -414,7 +417,7 @@ def build_run(cfg: dict) -> PreparedRun:
     elif "sigmas" not in overrides:
         raise ConfigError("custom experiment requires 'sigma' or 'sigmas'")
     else:
-        step_cfg = StepConfig(**{"lambda_schedule": 1.8, "max_iters": max(iters, 1), **overrides})
+        step_cfg = StepConfig(**{"lambda_schedule": 1.8, "max_iters": 100, **overrides})
 
     dims = (problem.dim, problem.block_signature)
     errors = make_power_error_schedule(
@@ -428,7 +431,6 @@ def build_run(cfg: dict) -> PreparedRun:
         errors=errors,
         objective=objective,
         x0=x0,
-        iters=iters,
         log_stride=log_stride,
         deblur_spec=dspec,
         pad=pad,
@@ -456,6 +458,16 @@ def _write_csv(path, log, prepared: PreparedRun) -> None:
             fh.write(template % (*head, *row.primal.tolist()))
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing the artifact ``path`` into a
+    ConfigError naming it, which ``main`` reports with exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_run(prepared: PreparedRun) -> int:
     cfg = prepared.config
     log = run(
@@ -464,13 +476,13 @@ def cmd_run(prepared: PreparedRun) -> int:
         errs=prepared.errors,
         variant=prepared.variant,
         log_objective=prepared.objective,
-        n_iters=prepared.iters,
         residual_tol=cfg.get("residual_tol"),
         log_stride=prepared.log_stride,
         x0=prepared.x0,
     )
     csv_path = cfg.get("output_csv") or f"{cfg['experiment']}_{prepared.variant}.csv"
-    _write_csv(csv_path, log, prepared)
+    with _writing(csv_path):
+        _write_csv(csv_path, log, prepared)
     out = [f"wrote {csv_path} ({len(log)} rows)"]
     if prepared.deblur_spec is not None:
         pgm_path = cfg.get("output_pgm") or f"{cfg['experiment']}_{prepared.variant}_recon.pgm"
@@ -478,7 +490,8 @@ def cmd_run(prepared: PreparedRun) -> int:
         pm, pn = prepared.pad
         if pm or pn:
             recon = recon[: recon.shape[0] - pm, : recon.shape[1] - pn]
-        pgm_write(recon, pgm_path)
+        with _writing(pgm_path):
+            pgm_write(recon, pgm_path)
         out.append(f"wrote {pgm_path}")
     final = log.final
     out.append("final iter %d: objective %.9g, residual %.9g" % (final.n, final.objective, final.step_residual))
@@ -487,7 +500,7 @@ def cmd_run(prepared: PreparedRun) -> int:
 
 
 def cmd_validate(prepared: PreparedRun) -> int:
-    preflight(prepared.problem, prepared.step_config, prepared.variant, prepared.iters, prepared.log_stride, prepared.x0)
+    preflight(prepared.problem, prepared.step_config, prepared.variant, prepared.log_stride, prepared.x0)
     total = weighted_bound_sum(prepared.problem, prepared.step_config)
     budget = VARIANTS[prepared.variant].budget
     print(
@@ -499,7 +512,7 @@ def cmd_validate(prepared: PreparedRun) -> int:
 
 def cmd_norms(prepared: PreparedRun) -> int:
     for i, term in enumerate(prepared.problem.terms):
-        est = op_norm_estimate(term.L, iters=100, seed=0)
+        est = op_norm_estimate(term.L)
         print(f"term {i}: declared bound {term.L.norm_bound:.9g}, power-iteration estimate {est:.9g}")
     return EXIT_OK
 

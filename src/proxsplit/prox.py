@@ -61,6 +61,9 @@ class BoxIndicator(ProxFn):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         if not np.all(self.lo <= self.hi):
+            # a NaN bound fails the comparison too; name it
+            if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+                raise ValueError("box bounds must not be NaN")
             raise ValueError("box bounds require lo <= hi componentwise")
 
     def prox(self, x, gamma=1.0):
@@ -80,6 +83,8 @@ class BallIndicator(ProxFn):
     def __init__(self, center, radius: float):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
+        if not np.isfinite(self.center).all():
+            raise ValueError("center must be finite")
         if not self.radius > 0.0:
             raise ValueError("radius must be strictly positive")
 

@@ -198,8 +198,16 @@ def _sigma_bound_sum(spec: ProblemSpec, sigmas) -> float:
 
 
 def weighted_bound_sum(spec: ProblemSpec, cfg: StepConfig) -> float:
-    """tau * sum_i sigma_i * bound_i**2 over the declared norm bounds."""
-    return cfg.tau * _sigma_bound_sum(spec, cfg.sigmas)
+    """tau * sum_i sigma_i * bound_i**2 over the declared norm bounds.
+
+    When that product is not finite, it is sum_i (tau * sigma_i) * bound_i**2,
+    which stays finite for a tiny tau with huge sigmas; every product that is
+    finite keeps its bits.
+    """
+    total = cfg.tau * _sigma_bound_sum(spec, cfg.sigmas)
+    if math.isfinite(total):
+        return total
+    return _sigma_bound_sum(spec, [cfg.tau * s for s in cfg.sigmas])
 
 
 def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1) -> float:
@@ -528,23 +536,21 @@ def _shape_checked(spec: ProblemSpec, errs: Optional[ErrorSchedule]) -> tuple:
 
 
 def preflight(
-    spec: ProblemSpec, cfg: StepConfig, variant: str, n_iters: int, log_stride: int = 1, x0=None, v0=None, y0=None
+    spec: ProblemSpec, cfg: StepConfig, variant: str, log_stride: int = 1, x0=None, v0=None, y0=None
 ) -> State:
     """The checks :func:`run` makes before its first sweep; returns the start it builds.
 
-    Checks the step-size budget, ``n_iters``, ``log_stride``, the relaxation
-    and the starting point (``y0`` is read by ``dr2`` only), raising
+    Checks the step-size budget, ``log_stride``, the relaxation and the
+    starting point (``y0`` is read by ``dr2`` only), raising
     :class:`StepSizeError` or ValueError. The relaxations a run uses depend
-    on its length, so this is where they are checked to lie in (0, 2), as
-    :func:`validate_steps` checks the budget: a constant once, a schedule at
-    each of the run's sweeps.
+    on its length, ``cfg.max_iters`` sweeps, so this is where they are
+    checked to lie in (0, 2), as :func:`validate_steps` checks the budget:
+    a constant once, a schedule at each of the run's sweeps.
     """
     total = validate_steps(spec, cfg, variant)
-    if n_iters < 0:
-        raise ValueError("n_iters must be nonnegative")
     if log_stride < 1:
         raise ValueError("log_stride must be at least 1")
-    for n in range(max(n_iters, 1)) if callable(cfg.lambda_schedule) else (0,):
+    for n in range(cfg.max_iters) if callable(cfg.lambda_schedule) else (0,):
         lam = cfg.lam(n)
         if not 0.0 < lam < 2.0:
             raise ValueError(f"relaxation out of (0, 2) at n={n}: {lam}")
@@ -587,8 +593,8 @@ def run(
     keeps one set of dual blocks. Between sweeps only the iterate is kept,
     so a sweep's ``p1`` outlives it only in a logged row.
     Rows are kept every ``log_stride`` steps plus the final one. ``n_iters`` overrides
-    ``cfg.max_iters``; ``n_iters = 0`` runs one sweep, as ``n_iters = 1``
-    does, so row 0 is the step from the start. ``errs=None`` is the exact
+    ``cfg.max_iters`` for this call; ``n_iters = 0`` runs one sweep, as 1 does,
+    so row 0 is the step from the start. ``errs=None`` is the exact
     run. Before the first sweep, :func:`preflight` checks the budget, the
     relaxation at every iteration the run may take and the starting point.
     A finite ``residual_tol`` stops the run once the update norm drops below
@@ -596,8 +602,12 @@ def run(
     naming any resolvent output or error vector not of its block's shape. Non-finite
     iterates abort with a :class:`DivergenceError` naming the first offending quantity.
     """
-    n_iters = cfg.max_iters if n_iters is None else int(n_iters)
-    state = preflight(spec, cfg, variant, n_iters, log_stride, x0, v0, y0)
+    if n_iters is not None:
+        n_iters = int(n_iters)
+        if n_iters < 0:
+            raise ValueError("n_iters must be nonnegative")
+        cfg = replace(cfg, max_iters=max(n_iters, 1))
+    state = preflight(spec, cfg, variant, log_stride, x0, v0, y0)
     step = VARIANTS[variant].step
     tol = residual_tol if residual_tol is not None and math.isfinite(residual_tol) else -math.inf
     checked, checked_errs = _shape_checked(spec, errs)
@@ -612,11 +622,10 @@ def run(
         starts = (state.x, *state.v, *(state.y if state.y is not None else ()))
         limit = math.inf if any(b.dot(b) == math.inf for b in starts) else _SQRT_MAX
         del starts  # so that the start blocks go with the first sweep's input
-        sweeps = max(n_iters, 1)
-        for k in range(sweeps):
+        for k in range(cfg.max_iters):
             state = step(checked, cfg, checked_errs, state) if k == 0 else step(spec, cfg, errs, state)
             _check_state(state, k, limit)
-            last = k == sweeps - 1 or state.residual < tol
+            last = k == cfg.max_iters - 1 or state.residual < tol
             if k % log_stride == 0 or last:
                 obj = float(log_objective(state.p1)) if log_objective is not None else None
                 # the last row alone keeps the dual blocks

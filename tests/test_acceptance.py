@@ -210,7 +210,7 @@ def test_criterion_7_fejer_monotonicity():
     cfg = StepConfig(tau=0.24, sigmas=(0.5,) * 8, lambda_schedule=1.8, max_iters=10_000)
     x0 = np.array([5.0, 2.0])
 
-    state = preflight(prob, cfg, "dr1", cfg.max_iters, x0=x0)
+    state = preflight(prob, cfg, "dr1", x0=x0)
     for _ in range(10_000):
         state = dr1_step(prob, cfg, None, state)
     x_lim, v_lim = state.x, state.v
@@ -219,7 +219,7 @@ def test_criterion_7_fejer_monotonicity():
         dv = [b - b_lim for b, b_lim in zip(state.v, v_lim, strict=True)]
         return vnorm_dr1(prob, cfg, state.x - x_lim, dv)
 
-    state = preflight(prob, cfg, "dr1", cfg.max_iters, x0=x0)
+    state = preflight(prob, cfg, "dr1", x0=x0)
     dists = []
     for _ in range(500):
         dists.append(dist(state))
@@ -285,7 +285,7 @@ def test_criterion_10_operator_call_accounting():
     ]
     prob = make_prox_problem(BallIndicator(np.zeros(dim), 1.0), np.zeros(dim), terms)
     cfg = StepConfig(tau=0.2, sigmas=(0.2,) * 4, lambda_schedule=1.5, max_iters=n_steps)
-    state = preflight(prob, cfg, "dr1", cfg.max_iters)
+    state = preflight(prob, cfg, "dr1")
     for _ in range(n_steps):
         state = dr1_step(prob, cfg, None, state)
     ok1 = all(op.apply.call_count == 2 * n_steps and op.adjoint.call_count == 2 * n_steps for op in counters1)
@@ -296,7 +296,7 @@ def test_criterion_10_operator_call_accounting():
         for op in counters2
     ]
     prob = make_prox_problem(BallIndicator(np.zeros(dim), 1.0), np.zeros(dim), terms)
-    state = preflight(prob, cfg, "dr2", cfg.max_iters)
+    state = preflight(prob, cfg, "dr2")
     for _ in range(n_steps):
         state = dr2_step(prob, cfg, None, state)
     ok2 = all(op.apply.call_count == n_steps and op.adjoint.call_count == n_steps for op in counters2)
@@ -347,8 +347,8 @@ def test_criterion_12_reduced_scheme_equivalence():
     prob = make_prox_problem(f, 0.1 * np.ones(dim), terms)
     cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=100)
     x0 = np.array([0.9, -0.4, 0.2])
-    full = preflight(prob, cfg, "dr2", cfg.max_iters, x0=x0)
-    red = preflight(prob, cfg, "dr2-reduced", cfg.max_iters, x0=x0)
+    full = preflight(prob, cfg, "dr2", x0=x0)
+    red = preflight(prob, cfg, "dr2-reduced", x0=x0)
     identical = True
     for _ in range(100):
         full = dr2_step(prob, cfg, None, full)

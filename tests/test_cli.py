@@ -1,4 +1,6 @@
 import contextlib
+import errno
+import inspect
 import io
 import json
 import math
@@ -25,7 +27,7 @@ from proxsplit.cli import (
     pgm_write,
 )
 from proxsplit.core import IterateLog, LogRow
-from proxsplit.problems import heron_objective, heron1
+from proxsplit.problems import deblur_step_config, heron_objective, heron_step_config, heron1
 
 
 def _write_config(tmp_path, name="cfg.json", **body):
@@ -210,6 +212,38 @@ class TestRunCommand:
         _, rows = _read_csv(csv)
         assert len(rows) == 1
         assert rows[0][0] == "0"
+
+    @pytest.mark.parametrize("iters", [0, 1, 7, None], ids=["0", "1", "7", "unset"])
+    @pytest.mark.parametrize("experiment", ["heron1", "deblur"])
+    def test_a_run_logs_one_row_per_sweep_of_its_step_config(self, tmp_path, experiment, iters):
+        """``iters`` is read once, as the step config's ``max_iters``: it runs
+        ``max(iters, 1)`` sweeps, and an unset one the library default."""
+        csv = tmp_path / "out.csv"
+        body = dict(experiment=experiment, log_stride=1, output_csv=str(csv))
+        if experiment == "deblur":
+            body.update(image_size=16, output_pgm=str(tmp_path / "out.pgm"))
+        if iters is not None:
+            body["iters"] = iters
+        assert main(["run", _write_config(tmp_path, **body)]) == 0
+        if iters is None:
+            recipe = heron_step_config if experiment == "heron1" else deblur_step_config
+            expected = inspect.signature(recipe).parameters["max_iters"].default
+        else:
+            expected = max(iters, 1)
+        _, rows = _read_csv(csv)
+        assert [int(row[0]) for row in rows] == list(range(expected))
+
+    @pytest.mark.parametrize("artifact", ["output_csv", "output_pgm"])
+    def test_a_failed_artifact_write_is_named(self, tmp_path, capsys, artifact):
+        """A file name longer than the file system takes ends with exit 2 and
+        one error line naming the path, not an OSError traceback."""
+        paths = {"output_csv": str(tmp_path / "out.csv"), "output_pgm": str(tmp_path / "out.pgm")}
+        paths[artifact] = str(tmp_path / ("x" * 300))
+        path = _write_config(tmp_path, experiment="deblur", iters=2, image_size=16, **paths)
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {paths[artifact]}: {os.strerror(errno.ENAMETOOLONG)}\n"
+        assert captured.out == ""
 
     def test_objective_recomputable_from_csv(self, tmp_path):
         csv = tmp_path / "out.csv"
@@ -414,6 +448,13 @@ class TestOtherCommands:
         path = _write_config(tmp_path, experiment="heron1", algorithm="dr2")
         assert main(["validate", path]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_validate_takes_a_budget_sum_past_the_largest_float(self, tmp_path, capsys):
+        """Eight sigmas of 1e308 with tau 1e-320 sum to about 8e-12 < 4, though
+        tau * sum(sigma_i) overflows."""
+        path = _write_config(tmp_path, experiment="heron1", tau=1e-320, sigma=1e308)
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out == "ok: heron1 dr1, tau*sum(sigma*bound^2) = 7.99991094e-12 < 4\n"
 
     def test_validate_rejects(self, tmp_path, capsys):
         path = _write_config(tmp_path, experiment="heron1", algorithm="dr1", tau=8.0)

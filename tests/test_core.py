@@ -39,7 +39,7 @@ class TestStepConfig:
         for schedule in (2.0, lambda n: 1.0 if n < 3 else 2.5):
             cfg = StepConfig(tau=0.24, sigmas=(0.5,) * 8, lambda_schedule=schedule, max_iters=5)
             with pytest.raises(ValueError):
-                preflight(prob, cfg, "dr1", 5)
+                preflight(prob, cfg, "dr1")
             with pytest.raises(ValueError):
                 run(prob, cfg, variant="dr1", n_iters=5)
         cfg = StepConfig(tau=1.0, sigmas=(1.0,), lambda_schedule=lambda n: 1.0 + 0.5 / (n + 1), max_iters=5)

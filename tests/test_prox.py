@@ -166,6 +166,23 @@ class TestProjections:
     @pytest.mark.parametrize(
         "make, message",
         [
+            (lambda: BallIndicator((math.nan, 0.0), 1.0), "center must be finite"),
+            (lambda: BallIndicator((math.inf, 0.0), 1.0), "center must be finite"),
+            (lambda: BallIndicator((0.0, -math.inf), 1.0), "center must be finite"),
+            (lambda: BoxIndicator((math.nan, 0.0), (1.0, 1.0)), "box bounds must not be NaN"),
+            (lambda: BoxIndicator((0.0, 0.0), (1.0, math.nan)), "box bounds must not be NaN"),
+        ],
+        ids=["ball-nan", "ball-inf", "ball-minus-inf", "box-lo-nan", "box-hi-nan"],
+    )
+    def test_a_non_finite_set_parameter_is_refused(self, make, message):
+        """Such a ball passed ``preflight`` and ended its run at sweep 0 with a
+        non-finite ``p1``; a NaN box bound was named as bounds out of order."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
             (lambda: WeightedL1(math.nan), "weight must be finite and strictly positive, got nan"),
             (lambda: WeightedL1(math.inf), "weight must be finite and strictly positive, got inf"),
             (lambda: WeightedL1(-1.0), "weight must be finite and strictly positive, got -1.0"),

@@ -84,7 +84,7 @@ def _assert_same_runs(spec_a, spec_b, cfg, variant, x0=None):
         assert a.step_residual.hex() == b.step_residual.hex()
     _assert_same_blocks(logs[0].final.duals, logs[1].final.duals)
     step = VARIANTS[variant].step
-    a, b = (preflight(p, cfg, variant, cfg.max_iters, x0=x0) for p in (spec_a, spec_b))
+    a, b = (preflight(p, cfg, variant, x0=x0) for p in (spec_a, spec_b))
     for _ in range(cfg.max_iters):
         a, b = step(spec_a, cfg, None, a), step(spec_b, cfg, None, b)
         _assert_same_blocks(a.duals, b.duals)
@@ -188,6 +188,24 @@ class TestValidateSteps:
         with pytest.raises(StepSizeError):
             validate_steps(prob, StepConfig(tau=1.001, **kw), "dr1")  # 4.004
 
+    def test_a_budget_sum_past_the_largest_float_is_taken_with_tau_inside(self):
+        """tau * sum(sigma_i) overflows for huge sigmas, though each
+        tau * sigma_i is about 1e-12; the sum of those is checked instead."""
+        prob = heron_build(heron1())
+        cfg = StepConfig(tau=1e-320, sigmas=(1e308,) * 8, lambda_schedule=1.0, max_iters=5)
+        total = validate_steps(prob, cfg, "dr1")
+        assert total == weighted_bound_sum(prob, cfg) == pytest.approx(8e-12, rel=1e-4)
+        assert np.all(np.isfinite(preflight(prob, cfg, "dr1").x))
+        assert all(0.0 < g < math.inf for g in preflight(prob, cfg, "dr2").gammas)
+
+    def test_a_budget_sum_past_the_largest_float_can_still_be_too_large(self):
+        prob = heron_build(heron1())
+        cfg = StepConfig(tau=1e-300, sigmas=(1e308,) * 8, lambda_schedule=1.0, max_iters=5)
+        for check in (lambda: validate_steps(prob, cfg, "dr1"), lambda: preflight(prob, cfg, "dr1")):
+            with pytest.raises(StepSizeError, match=r"= 800000000, required < 4 \(dr1\)$") as err:
+                check()
+            assert math.isfinite(err.value.total)
+
     def test_variant_budgets_differ(self):
         prob = _point_norm_problem()
         cfg = StepConfig(tau=0.9, sigmas=(1.0,), lambda_schedule=1.0, max_iters=5)
@@ -213,7 +231,7 @@ class TestValidateSteps:
         [
             lambda prob, cfg: validate_steps(prob, cfg, "dr1"),
             weighted_bound_sum,
-            lambda prob, cfg: preflight(prob, cfg, "dr2", 5),
+            lambda prob, cfg: preflight(prob, cfg, "dr2"),
             metric_rho_dr1,
         ],
         ids=["validate_steps", "weighted_bound_sum", "preflight", "metric_rho_dr1"],
@@ -242,7 +260,7 @@ class TestVariants:
         cfg = StepConfig(tau=0.1, sigmas=(0.1,), lambda_schedule=1.0, max_iters=5)
         calls = {
             "validate_steps": lambda: validate_steps(prob, cfg, "dr3"),
-            "preflight": lambda: preflight(prob, cfg, "dr3", cfg.max_iters),
+            "preflight": lambda: preflight(prob, cfg, "dr3"),
             "heron_step_config": lambda: heron_step_config("heron1", prob, "dr3"),
             "deblur_step_config": lambda: deblur_step_config(prob, "dr3"),
         }
@@ -258,7 +276,7 @@ class TestVariants:
         validate_steps(prob, StepConfig(tau=math.nextafter(rec.budget, 0.0), **kw), name)
         with pytest.raises(StepSizeError):
             validate_steps(prob, StepConfig(tau=rec.budget, **kw), name)
-        assert (preflight(prob, StepConfig(tau=0.1, **kw), name, 5).y is None) == (not rec.carries_y)
+        assert (preflight(prob, StepConfig(tau=0.1, **kw), name).y is None) == (not rec.carries_y)
 
         heron = heron_build(heron1())  # obstacles occupy the parallel-sum slots
         cfg = heron_step_config("heron1", heron, name)
@@ -294,7 +312,7 @@ class TestStartBlocks:
         prob, cfg = self._setup()
         blocks, message = self.BAD_BLOCKS[case]
         with pytest.raises(ValueError, match=message):
-            preflight(prob, cfg, "dr2", cfg.max_iters, **{which: blocks})
+            preflight(prob, cfg, "dr2", **{which: blocks})
         with pytest.raises(ValueError, match=message):
             run(prob, cfg, variant="dr2", **{which: blocks})
 
@@ -303,7 +321,7 @@ class TestStartBlocks:
         prob, cfg = self._setup()
         rows = np.arange(16.0).reshape(8, 2)
         for start in (rows, (row for row in rows)):
-            state = preflight(prob, cfg, "dr2", cfg.max_iters, **{which: start})
+            state = preflight(prob, cfg, "dr2", **{which: start})
             blocks = getattr(state, which[0])
             assert type(blocks) is tuple and len(blocks) == 8
             assert all(np.array_equal(b, row) for b, row in zip(blocks, rows, strict=True))
@@ -314,14 +332,14 @@ class TestStartBlocks:
     def test_a_bad_primal_start_is_rejected(self, x0, message):
         prob, cfg = self._setup()
         with pytest.raises(ValueError, match=message):
-            preflight(prob, cfg, "dr2", cfg.max_iters, x0=x0)
+            preflight(prob, cfg, "dr2", x0=x0)
 
 
 class TestGammaWeights:
     def test_formula(self):
         prob = heron_build(heron1())
         cfg = StepConfig(tau=0.24, sigmas=(0.1,) * 8, lambda_schedule=1.8, max_iters=5)
-        g = preflight(prob, cfg, "dr2", cfg.max_iters).gammas
+        g = preflight(prob, cfg, "dr2").gammas
         # sigma_i^{-1} * tau * sum_j sigma_j * 1^2 = 10 * 0.24 * 0.8
         assert g == pytest.approx((1.92,) * 8)
 
@@ -345,7 +363,7 @@ class TestFixedPoints:
         prob = _point_norm_problem(2)
         cfg = StepConfig(tau=0.2, sigmas=(0.5,), lambda_schedule=1.3, max_iters=5)
         v = (np.array([0.5, 0.0]),)
-        state = dataclasses.replace(preflight(prob, cfg, "dr2", cfg.max_iters), v=v)
+        state = dataclasses.replace(preflight(prob, cfg, "dr2"), v=v)
         new = dr2_step(prob, cfg, None, state)
         assert np.abs(new.x).max() <= 1e-12
         assert np.abs(new.v[0] - v[0]).max() <= 1e-12
@@ -369,7 +387,7 @@ class TestOperatorAccounting:
     def test_dr1_two_evaluations_each(self):
         prob, ops = self._counting_problem()
         cfg = StepConfig(tau=0.2, sigmas=(0.3,) * 3, lambda_schedule=1.5, max_iters=10)
-        state = preflight(prob, cfg, "dr1", cfg.max_iters)
+        state = preflight(prob, cfg, "dr1")
         for _ in range(7):
             state = dr1_step(prob, cfg, None, state)
         for op in ops:
@@ -379,7 +397,7 @@ class TestOperatorAccounting:
     def test_dr2_one_evaluation_each(self):
         prob, ops = self._counting_problem()
         cfg = StepConfig(tau=0.2, sigmas=(0.2,) * 3, lambda_schedule=1.5, max_iters=10)
-        state = preflight(prob, cfg, "dr2", cfg.max_iters)
+        state = preflight(prob, cfg, "dr2")
         for _ in range(7):
             state = dr2_step(prob, cfg, None, state)
         for op in ops:
@@ -401,8 +419,8 @@ class TestReducedScheme:
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=101)
         validate_steps(prob, cfg, "dr2")
         x0 = np.array([0.9, -0.4, 0.2])
-        full = preflight(prob, cfg, "dr2", cfg.max_iters, x0=x0)
-        red = preflight(prob, cfg, "dr2-reduced", cfg.max_iters, x0=x0)
+        full = preflight(prob, cfg, "dr2", x0=x0)
+        red = preflight(prob, cfg, "dr2-reduced", x0=x0)
         assert full.y is not None and red.y is None
         for _ in range(100):
             full = dr2_step(prob, cfg, None, full)
@@ -418,7 +436,7 @@ class TestReducedScheme:
         prob = self._reduced_problem()
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=1)
         errs = make_power_error_schedule(1.0, 2.0, (prob.dim, prob.block_signature), seed=0)
-        full = dr2_step(prob, cfg, errs, preflight(prob, cfg, "dr2", cfg.max_iters, x0=np.array([0.9, -0.4, 0.2])))
+        full = dr2_step(prob, cfg, errs, preflight(prob, cfg, "dr2", x0=np.array([0.9, -0.4, 0.2])))
         assert any(np.any(block != 0.0) for block in full.y)
 
     def test_reduced_accepts_larger_budget(self):
@@ -433,7 +451,7 @@ class TestReducedScheme:
         prob = heron_build(heron1())
         cfg = StepConfig(tau=0.02, sigmas=(0.1,) * 8, lambda_schedule=1.0, max_iters=5)
         with pytest.raises(ValueError, match="zero-point reduction"):
-            preflight(prob, cfg, "dr2-reduced", cfg.max_iters)
+            preflight(prob, cfg, "dr2-reduced")
 
     @pytest.mark.parametrize("variant", ["dr1", "dr2-reduced"])
     def test_y0_rejected_without_y_block(self, variant):
@@ -441,16 +459,16 @@ class TestReducedScheme:
         prob = self._reduced_problem()
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=5)
         y0 = [np.ones(3), np.ones(3)]
-        preflight(prob, cfg, "dr2", cfg.max_iters, y0=y0)
+        preflight(prob, cfg, "dr2", y0=y0)
         with pytest.raises(ValueError, match="y0"):
-            preflight(prob, cfg, variant, cfg.max_iters, y0=y0)
+            preflight(prob, cfg, variant, y0=y0)
         with pytest.raises(ValueError, match="y0"):
             run(prob, cfg, variant=variant, n_iters=2, y0=y0)
 
     def test_reduced_fixed_point(self):
         prob = self._reduced_problem()
         cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=2001)
-        state = preflight(prob, cfg, "dr2-reduced", cfg.max_iters, x0=np.zeros(3))
+        state = preflight(prob, cfg, "dr2-reduced", x0=np.zeros(3))
         for _ in range(2000):
             state = dr2_step(prob, cfg, None, state)
         again = dr2_step(prob, cfg, None, state)
@@ -566,7 +584,7 @@ class TestShifts:
         x0 = np.array([-0.0, 0.0, 0.3, -0.2])
         v0 = [np.array([-0.0, -0.0, 0.1, 0.0]), np.array([0.0, -0.0, -0.3, -0.0])]
         y0 = [np.array([-0.0, 0.2, 0.0, -0.1]), np.array([0.1, -0.0, 0.0, 0.0])] if variant == "dr2" else None
-        state = preflight(prob, cfg, variant, cfg.max_iters, x0=x0, v0=v0, y0=y0)
+        state = preflight(prob, cfg, variant, x0=x0, v0=v0, y0=y0)
         for _ in range(4):
             x, v, y, p1, duals, residual = reference(prob, cfg, state)
             state = step(prob, cfg, None, state)
@@ -778,6 +796,36 @@ class TestRunSemantics:
             run(prob, cfg, variant="dr1", n_iters=4, x0=np.array([5.0, 2.0]))
         assert prob.res_a.call_count == 0
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_a_negative_n_iters_is_refused_before_the_first_sweep(self, variant):
+        base = TestReducedScheme()._reduced_problem()
+        prob = dataclasses.replace(base, res_a=Mock(wraps=base.res_a))
+        cfg = StepConfig(tau=0.15, sigmas=(0.5, 0.5), lambda_schedule=1.7, max_iters=5)
+        with pytest.raises(ValueError, match="^n_iters must be nonnegative$"):
+            run(prob, cfg, variant=variant, n_iters=-1)
+        assert prob.res_a.call_count == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 6, 20])
+    def test_an_n_iters_override_is_preflight_of_that_length(self, n):
+        """``run(n_iters=n)`` checks the relaxation at the sweeps that
+        ``preflight`` checks for a config of ``max(n, 1)`` sweeps."""
+        _, prob, _ = self._setup()
+        cfg = StepConfig(
+            tau=0.24, sigmas=(0.1,) * 8, lambda_schedule=lambda k: 1.8 if k < 5 else 2.5, max_iters=400
+        )
+
+        def refused(call) -> bool:
+            try:
+                call()
+            except ValueError as exc:
+                assert str(exc) == "relaxation out of (0, 2) at n=5: 2.5"
+                return True
+            return False
+
+        by_run = refused(lambda: run(prob, cfg, variant="dr1", n_iters=n))
+        by_preflight = refused(lambda: preflight(prob, dataclasses.replace(cfg, max_iters=max(n, 1)), "dr1"))
+        assert by_run == by_preflight == (n > 5)
+
     def test_residual_tol_stops_early(self):
         _, prob, cfg = self._setup()
         log = run(prob, cfg, variant="dr1", n_iters=10_000, residual_tol=1e-9, x0=np.array([5.0, 2.0]))
@@ -964,7 +1012,7 @@ class TestLogRows:
         if end == "residual_tol":
             assert 0 < last < 10_000 - 1 and last % 7 != 0 and log.final.step_residual < 1e-6
         assert all(row.duals is None for row in log.rows[:-1])
-        state = preflight(prob, cfg, variant, cfg.max_iters, x0=x0)
+        state = preflight(prob, cfg, variant, x0=x0)
         for _ in range(last + 1):
             state = VARIANTS[variant].step(prob, cfg, None, state)
         assert log.final.primal.tobytes() == state.p1.tobytes()
@@ -1045,7 +1093,7 @@ class TestSweepMemory:
         prob = deblur_build(d)
         cfg = deblur_step_config(prob, variant, max_iters=10)
         step = VARIANTS[variant].step
-        state = preflight(prob, cfg, variant, cfg.max_iters, x0=d.observed.ravel())
+        state = preflight(prob, cfg, variant, x0=d.observed.ravel())
         for _ in range(3):
             state = step(prob, cfg, None, state)
         tracemalloc.start()
@@ -1102,7 +1150,7 @@ class TestSweepMemory:
         step = VARIANTS[variant].step
         v0 = [np.array([0.1, -0.1, 0.2]), np.array([-0.2, 0.1, 0.0]), np.array([0.05, 0.1, -0.1])]
         y0 = [0.5 * b for b in v0] if variant == "dr2" else None
-        state = preflight(prob, cfg, variant, cfg.max_iters, x0=np.array([0.3, -0.2, 0.1]), v0=v0, y0=y0)
+        state = preflight(prob, cfg, variant, x0=np.array([0.3, -0.2, 0.1]), v0=v0, y0=y0)
         state = step(prob, cfg, errs, state)
         for _ in range(3):
             y = state.y if state.y is not None else ()
@@ -1138,7 +1186,7 @@ class TestHugeUpdates:
         x0[0] = 1e160
         with np.errstate(over="ignore"):
             log = run(prob, cfg, variant=variant, x0=x0)
-            first = VARIANTS[variant].step(prob, cfg, None, preflight(prob, cfg, variant, cfg.max_iters, x0=x0))
+            first = VARIANTS[variant].step(prob, cfg, None, preflight(prob, cfg, variant, x0=x0))
         assert len(log) == 400
         assert all(math.isfinite(row.step_residual) and np.all(np.isfinite(row.primal)) for row in log)
         # the first residual is the norm of the first relaxed update; v and y start at zero
