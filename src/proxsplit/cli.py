@@ -4,7 +4,7 @@ artifact emission.
 Subcommands
 -----------
 run <config.json>       execute the configured experiment, write artifacts
-validate <config.json>  make the checks run makes before its first sweep
+validate <config.json>  make run's checks and take its first sweep, writing nothing
 norms <config.json>     print power-iteration norm estimates vs declared bounds
 
 Exit codes: 0 success, 2 invalid configuration or step sizes (violation
@@ -13,13 +13,18 @@ written, 3 divergence (a non-finite iterate or a residual whose square
 overflows).
 
 CONFIG_KEYS is the configuration schema: each key's type, the experiments
-that read it and its help. Unknown keys, and keys the chosen experiment does
-not read, are rejected. An unset key takes the experiment's own default,
-applied where the experiment is built: the published heron set-ups in
-problems.HERON_SETUPS, the deblur step recipe in deblur_step_config, the run
-length (``iters``, the step config's max_iters) in the signatures of
-heron_step_config and deblur_step_config, and the deblur model defaults in
-the signature of make_deblur_spec.
+that read it and its help, which names a default only through the name that
+holds it. Unknown keys, and keys the chosen experiment does not read, are
+rejected. The default of an unset key is defined once: in ``problems``
+(HERON_SETUPS, the step recipes and run lengths of heron_step_config and
+deblur_step_config, the *_LOG_STRIDE and CUSTOM_* constants, the model
+defaults of make_deblur_spec, and DEBLUR_GRID_MULTIPLE, to which a scene is
+padded), in solvers.resolved_variant (``dr2`` runs as ``dr2-reduced`` on a
+fully reduced problem), and here (DEFAULT_ALGORITHM, DEFAULT_ERROR_*).
+Artifacts are named ``<experiment>_<variant>.csv`` and
+``<experiment>_<variant>_recon.pgm`` after the variant that runs.
+``validate`` takes ``run``'s sweep 0 and discards it, so a run that cannot
+take its first sweep fails there with ``run``'s message and exit code.
 """
 from __future__ import annotations
 
@@ -39,6 +44,11 @@ from .core import ErrorSchedule, StepConfig, make_power_error_schedule
 from .linops import op_norm_estimate
 from .prox import BallIndicator, BoxIndicator, LineIndicator
 from .problems import (
+    CUSTOM_LAMBDA,
+    CUSTOM_MAX_ITERS,
+    DEBLUR_GRID_MULTIPLE,
+    DEBLUR_LOG_STRIDE,
+    HERON_LOG_STRIDE,
     HERON_SETUPS,
     HeronSpec,
     box_from_center,
@@ -54,12 +64,11 @@ from .problems import (
 )
 from .solvers import (
     DR1,
-    DR2,
-    DR2_REDUCED,
     VARIANTS,
     DivergenceError,
     _variant,
     preflight,
+    resolved_variant,
     run,
     validate_steps,  # noqa: F401  (bench/workloads.py wraps cli.validate_steps in traced runs)
     weighted_bound_sum,
@@ -223,6 +232,12 @@ _NUMBERS = (_number_list, "a list of numbers")
 _POINT = (lambda value: _finite(_number_list(value)), "a list of finite numbers")
 _PATH = (_of_type(str), "a path string")
 
+# The defaults the CLI applies itself: the variant, and an exact error schedule.
+DEFAULT_ALGORITHM = DR1
+DEFAULT_ERROR_C = 0.0
+DEFAULT_ERROR_P = 2.0
+DEFAULT_ERROR_SEED = 0
+
 _HERONS = (*HERON_SETUPS, "custom")
 _DEBLUR = ("deblur",)
 _EVERY = _HERONS + _DEBLUR
@@ -230,21 +245,23 @@ _EVERY = _HERONS + _DEBLUR
 # key -> (converter, expected kind, the experiments that read it, help);
 # build_run and run rely on the converted types.
 CONFIG_KEYS = {
-    "experiment": (*_NAME, _EVERY, "one of heron1, heron2, heron3, deblur, custom"),
-    "algorithm": (*_NAME, _EVERY, "one of dr1, dr2, dr2-reduced (default dr1)"),
+    "experiment": (*_NAME, _EVERY, f"one of {', '.join(_EVERY)}"),
+    "algorithm": (*_NAME, _EVERY, f"one of {', '.join(VARIANTS)} (default {DEFAULT_ALGORITHM})"),
     "tau": (*_NUMBER, _EVERY, "primal step size (default: published, required for custom)"),
     "sigma": (*_NUMBER, _EVERY, "scalar dual step size applied to every term"),
     "sigmas": (*_NUMBERS, _EVERY, "per-term dual step sizes (instead of sigma)"),
-    "lambda": (*_NUMBER, _EVERY, "constant relaxation in (0, 2) (default: published, 1.8 for custom)"),
-    "iters": (*_COUNT, _EVERY, "iteration count (default 100 heron, 200 deblur; 0 runs one, as 1 does)"),
-    "log_stride": (*_INTEGER, _EVERY, "log every k-th iteration (default 1 heron, 10 deblur)"),
-    "residual_tol": (*_NUMBER, _EVERY, "stop once the update norm falls below this (default none)"),
+    "lambda": (*_NUMBER, _EVERY, f"relaxation in (0, 2) (default: published, {CUSTOM_LAMBDA} for custom)"),
+    "iters": (*_COUNT, _EVERY, f"sweep count (default: the recipe's, {CUSTOM_MAX_ITERS} for custom; 0 runs one)"),
+    "log_stride": (
+        *_INTEGER, _EVERY, f"log every k-th sweep (default {HERON_LOG_STRIDE}, deblur {DEBLUR_LOG_STRIDE})"
+    ),
+    "residual_tol": (*_NUMBER, _EVERY, "stop once the update norm falls below this (default: no stop)"),
     "x0": (*_POINT, _HERONS, "starting primal point (default: published, origin for custom)"),
-    "error_c": (*_NUMBER, _EVERY, "error-schedule magnitude (default 0 = exact)"),
-    "error_p": (*_NUMBER, _EVERY, "error-schedule decay exponent > 1 (default 2)"),
-    "error_seed": (*_INTEGER, _EVERY, "error-schedule direction seed (default 0)"),
-    "output_csv": (*_PATH, _EVERY, "iterate log path (default <experiment>_<algorithm>.csv)"),
-    "output_pgm": (*_PATH, _DEBLUR, "reconstruction path (default <experiment>_<algorithm>_recon.pgm)"),
+    "error_c": (*_NUMBER, _EVERY, f"error-schedule magnitude (default {DEFAULT_ERROR_C:g}, the exact run)"),
+    "error_p": (*_NUMBER, _EVERY, f"error-schedule decay exponent > 1 (default {DEFAULT_ERROR_P:g})"),
+    "error_seed": (*_INTEGER, _EVERY, f"error-schedule direction seed (default {DEFAULT_ERROR_SEED})"),
+    "output_csv": (*_PATH, _EVERY, "iterate log path (default <experiment>_<variant>.csv)"),
+    "output_pgm": (*_PATH, _DEBLUR, "reconstruction path (default <experiment>_<variant>_recon.pgm)"),
     "alpha1": (*_NUMBER, _DEBLUR, "TV weight"),
     "alpha2": (*_NUMBER, _DEBLUR, "wavelet-l1 weight"),
     "kernel_size": (*_INTEGER, _DEBLUR, "blur kernel size, odd"),
@@ -287,7 +304,7 @@ def load_config(path) -> dict:
     if experiment not in _EVERY:
         raise ConfigError(f"unknown experiment {experiment!r}")
     try:
-        _variant(cfg.get("algorithm", DR1))
+        _variant(cfg.get("algorithm", DEFAULT_ALGORITHM))
     except ValueError as exc:
         raise ConfigError(exc) from None
     unread = [key for key in cfg if experiment not in CONFIG_KEYS[key][2]]
@@ -361,7 +378,7 @@ def _pad_to_multiple(image: np.ndarray, multiple: int):
 def build_run(cfg: dict) -> PreparedRun:
     """Materialize problem, step sizes, error schedule and objective from a
     loaded configuration, each unset key taking the experiment's default."""
-    experiment, variant = cfg["experiment"], cfg.get("algorithm", DR1)
+    experiment = cfg["experiment"]
     for key in ("output_csv", "output_pgm"):
         if key in cfg and (os.path.isdir(cfg[key]) or not os.path.isdir(os.path.dirname(cfg[key]) or ".")):
             raise ConfigError(f"config key {key!r}: cannot write a file at {cfg[key]!r}")
@@ -376,16 +393,10 @@ def build_run(cfg: dict) -> PreparedRun:
             clean = synthetic_image((cfg["image_size"],) * 2)
         else:
             clean = synthetic_image()
-        clean, pad = _pad_to_multiple(clean, 16)
+        clean, pad = _pad_to_multiple(clean, DEBLUR_GRID_MULTIPLE)
         dspec = make_deblur_spec(clean=clean, **{k: cfg[k] for k in _DEBLUR_MODEL_KEYS if k in cfg})
         problem = deblur_build(dspec)
-        # Every parallel-sum slot is the zero-point reduction here, so the
-        # single-pass algorithm runs in its reduced form with the larger
-        # step-size budget.
-        if variant == DR2:
-            variant = DR2_REDUCED
-        log_stride = cfg.get("log_stride", 10)
-        published = deblur_step_config(problem, variant)
+        log_stride = cfg.get("log_stride", DEBLUR_LOG_STRIDE)
         objective = lambda x, d=dspec: deblur_objective(d, x)
         x0 = dspec.observed.ravel()
     else:
@@ -395,12 +406,18 @@ def build_run(cfg: dict) -> PreparedRun:
             build, start, _ = HERON_SETUPS[experiment]
             hspec = build()
         problem = heron_build(hspec)
-        log_stride = cfg.get("log_stride", 1)
-        published = None if experiment == "custom" else heron_step_config(experiment, problem, variant)
+        log_stride = cfg.get("log_stride", HERON_LOG_STRIDE)
         objective = lambda x, h=hspec: heron_objective(h, x)
         x0 = cfg.get("x0", start)
         x0 = None if x0 is None else np.asarray(x0, dtype=float)
 
+    variant = resolved_variant(cfg.get("algorithm", DEFAULT_ALGORITHM), problem)
+    if experiment == "deblur":
+        published = deblur_step_config(problem, variant)
+    elif experiment in HERON_SETUPS:
+        published = heron_step_config(experiment, problem, variant)
+    else:
+        published = None
     overrides = {"max_iters": max(cfg["iters"], 1)} if "iters" in cfg else {}
     if "tau" in cfg:
         overrides["tau"] = cfg["tau"]
@@ -417,11 +434,14 @@ def build_run(cfg: dict) -> PreparedRun:
     elif "sigmas" not in overrides:
         raise ConfigError("custom experiment requires 'sigma' or 'sigmas'")
     else:
-        step_cfg = StepConfig(**{"lambda_schedule": 1.8, "max_iters": 100, **overrides})
+        step_cfg = StepConfig(**{"lambda_schedule": CUSTOM_LAMBDA, "max_iters": CUSTOM_MAX_ITERS, **overrides})
 
     dims = (problem.dim, problem.block_signature)
     errors = make_power_error_schedule(
-        cfg.get("error_c", 0.0), cfg.get("error_p", 2.0), dims, cfg.get("error_seed", 0)
+        cfg.get("error_c", DEFAULT_ERROR_C),
+        cfg.get("error_p", DEFAULT_ERROR_P),
+        dims,
+        cfg.get("error_seed", DEFAULT_ERROR_SEED),
     )
     return PreparedRun(
         config=cfg,
@@ -501,6 +521,11 @@ def cmd_run(prepared: PreparedRun) -> int:
 
 def cmd_validate(prepared: PreparedRun) -> int:
     preflight(prepared.problem, prepared.step_config, prepared.variant, prepared.log_stride, prepared.x0)
+    # sweep 0 as run takes it, shape checks included; its row is dropped
+    run(
+        prepared.problem, prepared.step_config, prepared.errors, prepared.variant, prepared.objective,
+        n_iters=1, log_stride=prepared.log_stride, x0=prepared.x0,
+    )
     total = weighted_bound_sum(prepared.problem, prepared.step_config)
     budget = VARIANTS[prepared.variant].budget
     print(
@@ -525,7 +550,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("run", "execute a configured experiment and write artifacts"),
-        ("validate", "make the checks run makes before its first sweep"),
+        ("validate", "make run's checks and take its first sweep, writing nothing"),
         ("norms", "print operator norm estimates vs declared bounds"),
     ):
         p = sub.add_parser(name, help=helptext)

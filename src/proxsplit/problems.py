@@ -35,6 +35,9 @@ __all__ = [
     "heron_objective",
     "heron_build",
     "HERON_SETUPS",
+    "HERON_LOG_STRIDE",
+    "CUSTOM_LAMBDA",
+    "CUSTOM_MAX_ITERS",
     "heron_step_config",
     "deblur_objective",
     "isnr",
@@ -42,6 +45,8 @@ __all__ = [
     "make_deblur_spec",
     "deblur_build",
     "deblur_step_config",
+    "DEBLUR_LOG_STRIDE",
+    "DEBLUR_GRID_MULTIPLE",
     "PAPER_WAVELET_NORM_BOUND",
 ]
 
@@ -51,6 +56,11 @@ __all__ = [
 # budget and diverge, so the experiment builder defaults to the true norm
 # and keeps this constant only for reproducing the published arithmetic.
 PAPER_WAVELET_NORM_BOUND = 2.0 ** -8
+
+# Levels of the deblurring model's Haar transform, which needs each image
+# side to be a multiple of DEBLUR_GRID_MULTIPLE; the CLI pads a scene to it.
+_HAAR_LEVELS = 4
+DEBLUR_GRID_MULTIPLE = 2 ** _HAAR_LEVELS
 
 
 def box_from_center(center, side: float) -> BoxIndicator:
@@ -120,6 +130,12 @@ HERON_SETUPS = {
     "heron2": (heron2, (0.0, 2.0, 0.0), {DR1: (0.99, 0.4, 1.8), DR2: (0.59, 0.05, 1.8)}),
     "heron3": (heron3, (-1.0, 6.0), {DR1: (3.99, 0.1, 1.7), DR2: (0.49, 0.1, 1.7)}),
 }
+
+# Defaults of a configured location run: every sweep logged and, on a custom
+# geometry, which has no published steps, this relaxation and run length.
+HERON_LOG_STRIDE = 1
+CUSTOM_LAMBDA = 1.8
+CUSTOM_MAX_ITERS = 100
 
 
 def heron_step_config(name: str, problem: ProblemSpec, variant: str, max_iters: int = 100) -> StepConfig:
@@ -245,7 +261,7 @@ def make_deblur_spec(
     clean = np.asarray(clean, dtype=float)
     shape = clean.shape
     blur = GaussianBlurOp(shape, kernel_size, kernel_std)
-    wavelet = HaarOp(shape, norm_bound=wavelet_norm_bound)
+    wavelet = HaarOp(shape, _HAAR_LEVELS, norm_bound=wavelet_norm_bound)
     grad = GradientOp(shape)
     rng = np.random.default_rng(int(noise_seed))
     # blur(clean) + noise_std * noise, clipped, in the buffer of the noise
@@ -277,6 +293,10 @@ _DEBLUR_RECIPES = {
     DR1: ((1.0, 1.0, 0.05), 1.5),
     DR2: ((1.0, 0.05, 0.05), 1.6),
 }
+
+
+# Every 10th sweep of a deblurring run is logged by default.
+DEBLUR_LOG_STRIDE = 10
 
 
 def deblur_step_config(problem: ProblemSpec, variant: str, max_iters: int = 200) -> StepConfig:

@@ -45,6 +45,7 @@ __all__ = [
     "DR2_REDUCED",
     "Variant",
     "VARIANTS",
+    "resolved_variant",
     "Term",
     "ProblemSpec",
     "State",
@@ -411,9 +412,6 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     for i, term in enumerate(spec.terms):
         s = cfg.sigmas[i]
         target = term.L.apply(u)
-        # None while target is the operator's output, which may be u itself;
-        # then the buffer of the sweep's own that target is built in
-        out = None
         if y is not None:
             g = state.gammas[i]
             arg = g * v[i]
@@ -423,14 +421,12 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
             if errs is not None:
                 p2 = p2 + errs.d(i, n)
             y_new.append(_relax(y[i], lam, p2, y[i], sqs, big))
-            out = 2.0 * p2
+            target = target - (2.0 * p2 - y[i])
             del p2
-            out -= y[i]
-            target = np.subtract(target, out, out=out)
         if term.r is not None:
-            target = out = np.subtract(target, term.r, out=out)
-        arg = np.multiply(target, s, out=out)
-        del target, out
+            target = target - term.r
+        arg = target * s
+        del target
         arg += v[i]
         p3 = term.res_b_conj(arg, s)
         del arg
@@ -471,6 +467,15 @@ def _variant(name: str, spec: Optional[ProblemSpec] = None) -> Variant:
     if spec is not None and VARIANTS[name].reduced and not all(t.d_is_zero for t in spec.terms):
         raise ValueError("reduced scheme requires the zero-point reduction in every term")
     return VARIANTS[name]
+
+
+def resolved_variant(name: str, spec: ProblemSpec) -> str:
+    """The variant that runs as ``name`` on ``spec``: ``dr2`` on a problem whose
+    every slot is the zero-point reduction runs as ``dr2-reduced``, the same
+    sweep with ``y`` held at zero and the larger budget; any other is ``name``."""
+    if name == DR2 and all(t.d_is_zero for t in spec.terms):
+        return DR2_REDUCED
+    return name
 
 
 def _check_state(state: State, k: int, limit: float) -> None:

@@ -27,7 +27,18 @@ from proxsplit.cli import (
     pgm_write,
 )
 from proxsplit.core import IterateLog, LogRow
-from proxsplit.problems import deblur_step_config, heron_objective, heron_step_config, heron1
+from proxsplit.problems import (
+    CUSTOM_LAMBDA,
+    CUSTOM_MAX_ITERS,
+    DEBLUR_GRID_MULTIPLE,
+    DEBLUR_LOG_STRIDE,
+    HERON_LOG_STRIDE,
+    deblur_step_config,
+    heron_objective,
+    heron_step_config,
+    heron1,
+)
+from proxsplit.solvers import resolved_variant
 
 
 def _write_config(tmp_path, name="cfg.json", **body):
@@ -167,6 +178,84 @@ class TestConfig:
         assert not out.exists()
 
 
+class TestDefaults:
+    """A config without a key gets the default that the schema's help names,
+    read from the one constant or signature that holds it."""
+
+    @staticmethod
+    def _prepared(tmp_path, monkeypatch, **body):
+        """The prepared run and the arguments of its error schedule."""
+        calls = []
+        make = cli.make_power_error_schedule
+
+        def recorded(c, p, dims, seed):
+            calls.append((c, p, seed))
+            return make(c, p, dims, seed)
+
+        monkeypatch.setattr(cli, "make_power_error_schedule", recorded)
+        prepared = build_run(load_config(_write_config(tmp_path, **body)))
+        (errors,) = calls
+        return prepared, errors
+
+    @staticmethod
+    def _max_iters(recipe):
+        return inspect.signature(recipe).parameters["max_iters"].default
+
+    def test_help_names_each_applied_default(self):
+        helps = {key: spec[3] for key, spec in CONFIG_KEYS.items()}
+        assert f"(default {cli.DEFAULT_ALGORITHM})" in helps["algorithm"]
+        assert f"{CUSTOM_LAMBDA} for custom" in helps["lambda"]
+        assert f"{CUSTOM_MAX_ITERS} for custom" in helps["iters"]
+        assert f"(default {HERON_LOG_STRIDE}, deblur {DEBLUR_LOG_STRIDE})" in helps["log_stride"]
+        assert f"(default {cli.DEFAULT_ERROR_C:g}, the exact run)" in helps["error_c"]
+        assert f"(default {cli.DEFAULT_ERROR_P:g})" in helps["error_p"]
+        assert f"(default {cli.DEFAULT_ERROR_SEED})" in helps["error_seed"]
+        assert "<experiment>_<variant>" in helps["output_csv"] and "<experiment>_<variant>" in helps["output_pgm"]
+
+    def test_heron(self, tmp_path, monkeypatch):
+        prepared, errors = self._prepared(tmp_path, monkeypatch, experiment="heron1")
+        assert prepared.variant == cli.DEFAULT_ALGORITHM
+        assert prepared.log_stride == HERON_LOG_STRIDE
+        assert prepared.step_config.max_iters == self._max_iters(heron_step_config)
+        assert errors == (cli.DEFAULT_ERROR_C, cli.DEFAULT_ERROR_P, cli.DEFAULT_ERROR_SEED)
+        assert prepared.errors is None
+
+    def test_custom(self, tmp_path, monkeypatch):
+        prepared, errors = self._prepared(tmp_path, monkeypatch, experiment="custom", tau=0.3, sigma=0.5, custom=CUSTOM)
+        assert prepared.variant == cli.DEFAULT_ALGORITHM
+        assert prepared.log_stride == HERON_LOG_STRIDE
+        assert prepared.step_config.max_iters == CUSTOM_MAX_ITERS
+        assert prepared.step_config.lam(0) == CUSTOM_LAMBDA
+        assert errors == (cli.DEFAULT_ERROR_C, cli.DEFAULT_ERROR_P, cli.DEFAULT_ERROR_SEED)
+
+    def test_deblur(self, tmp_path, monkeypatch):
+        side = DEBLUR_GRID_MULTIPLE + 1
+        prepared, errors = self._prepared(tmp_path, monkeypatch, experiment="deblur", image_size=side)
+        assert prepared.variant == cli.DEFAULT_ALGORITHM
+        assert prepared.log_stride == DEBLUR_LOG_STRIDE
+        assert prepared.step_config.max_iters == self._max_iters(deblur_step_config)
+        assert errors == (cli.DEFAULT_ERROR_C, cli.DEFAULT_ERROR_P, cli.DEFAULT_ERROR_SEED)
+        assert prepared.pad == (DEBLUR_GRID_MULTIPLE - 1,) * 2
+        assert prepared.deblur_spec.observed.shape == (2 * DEBLUR_GRID_MULTIPLE,) * 2
+
+    @pytest.mark.parametrize("experiment, variant", [("heron1", "dr2"), ("deblur", "dr2-reduced")])
+    def test_dr2_runs_as_the_variant_the_rule_resolves(self, tmp_path, monkeypatch, experiment, variant):
+        body = dict(experiment=experiment, algorithm="dr2")
+        if experiment == "deblur":
+            body["image_size"] = 16
+        prepared, _ = self._prepared(tmp_path, monkeypatch, **body)
+        assert prepared.variant == resolved_variant("dr2", prepared.problem) == variant
+
+    def test_artifacts_are_named_after_the_variant_that_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = _write_config(tmp_path, experiment="deblur", algorithm="dr2", image_size=16, iters=2)
+        assert main(["run", path]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name != "cfg.json") == [
+            "deblur_dr2-reduced.csv",
+            "deblur_dr2-reduced_recon.pgm",
+        ]
+
+
 class TestRunCommand:
     def test_heron1_final_row_matches_published_value(self, tmp_path):
         csv = tmp_path / "out.csv"
@@ -285,12 +374,13 @@ class TestRunCommand:
 
     def test_divergence_exit_code(self, tmp_path):
         # a finite but huge error magnitude overflows the first sweep, which
-        # must abort the run with the divergence code
+        # must abort the run, and validate, which takes that sweep too, with
+        # the divergence code
         path = _write_config(
             tmp_path, experiment="deblur", algorithm="dr1", iters=5, image_size=16, error_c=1e308,
             output_csv=str(tmp_path / "out.csv"), output_pgm=str(tmp_path / "out.pgm"),
         )
-        assert main(["validate", path]) == 0
+        assert main(["validate", path]) == 3
         assert main(["run", path]) == 3
 
     @pytest.mark.parametrize("algorithm", ["dr1", "dr2"])
@@ -450,11 +540,31 @@ class TestOtherCommands:
         assert "ok" in capsys.readouterr().out
 
     def test_validate_takes_a_budget_sum_past_the_largest_float(self, tmp_path, capsys):
-        """Eight sigmas of 1e308 with tau 1e-320 sum to about 8e-12 < 4, though
-        tau * sum(sigma_i) overflows."""
-        path = _write_config(tmp_path, experiment="heron1", tau=1e-320, sigma=1e308)
+        """Two sigmas of 1e308 with tau 1e-320 sum to about 2e-12 < 4, though
+        tau * sum(sigma_i) overflows. Every set holds the origin, the start, so
+        sweep 0 stays there and stays finite."""
+        origin_sets = [{"type": "box", "center": [0, 0], "side": 1.0}, {"type": "ball", "center": [0, 0], "radius": 0.5}]
+        body = _custom_config(2, {"type": "ball", "center": [0, 0], "radius": 1.0}, origin_sets)
+        path = _write_config(tmp_path, **{**body, "tau": 1e-320, "sigma": 1e308})
         assert main(["validate", path]) == 0
-        assert capsys.readouterr().out == "ok: heron1 dr1, tau*sum(sigma*bound^2) = 7.99991094e-12 < 4\n"
+        assert capsys.readouterr().out == "ok: custom dr1, tau*sum(sigma*bound^2) = 1.99997773e-12 < 4\n"
+
+    @pytest.mark.parametrize("algorithm", ["dr1", "dr2"])
+    def test_validate_takes_sweep_0_as_run_does(self, tmp_path, capsys, algorithm):
+        """heron1 with sigma 1e308 and tau 1e-320 passes the budget, but its
+        first sweep overflows: validate takes that sweep, exits 3 with run's
+        error line and writes no artifact."""
+        csv = tmp_path / "out.csv"
+        path = _write_config(
+            tmp_path, experiment="heron1", algorithm=algorithm, tau=1e-320, sigma=1e308, output_csv=str(csv)
+        )
+        errs = []
+        for command in ("validate", "run"):
+            assert main([command, path]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and not csv.exists()
+            errs.append(captured.err)
+        assert errs[0] == errs[1] == "error: non-finite value in dual resolvent output, term 0 at iteration 0\n"
 
     def test_validate_rejects(self, tmp_path, capsys):
         path = _write_config(tmp_path, experiment="heron1", algorithm="dr1", tau=8.0)

@@ -49,6 +49,7 @@ from proxsplit.solvers import (
     metric_apply_dr1,
     metric_rho_dr1,
     preflight,
+    resolved_variant,
     run,
     validate_steps,
     vnorm_dr1,
@@ -287,6 +288,18 @@ class TestVariants:
             refused = "zero-point reduction" in str(err)
         assert refused == rec.reduced
         assert (cfg.tau, cfg.sigmas[0], cfg.lam(0)) == HERON_SETUPS["heron1"][2][rec.published]
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_dr2_runs_reduced_only_where_every_slot_is_reduced(self, name):
+        reduced = make_prox_problem(BoxIndicator(-1.0, 1.0), None, [(IdentityOp(2), EuclideanNorm(), None, None)] * 2)
+        mixed = make_prox_problem(
+            BoxIndicator(-1.0, 1.0),
+            None,
+            [(IdentityOp(2), EuclideanNorm(), None, None), (IdentityOp(2), EuclideanNorm(), BallIndicator((0, 0), 1), None)],
+        )
+        assert resolved_variant(name, reduced) == ("dr2-reduced" if name == "dr2" else name)
+        assert resolved_variant(name, mixed) == name
+        assert resolved_variant(name, heron_build(heron1())) == name
 
 
 class TestStartBlocks:
