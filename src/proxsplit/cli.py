@@ -9,7 +9,8 @@ norms <config.json>     print power-iteration norm estimates vs declared bounds
 
 Exit codes: 0 success, 2 invalid configuration or step sizes (violation
 report on stderr), an allocation that fails or an artifact that cannot be
-written, 3 divergence (a non-finite iterate or a residual whose square
+written (``run`` then leaves no artifact it created, and keeps every path that
+existed before), 3 divergence (a non-finite iterate or a residual whose square
 overflows).
 
 CONFIG_KEYS is the configuration schema: each key's type, the experiments
@@ -23,8 +24,8 @@ padded), in solvers.resolved_variant (``dr2`` runs as ``dr2-reduced`` on a
 fully reduced problem), and here (DEFAULT_ALGORITHM, DEFAULT_ERROR_*).
 Artifacts are named ``<experiment>_<variant>.csv`` and
 ``<experiment>_<variant>_recon.pgm`` after the variant that runs.
-``validate`` takes ``run``'s sweep 0 and discards it, so a run that cannot
-take its first sweep fails there with ``run``'s message and exit code.
+``validate`` calls ``run`` for sweep 0 alone and discards it: it makes run's
+checks once, and fails as run does through sweep 0, with its message and exit code.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -67,11 +68,9 @@ from .solvers import (
     VARIANTS,
     DivergenceError,
     _variant,
-    preflight,
     resolved_variant,
     run,
-    validate_steps,  # noqa: F401  (bench/workloads.py wraps cli.validate_steps in traced runs)
-    weighted_bound_sum,
+    validate_steps,
 )
 
 __all__ = ["main", "pgm_read", "pgm_write", "ConfigError", "PgmError", "load_config", "build_run"]
@@ -478,14 +477,20 @@ def _write_csv(path, log, prepared: PreparedRun) -> None:
             fh.write(template % (*head, *row.primal.tolist()))
 
 
-@contextmanager
-def _writing(path):
-    """Turn an OSError raised while writing the artifact ``path`` into a
-    ConfigError naming it, which ``main`` reports with exit 2."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+def _write_all(artifacts) -> None:
+    """Call each ``write(path)`` of the ``(path, write)`` pairs in ``artifacts``,
+    all or nothing: an OSError removes every artifact path that did not exist
+    before the call, never one that did (``/dev/full``, say), and becomes a
+    ConfigError naming the path, which ``main`` reports with exit 2."""
+    created = [path for path, _ in artifacts if not os.path.lexists(path)]
+    for path, write in artifacts:
+        try:
+            write(path)
+        except OSError as exc:
+            for made in created:
+                with suppress(OSError):  # a path never created, or a name the file system refused
+                    os.remove(made)
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_run(prepared: PreparedRun) -> int:
@@ -501,8 +506,7 @@ def cmd_run(prepared: PreparedRun) -> int:
         x0=prepared.x0,
     )
     csv_path = cfg.get("output_csv") or f"{cfg['experiment']}_{prepared.variant}.csv"
-    with _writing(csv_path):
-        _write_csv(csv_path, log, prepared)
+    artifacts = [(csv_path, lambda path: _write_csv(path, log, prepared))]
     out = [f"wrote {csv_path} ({len(log)} rows)"]
     if prepared.deblur_spec is not None:
         pgm_path = cfg.get("output_pgm") or f"{cfg['experiment']}_{prepared.variant}_recon.pgm"
@@ -510,9 +514,9 @@ def cmd_run(prepared: PreparedRun) -> int:
         pm, pn = prepared.pad
         if pm or pn:
             recon = recon[: recon.shape[0] - pm, : recon.shape[1] - pn]
-        with _writing(pgm_path):
-            pgm_write(recon, pgm_path)
+        artifacts.append((pgm_path, lambda path: pgm_write(recon, path)))
         out.append(f"wrote {pgm_path}")
+    _write_all(artifacts)
     final = log.final
     out.append("final iter %d: objective %.9g, residual %.9g" % (final.n, final.objective, final.step_residual))
     print("\n".join(out))
@@ -520,13 +524,12 @@ def cmd_run(prepared: PreparedRun) -> int:
 
 
 def cmd_validate(prepared: PreparedRun) -> int:
-    preflight(prepared.problem, prepared.step_config, prepared.variant, prepared.log_stride, prepared.x0)
-    # sweep 0 as run takes it, shape checks included; its row is dropped
+    # run's checks and sweep 0 as run takes it, shape checks included; its row is dropped
     run(
         prepared.problem, prepared.step_config, prepared.errors, prepared.variant, prepared.objective,
         n_iters=1, log_stride=prepared.log_stride, x0=prepared.x0,
     )
-    total = weighted_bound_sum(prepared.problem, prepared.step_config)
+    total = validate_steps(prepared.problem, prepared.step_config, prepared.variant)
     budget = VARIANTS[prepared.variant].budget
     print(
         f"ok: {prepared.config['experiment']} {prepared.variant}, "

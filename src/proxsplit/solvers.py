@@ -52,7 +52,6 @@ __all__ = [
     "DivergenceError",
     "make_prox_problem",
     "validate_steps",
-    "weighted_bound_sum",
     "dr1_step",
     "dr2_step",
     "preflight",
@@ -198,29 +197,20 @@ def _sigma_bound_sum(spec: ProblemSpec, sigmas) -> float:
     return sum(s * b ** 2 for s, b in zip(sigmas, spec.norm_bounds))
 
 
-def weighted_bound_sum(spec: ProblemSpec, cfg: StepConfig) -> float:
-    """tau * sum_i sigma_i * bound_i**2 over the declared norm bounds.
-
-    When that product is not finite, it is sum_i (tau * sigma_i) * bound_i**2,
-    which stays finite for a tiny tau with huge sigmas; every product that is
-    finite keeps its bits.
-    """
-    total = cfg.tau * _sigma_bound_sum(spec, cfg.sigmas)
-    if math.isfinite(total):
-        return total
-    return _sigma_bound_sum(spec, [cfg.tau * s for s in cfg.sigmas])
-
-
 def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1) -> float:
     """Check the strict step-size budget of the chosen variant; returns the checked sum.
 
-    This is the one place the budget is checked, and it trusts the declared
-    norm bounds; ``proxsplit norms`` compares them with power-iteration
-    estimates. Raises :class:`StepSizeError` carrying the computed sum and
-    the budget on violation.
+    The sum is tau * sum_i sigma_i * bound_i**2 over the declared norm bounds,
+    or sum_i (tau * sigma_i) * bound_i**2 where that product is not finite, as
+    for a tiny tau with huge sigmas. This is the one place the sum is computed
+    and the budget checked; it trusts the declared norm bounds, which
+    ``proxsplit norms`` compares with power-iteration estimates. Raises
+    :class:`StepSizeError` carrying the sum and the budget on violation.
     """
     budget = _variant(variant, spec).budget
-    total = weighted_bound_sum(spec, cfg)
+    total = cfg.tau * _sigma_bound_sum(spec, cfg.sigmas)
+    if not math.isfinite(total):
+        total = _sigma_bound_sum(spec, [cfg.tau * s for s in cfg.sigmas])
     if not total < budget:
         raise StepSizeError(total, budget, detail=variant)
     return total
@@ -460,11 +450,16 @@ VARIANTS = {
 }
 
 
+def _fully_reduced(spec: ProblemSpec) -> bool:
+    """Whether every parallel-sum slot of ``spec`` is the zero-point reduction."""
+    return all(t.d_is_zero for t in spec.terms)
+
+
 def _variant(name: str, spec: Optional[ProblemSpec] = None) -> Variant:
     """The record of variant ``name``; given ``spec``, also check that it applies to it."""
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}; expected one of {sorted(VARIANTS)}")
-    if spec is not None and VARIANTS[name].reduced and not all(t.d_is_zero for t in spec.terms):
+    if spec is not None and VARIANTS[name].reduced and not _fully_reduced(spec):
         raise ValueError("reduced scheme requires the zero-point reduction in every term")
     return VARIANTS[name]
 
@@ -473,7 +468,7 @@ def resolved_variant(name: str, spec: ProblemSpec) -> str:
     """The variant that runs as ``name`` on ``spec``: ``dr2`` on a problem whose
     every slot is the zero-point reduction runs as ``dr2-reduced``, the same
     sweep with ``y`` held at zero and the larger budget; any other is ``name``."""
-    if name == DR2 and all(t.d_is_zero for t in spec.terms):
+    if name == DR2 and _fully_reduced(spec):
         return DR2_REDUCED
     return name
 
@@ -660,6 +655,7 @@ def vnorm_dr1(spec: ProblemSpec, cfg: StepConfig, x, v) -> float:
 
 
 def metric_rho_dr1(spec: ProblemSpec, cfg: StepConfig) -> float:
-    """Strong-positivity constant of the two-pass scheme's metric operator."""
-    total = weighted_bound_sum(spec, cfg)
+    """Strong-positivity constant of the two-pass scheme's metric operator, which
+    is positive inside the ``dr1`` budget; outside it, :func:`validate_steps` raises."""
+    total = validate_steps(spec, cfg, DR1)
     return (1.0 - 0.5 * math.sqrt(total)) * min(1.0 / cfg.tau, *(1.0 / s for s in cfg.sigmas))

@@ -130,3 +130,28 @@ def test_every_vector_norm_is_core_norm():
             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.norm"):
                 explicit = len(node.args) >= 2 or any(k.arg == "ord" for k in node.keywords)
                 assert explicit, f"{path.name}:{node.lineno} takes a vector norm with np.linalg.norm"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in (ROOT / "src" / "proxsplit").glob("*.py") if p.name != "__init__.py")
+)
+def test_every_module_level_import_is_used(path):
+    """Each name a module imports at module level is referenced in it or listed
+    in its ``__all__``; ``__init__.py`` is left out, since its star imports
+    are the package's re-exports."""
+    tree = ast.parse((ROOT / "src" / "proxsplit" / path).read_text(), path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = next(
+        (ast.literal_eval(node.value) for node in tree.body
+         if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]),
+        [],
+    )
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used | set(exported))
+    assert not unused, f"{path} imports names it never uses: {', '.join(unused)}"

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxsplit
-from proxsplit import cli
+from proxsplit import cli, solvers
 from proxsplit.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -325,7 +326,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("artifact", ["output_csv", "output_pgm"])
     def test_a_failed_artifact_write_is_named(self, tmp_path, capsys, artifact):
         """A file name longer than the file system takes ends with exit 2 and
-        one error line naming the path, not an OSError traceback."""
+        one error line naming the path, not an OSError traceback, and leaves
+        no artifact behind: the CSV written before a failed PGM is removed."""
         paths = {"output_csv": str(tmp_path / "out.csv"), "output_pgm": str(tmp_path / "out.pgm")}
         paths[artifact] = str(tmp_path / ("x" * 300))
         path = _write_config(tmp_path, experiment="deblur", iters=2, image_size=16, **paths)
@@ -333,6 +335,24 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: cannot write {paths[artifact]}: {os.strerror(errno.ENAMETOOLONG)}\n"
         assert captured.out == ""
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_failed_run_keeps_every_path_that_existed_before(self, tmp_path, capsys):
+        """An artifact path that existed before the run is neither removed nor
+        replaced when a write fails: /dev/full stays a character device, and a
+        CSV that was there stays while the PGM that failed after it is gone."""
+        csv = tmp_path / "out.csv"
+        csv.write_text("before\n")
+        for paths, failed in (
+            ({"output_csv": "/dev/full", "output_pgm": str(tmp_path / "out.pgm")}, "/dev/full"),
+            ({"output_csv": str(csv), "output_pgm": str(tmp_path / ("x" * 300))}, None),
+        ):
+            path = _write_config(tmp_path, experiment="deblur", iters=2, image_size=16, **paths)
+            assert main(["run", path]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {failed or paths['output_pgm']}: ")
+            assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+            assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out.csv"]
 
     def test_objective_recomputable_from_csv(self, tmp_path):
         csv = tmp_path / "out.csv"
@@ -565,6 +585,29 @@ class TestOtherCommands:
             assert captured.out == "" and not csv.exists()
             errs.append(captured.err)
         assert errs[0] == errs[1] == "error: non-finite value in dual resolvent output, term 0 at iteration 0\n"
+
+    def test_validate_makes_runs_checks_once(self, tmp_path, capsys, monkeypatch):
+        """validate is run's sweep 0 and one more reading of the sum it checked:
+        preflight runs once and validate_steps twice, inside run and for the
+        ok line."""
+        calls = []
+
+        def counted(name):
+            original = getattr(solvers, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in ("preflight", "validate_steps"):
+            monkeypatch.setattr(solvers, name, counted(name))
+        monkeypatch.setattr(cli, "validate_steps", solvers.validate_steps)
+        path = _write_config(tmp_path, experiment="deblur", image_size=16)
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out == "ok: deblur dr1, tau*sum(sigma*bound^2) = 3.976 < 4\n"
+        assert calls == ["preflight", "validate_steps", "validate_steps"]
 
     def test_validate_rejects(self, tmp_path, capsys):
         path = _write_config(tmp_path, experiment="heron1", algorithm="dr1", tau=8.0)

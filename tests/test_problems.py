@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +22,7 @@ from proxsplit.problems import (
     synthetic_image,
 )
 from proxsplit.prox import BallIndicator, BoxIndicator, L21Norm, LineIndicator
-from proxsplit.solvers import VARIANTS, run, validate_steps, weighted_bound_sum
+from proxsplit.solvers import VARIANTS, _sigma_bound_sum, run, validate_steps
 
 class TestHeronGeometry:
     def test_example1_layout(self):
@@ -164,8 +163,7 @@ class TestDeblurObjective:
         s1, s2, s3 = 1.0, 1.0, 0.05
         tau = 4.0 / (s1 + s2 * 2.0 ** -16 + 8 * s3) - 0.01
         cfg = StepConfig(tau=tau, sigmas=(s1, s2, s3), lambda_schedule=1.5, max_iters=5)
-        validate_steps(prob, cfg, "dr1")
-        assert weighted_bound_sum(prob, cfg) == pytest.approx(4.0 - 0.01 * (s1 + s2 * 2.0 ** -16 + 8 * s3))
+        assert validate_steps(prob, cfg, "dr1") == pytest.approx(4.0 - 0.01 * (s1 + s2 * 2.0 ** -16 + 8 * s3))
         s1, s2, s3 = 1.0, 0.05, 0.05
         tau = 1.0 / (s1 + s2 * 2.0 ** -16 + 8 * s3) - 0.01
         cfg = StepConfig(tau=tau, sigmas=(s1, s2, s3), lambda_schedule=1.6, max_iters=5)
@@ -183,8 +181,9 @@ class TestDeblurObjective:
         # differ by one ulp on the dr1 recipe.
         prob = deblur_build(make_deblur_spec(shape=(16, 16)))
         cfg = deblur_step_config(prob, variant)
-        total = weighted_bound_sum(prob, dataclasses.replace(cfg, tau=1.0))
-        assert cfg.tau == VARIANTS[variant].budget / total - 0.01
+        assert cfg.tau == VARIANTS[variant].budget / _sigma_bound_sum(prob, cfg.sigmas) - 0.01
+        total = validate_steps(prob, cfg, variant)
+        assert total == cfg.tau * _sigma_bound_sum(prob, cfg.sigmas)
 
     def test_builder_shapes(self):
         dspec = make_deblur_spec(shape=(16, 16))

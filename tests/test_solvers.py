@@ -53,7 +53,6 @@ from proxsplit.solvers import (
     run,
     validate_steps,
     vnorm_dr1,
-    weighted_bound_sum,
 )
 
 
@@ -195,7 +194,7 @@ class TestValidateSteps:
         prob = heron_build(heron1())
         cfg = StepConfig(tau=1e-320, sigmas=(1e308,) * 8, lambda_schedule=1.0, max_iters=5)
         total = validate_steps(prob, cfg, "dr1")
-        assert total == weighted_bound_sum(prob, cfg) == pytest.approx(8e-12, rel=1e-4)
+        assert total == 7.999910937461466e-12  # eight subnormal-rounded tau * sigma_i, not 8e-12 exactly
         assert np.all(np.isfinite(preflight(prob, cfg, "dr1").x))
         assert all(0.0 < g < math.inf for g in preflight(prob, cfg, "dr2").gammas)
 
@@ -231,11 +230,10 @@ class TestValidateSteps:
         "entry",
         [
             lambda prob, cfg: validate_steps(prob, cfg, "dr1"),
-            weighted_bound_sum,
             lambda prob, cfg: preflight(prob, cfg, "dr2"),
             metric_rho_dr1,
         ],
-        ids=["validate_steps", "weighted_bound_sum", "preflight", "metric_rho_dr1"],
+        ids=["validate_steps", "preflight", "metric_rho_dr1"],
     )
     def test_every_budget_sum_names_a_wrong_sigma_count(self, entry):
         """Each reader of the budget's sum names the count, where a bare zip
@@ -1390,6 +1388,15 @@ class TestMetric:
             lhs = float(np.dot(x1, m2x)) + _block_dot(v1, m2v)
             rhs = float(np.dot(x2, m1x)) + _block_dot(v2, m1v)
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+
+    def test_rho_is_refused_outside_the_dr1_budget(self):
+        """tau = 3 with sigma = 0.5 on heron1's eight unit bounds sums to 12,
+        past dr1's budget of 4, where (1 - sqrt(12) / 2) * 2 read -0.244 as a
+        strong-positivity constant; inside the budget rho keeps its bits."""
+        prob, cfg = self._setup()
+        assert metric_rho_dr1(prob, cfg) == 1.0202041028867288  # (1 - sqrt(0.96) / 2) * min(1 / 0.24, 1 / 0.5)
+        with pytest.raises(StepSizeError, match=r"= 12, required < 4 \(dr1\)$"):
+            metric_rho_dr1(prob, dataclasses.replace(cfg, tau=3.0))
 
     def test_strong_positivity(self, rng):
         prob, cfg = self._setup()
