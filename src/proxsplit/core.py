@@ -79,7 +79,8 @@ class StepConfig:
     """Step sizes, relaxation schedule and iteration budget for a solver run.
 
     ``lambda_schedule`` is a constant, stored as a float, or a total function
-    of the iteration counter. Construction checks positivity only. Which
+    of the iteration counter. Construction checks positivity only, and
+    refuses a NaN ``tau`` or sigma as not positive. Which
     relaxations a run uses depends on its length, so they are checked to lie
     in (0, 2) by ``proxsplit.solvers.preflight``, as the step-size budget
     ``tau * sum_i sigmas[i] * ||L_i||**2`` is by ``validate_steps`` there.
@@ -97,9 +98,10 @@ class StepConfig:
             object.__setattr__(self, "lambda_schedule", float(self.lambda_schedule))
         object.__setattr__(self, "max_iters", int(self.max_iters))
 
-        if self.tau <= 0.0:
+        # written so that a NaN fails them too
+        if not self.tau > 0.0:
             raise ValueError("tau must be strictly positive")
-        if not self.sigmas or any(s <= 0.0 for s in self.sigmas):
+        if not self.sigmas or not all(s > 0.0 for s in self.sigmas):
             raise ValueError("every sigma must be strictly positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")

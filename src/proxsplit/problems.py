@@ -150,8 +150,13 @@ def heron_objective(spec: HeronSpec, x) -> float:
 
 
 def heron_build(spec: HeronSpec) -> ProblemSpec:
-    """Template instance: identity maps, norm couplings, obstacle indicators."""
-    terms = [(IdentityOp(spec.dim), EuclideanNorm(), obstacle, None) for obstacle in spec.obstacles]
+    """Template instance: identity maps, norm couplings, obstacle indicators.
+
+    Every term shares one ``IdentityOp`` and one ``EuclideanNorm``, so the
+    sweeps take all the terms as one group and apply the identity once per pass.
+    """
+    L, g = IdentityOp(spec.dim), EuclideanNorm()
+    terms = [(L, g, obstacle, None) for obstacle in spec.obstacles]
     return make_prox_problem(spec.constraint, None, terms)
 
 

@@ -8,6 +8,14 @@ linear term and its adjoint only once, at the price of an extra dual block
 at zero: the reduced variant is :func:`dr2_step` on a :class:`State` without
 ``y``, and admits a larger step-size budget.
 
+Both sweeps take the terms in groups: a group is a maximal run of consecutive
+terms whose ``L`` is one object, as the location problems' identity terms are.
+A group's dual blocks, and each block-sized intermediate, are the rows of one
+2-D array, so its operator is applied once per pass and the scaling, the sums
+and the relaxed updates run on the whole array; its resolvents and error
+vectors are still called once per term, on the rows. A term with an operator
+of its own is a group of one, whose array is a view of its block.
+
 Every variant iterates one :class:`State`. Its :class:`Variant` record in
 :data:`VARIANTS` holds what sets it apart; :func:`validate_steps` alone checks
 its budget. Both sweeps tolerate summable additive errors after each resolvent
@@ -23,6 +31,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +45,7 @@ from .core import (
     _norm,
     as_vector,
 )
-from .linops import LinOp
+from .linops import IdentityOp, LinOp
 from .prox import PointIndicator, ProxFn
 
 __all__ = [
@@ -158,6 +167,23 @@ class ProblemSpec:
     def norm_bounds(self) -> tuple:
         return tuple(t.L.norm_bound for t in self.terms)
 
+    @cached_property
+    def _groups(self) -> tuple:
+        """The :class:`_Group` of each maximal run of consecutive terms whose ``L`` is one object."""
+        starts = [i for i, t in enumerate(self.terms) if i == 0 or t.L is not self.terms[i - 1].L]
+        groups = []
+        for lo, hi in zip(starts, [*starts[1:], self.m]):
+            terms = self.terms[lo:hi]
+            shifts = tuple((j, t.r) for j, t in enumerate(terms) if t.r is not None)
+            resolvents = zip(*((t.res_b_conj, t.res_d_conj, t.res_d) for t in terms))
+            groups.append(_Group(lo, hi, terms[0].L, shifts, *resolvents))
+        return tuple(groups)
+
+
+# The terms lo..hi-1 of a problem, which share the operator L: the (row, shift)
+# of each row counted from lo whose term has a shift, and the terms' resolvents.
+_Group = namedtuple("_Group", "lo hi L shifts res_b_conj res_d_conj res_d")
+
 
 def make_prox_problem(f: ProxFn, z, terms: Sequence) -> ProblemSpec:
     """Build a :class:`ProblemSpec` from prox-capable functions.
@@ -249,31 +275,80 @@ class State:
     residual: Optional[float] = None
 
 
-def _adjoint_sum(spec: ProblemSpec, blocks) -> np.ndarray:
-    """sum_i L_i^* blocks[i], accumulated in ascending term order.
+def _stack(rows) -> np.ndarray:
+    """The 2-D array whose rows are the 1-D ``rows``: a view of a lone row, a copy of several."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
 
-    The first adjoint plus 0.0 has the bits of that adjoint added into
-    zeros, and it is a fresh array: ``IdentityOp.adjoint`` returns its
-    argument, a block of the state, which the sum must not write to.
+
+def _rows(stack) -> tuple:
+    """The rows of a 2-D array, as views; a lone row is indexed, which is cheaper than iterating."""
+    return (stack[0],) if len(stack) == 1 else tuple(stack)
+
+
+def _stacks(spec: ProblemSpec, blocks) -> list:
+    """The per-term ``blocks`` stacked per group of ``spec``."""
+    return [_stack(blocks[g.lo : g.hi]) for g in spec._groups]
+
+
+def _adjoint_sum(spec: ProblemSpec, stacks) -> np.ndarray:
+    """sum_i L_i^* of the rows of each group's stack, accumulated in ascending term order.
+
+    An identity's adjoint maps a whole stack, row by row, in one call, and a
+    first such group is summed by one reduction from 0.0, with the bits of
+    the loop. The first adjoint plus 0.0 has the bits of that adjoint added
+    into zeros, and it is a fresh array: ``IdentityOp.adjoint`` returns its
+    argument, a block of the state, which the sum must not write to. Each
+    other adjoint is dropped once added, so only one is live at a time.
     """
-    (first, block), *rest = zip(spec.terms, blocks, strict=True)
-    acc = first.L.adjoint(block) + 0.0
-    for term, block in rest:
-        acc += term.L.adjoint(block)
+    acc = None
+    for g, stack in zip(spec._groups, stacks, strict=True):
+        if type(g.L) is IdentityOp:
+            rows = g.L.adjoint(stack)
+            if acc is None:
+                acc = np.add.reduce(rows, axis=0, initial=0.0)
+            else:
+                for row in _rows(rows):
+                    acc += row
+            continue
+        for row in _rows(stack):
+            if acc is None:
+                acc = g.L.adjoint(row) + 0.0
+            else:
+                acc += g.L.adjoint(row)
     return acc
 
 
-def _relax(base, lam: float, new, old, sqs: list, big: list) -> np.ndarray:
-    """``base + lam * (new - old)``, built in the buffer of the move ``new - old``.
+def _factor(weights, g: _Group):
+    """Group ``g``'s per-term ``weights`` as a column, or for a lone row its
+    weight, a Python float: numpy then scales an operator's unnamed output in
+    that output's own buffer, where a column product would allocate another."""
+    return weights[g.lo] if g.hi - g.lo == 1 else np.array(weights[g.lo : g.hi])[:, None]
 
-    The move's square goes to ``sqs``; when it overflows, the move's norm,
-    which ``core._norm`` rescales, also goes to ``big``.
+
+def _resolved(res, weights, args) -> np.ndarray:
+    """The stacked ``res[j](args[j], weights[j])`` of a group's rows."""
+    return _stack([r(a, w) for r, a, w in zip(res, _rows(args), weights)])
+
+
+def _errors(err, g: _Group, n: int) -> np.ndarray:
+    """The stacked error vectors ``err(i, n)`` of the terms of group ``g``."""
+    return _stack([err(i, n) for i in range(g.lo, g.hi)])
+
+
+def _relax(base, lam: float, new, old, sqs: list, big: dict, at: slice) -> np.ndarray:
+    """``base + lam * (new - old)`` row by row, built in the buffer of the move ``new - old``.
+
+    The rows' squares go to the positions ``at`` of ``sqs``; a row whose
+    square overflows also puts its norm, which ``core._norm`` rescales, into
+    ``big`` at its position.
     """
     d = new - old
-    s = float(d.dot(d))
-    sqs.append(s)
-    if s == math.inf:
-        big.append(_norm(d))
+    sq = np.vecdot(d, d).tolist()
+    sqs[at] = sq
+    if math.inf in sq:
+        for pos, row, s in zip(range(len(sqs))[at], d, sq):
+            if s == math.inf:
+                big[pos] = _norm(row)
     d *= lam
     d += base
     return d
@@ -294,6 +369,12 @@ def _update_norm(sqs: list, big: list) -> float:
     return math.hypot(*(math.sqrt(s) for s in sqs if s < math.inf), *big)
 
 
+def _residual(lam: float, sqs: list, big: dict) -> float:
+    """``lam`` times the update norm of the block squares ``sqs``, with the
+    norms in ``big`` taken in block order."""
+    return lam * _update_norm(sqs, [big[pos] for pos in sorted(big)])
+
+
 def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], state: State) -> State:
     """One sweep of the two-pass scheme (two evaluations of each L_i and L_i*).
 
@@ -301,12 +382,15 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     resolvent evaluations. Like :func:`dr2_step`, it writes only into arrays
     it allocated itself, never into a state block or into what an operator or
     a resolvent returned, which may be its argument; each in-place operation
-    is the one the plain formula makes, so the sweep keeps its bits.
+    is the one the plain formula makes, so the sweep keeps its bits. A group
+    of terms sharing one operator applies it once per pass.
     """
     n = state.n
     tau = cfg.tau
     lam = cfg.lam(n)
-    x, v = state.x, state.v
+    x, v = state.x, _stacks(spec, state.v)
+    sigmas = cfg.sigmas
+    halves = [0.5 * s for s in sigmas]
 
     arg = _adjoint_sum(spec, v)
     arg *= 0.5 * tau
@@ -320,54 +404,53 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     w1 = 2.0 * p1
     w1 -= x
 
-    p2s, w2s = [], []
-    for i, term in enumerate(spec.terms):
-        s = cfg.sigmas[i]
-        arg = (0.5 * s) * term.L.apply(w1)
-        arg += v[i]
-        if term.r is not None:
-            arg -= s * term.r
-        p2 = term.res_b_conj(arg, s)
+    p2s, w2s, duals = [], [], []
+    for g, vg in zip(spec._groups, v):
+        arg = (_factor(halves, g) * g.L.apply(w1)).reshape(g.hi - g.lo, -1)
+        arg += vg
+        for j, r in g.shifts:
+            arg[j] -= sigmas[g.lo + j] * r
+        p2 = _resolved(g.res_b_conj, sigmas[g.lo : g.hi], arg)
         del arg
         if errs is not None:
-            p2 = p2 + errs.b(i, n)
+            p2 = p2 + _errors(errs.b, g, n)
         p2s.append(p2)
+        duals += _rows(p2)
         w2 = 2.0 * p2
-        w2 -= v[i]
+        w2 -= vg
         w2s.append(w2)
     del w2
 
     z1 = _adjoint_sum(spec, w2s)
     z1 *= 0.5 * tau
     np.subtract(w1, z1, out=z1)
-    sqs, big = [], []
-    x_new = _relax(x, lam, z1, p1, sqs, big)
+    # the squares of x, then of v_0 ... v_{m-1}
+    sqs, big = [0.0] * (1 + spec.m), {}
+    x_new = _relax(x[None], lam, z1[None], p1[None], sqs, big, slice(0, 1))[0]
     u = z1  # 2 * z1 - w1, built in the buffer of z1
     u *= 2.0
     u -= w1
     del z1, w1
 
     v_new = []
-    for i, term in enumerate(spec.terms):
-        s = cfg.sigmas[i]
-        arg = (0.5 * s) * term.L.apply(u)
-        arg += w2s[i]
-        w2s[i] = None
-        z2 = term.res_d_conj(arg, s)
+    for k, g in enumerate(spec._groups):
+        arg = (_factor(halves, g) * g.L.apply(u)).reshape(g.hi - g.lo, -1)
+        arg += w2s[k]
+        w2s[k] = None
+        z2 = _resolved(g.res_d_conj, sigmas[g.lo : g.hi], arg)
         del arg
         if errs is not None:
-            z2 = z2 + errs.d(i, n)
-        v_new.append(_relax(v[i], lam, z2, p2s[i], sqs, big))
+            z2 = z2 + _errors(errs.d, g, n)
+        v_new += _rows(_relax(v[k], lam, z2, p2s[k], sqs, big, slice(1 + g.lo, 1 + g.hi)))
         del z2
-    residual = lam * _update_norm(sqs, big)
 
     return State(
         x=x_new,
         v=tuple(v_new),
         n=n + 1,
         p1=p1,
-        duals=tuple(p2s),
-        residual=residual,
+        duals=tuple(duals),
+        residual=_residual(lam, sqs, big),
     )
 
 
@@ -376,12 +459,15 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
 
     A state without ``y`` runs the reduced scheme: the ``y`` block and its
     resolvent are skipped, which is the full sweep with ``y`` held at zero.
-    It writes only into arrays it allocated itself, as :func:`dr1_step` does.
+    It writes only into arrays it allocated itself, as :func:`dr1_step` does,
+    and applies the operator of a group of terms once.
     """
     n = state.n
     tau = cfg.tau
     lam = cfg.lam(n)
-    x, y, v = state.x, state.y, state.v
+    x, v = state.x, _stacks(spec, state.v)
+    y = None if state.y is None else _stacks(spec, state.y)
+    sigmas, gammas = cfg.sigmas, state.gammas
 
     arg = _adjoint_sum(spec, v)
     if spec.z is not None:
@@ -392,49 +478,54 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     del arg
     if errs is not None:
         p1 = p1 + errs.a(n)
-    sqs, big = [], []
-    x_new = _relax(x, lam, p1, x, sqs, big)
+    # the squares of x, then of y_i (if carried) and v_i for each term in turn
+    width = 1 if y is None else 2
+    sqs, big = [0.0] * (1 + width * spec.m), {}
+    x_new = _relax(x[None], lam, p1[None], x[None], sqs, big, slice(0, 1))[0]
     u = 2.0 * p1
     u -= x
 
     y_new = None if y is None else []
-    v_new, p3s = [], []
-    for i, term in enumerate(spec.terms):
-        s = cfg.sigmas[i]
-        target = term.L.apply(u)
+    v_new, duals = [], []
+    for k, g in enumerate(spec._groups):
+        target = g.L.apply(u)
         if y is not None:
-            g = state.gammas[i]
-            arg = g * v[i]
-            arg += y[i]
-            p2 = term.res_d(arg, g)
+            arg = _factor(gammas, g) * v[k]
+            arg += y[k]
+            p2 = _resolved(g.res_d, gammas[g.lo : g.hi], arg)
             del arg
             if errs is not None:
-                p2 = p2 + errs.d(i, n)
-            y_new.append(_relax(y[i], lam, p2, y[i], sqs, big))
-            target = target - (2.0 * p2 - y[i])
+                p2 = p2 + _errors(errs.d, g, n)
+            at = slice(width * g.lo + 1, width * g.hi + 1, width)
+            y_new += _rows(_relax(y[k], lam, p2, y[k], sqs, big, at))
+            target = target - (2.0 * p2 - y[k])
             del p2
-        if term.r is not None:
-            target = target - term.r
-        arg = target * s
+        arg = (target * _factor(sigmas, g)).reshape(g.hi - g.lo, -1)
+        if g.shifts:
+            # a shifted row is (target - r) * sigma, the shift subtracted first
+            targets = np.broadcast_to(target, arg.shape)
+            for j, r in g.shifts:
+                np.multiply(targets[j] - r, sigmas[g.lo + j], out=arg[j])
+            del targets
         del target
-        arg += v[i]
-        p3 = term.res_b_conj(arg, s)
+        arg += v[k]
+        p3 = _resolved(g.res_b_conj, sigmas[g.lo : g.hi], arg)
         del arg
         if errs is not None:
-            p3 = p3 + errs.b(i, n)
-        p3s.append(p3)
-        v_new.append(_relax(v[i], lam, p3, v[i], sqs, big))
-    residual = lam * _update_norm(sqs, big)
+            p3 = p3 + _errors(errs.b, g, n)
+        duals += _rows(p3)
+        at = slice(width * (g.lo + 1), width * (g.hi + 1), width)
+        v_new += _rows(_relax(v[k], lam, p3, v[k], sqs, big, at))
 
     return State(
         x=x_new,
         v=tuple(v_new),
         y=None if y is None else tuple(y_new),
-        gammas=state.gammas,
+        gammas=gammas,
         n=n + 1,
         p1=p1,
-        duals=tuple(p3s),
-        residual=residual,
+        duals=tuple(duals),
+        residual=_residual(lam, sqs, big),
     )
 
 
@@ -642,7 +733,7 @@ def metric_apply_dr1(spec: ProblemSpec, cfg: StepConfig, x, v):
     """Apply the self-adjoint metric operator of the two-pass scheme; ``v`` and
     the dual part returned hold one block per term."""
     x = as_vector(x)
-    out_x = x / cfg.tau - 0.5 * _adjoint_sum(spec, v)
+    out_x = x / cfg.tau - 0.5 * _adjoint_sum(spec, _stacks(spec, v))
     out_v = [v[i] / cfg.sigmas[i] - 0.5 * term.L.apply(x) for i, term in enumerate(spec.terms)]
     return out_x, tuple(out_v)
 

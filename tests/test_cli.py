@@ -655,6 +655,8 @@ class TestOtherCommands:
             dict(experiment="heron1", error_c=0.1, error_p=math.nan),
             dict(experiment="heron1", x0=[math.nan, 1]),
             dict(experiment="heron1", tau="0.2"),
+            dict(experiment="heron1", tau=math.nan),
+            dict(experiment="heron1", sigma=math.nan),
             *(
                 _custom_config(dim=dim, constraint=constraint)
                 for dim, constraint in [
@@ -699,6 +701,8 @@ class TestOtherCommands:
             "error_p-nan",
             "x0-nan",
             "tau-string",
+            "tau-nan",
+            "sigma-nan",
             "custom-ball-radius-nan",
             "custom-ball-center-nan",
             "custom-box-side-nan",

@@ -32,6 +32,19 @@ class TestStepConfig:
         with pytest.raises(ValueError):
             StepConfig(tau=1.0, sigmas=(0.0,), lambda_schedule=1.0, max_iters=5)
 
+    @pytest.mark.parametrize(
+        "tau, sigmas, message",
+        [
+            (math.nan, (1.0,), "tau must be strictly positive"),
+            (1.0, (0.5, math.nan), "every sigma must be strictly positive"),
+        ],
+        ids=["tau", "sigma"],
+    )
+    def test_nan_step_is_refused_where_it_is_built(self, tau, sigmas, message):
+        # a NaN passes a "<= 0" test; the budget check would refuse it only later
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StepConfig(tau=tau, sigmas=sigmas, lambda_schedule=1.0, max_iters=5)
+
     def test_relaxation_range(self):
         # construction takes any relaxation; preflight, and so run, rejects
         # one outside (0, 2) before the first sweep

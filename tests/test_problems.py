@@ -71,6 +71,22 @@ class TestHeronGeometry:
             mid = heron_objective(h, 0.5 * (x + y))
             assert mid <= 0.5 * heron_objective(h, x) + 0.5 * heron_objective(h, y) + 1e-12
 
+    @pytest.mark.parametrize("build", [heron1, heron2, heron3, "custom"])
+    def test_every_term_shares_one_operator(self, build):
+        """One IdentityOp object for all the terms, so the sweeps take them as
+        one group; with an operator per term, they would run term by term."""
+        if build == "custom":
+            spec = HeronSpec(
+                constraint=BallIndicator([0.0, 0.0], 1.0),
+                obstacles=(box_from_center([3.0, 0.0], 1.0), BallIndicator([0.0, 4.0], 0.5)),
+                dim=2,
+            )
+        else:
+            spec = build()
+        prob = heron_build(spec)
+        assert len({id(t.L) for t in prob.terms}) == 1
+        assert [(g.lo, g.hi) for g in prob._groups] == [(0, prob.m)]
+
     def test_box_from_center(self):
         b = box_from_center([2.0, -1.0], 1.0)
         assert np.allclose(b.prox(np.array([5.0, -5.0]), 1.0), [2.5, -1.5])

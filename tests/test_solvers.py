@@ -42,6 +42,8 @@ from proxsplit.solvers import (
     ProblemSpec,
     State,
     Term,
+    _adjoint_sum,
+    _stacks,
     _update_norm,
     dr1_step,
     dr2_step,
@@ -498,6 +500,18 @@ class _Negate(LinOp):
     adjoint = apply
 
 
+class _Identity(LinOp):
+    """The identity map, but not an ``IdentityOp``: a group of these adds its adjoints one by one."""
+
+    def __init__(self, dim):
+        super().__init__(dim, dim, 1.0)
+
+    def apply(self, x):
+        return np.asarray(x, dtype=float)
+
+    adjoint = apply
+
+
 def _or_zeros(shift, dim):
     """An absent tilt or shift as the zeros the reference formulas subtract."""
     return np.zeros(dim) if shift is None else shift
@@ -647,6 +661,128 @@ class TestShifts:
         for prob in (heron_build(heron1()), deblur_build(make_deblur_spec(shape=(16, 16)))):
             assert prob.z is None
             assert all(t.r is None for t in prob.terms)
+
+
+class TestGroupedSweeps:
+    """Terms that share one operator object are swept as one stacked group,
+    bit for bit as the same terms each with an operator of its own."""
+
+    @staticmethod
+    def _own_operators(prob, own):
+        """``prob`` with each term's operator replaced by ``own(term.L)``, a distinct object."""
+        return dataclasses.replace(prob, terms=[dataclasses.replace(t, L=own(t.L)) for t in prob.terms])
+
+    @staticmethod
+    def _assert_same_trajectories(grouped, per_term, cfg, variant, errs=None, objective=None, x0=None, v0=None):
+        """Every log row (n, primal, objective, residual), the final duals and,
+        stepped by hand from the same start, the final x, v and y agree bit for bit."""
+        logs = [
+            run(p, cfg, errs, variant=variant, log_objective=objective, x0=x0, v0=v0) for p in (grouped, per_term)
+        ]
+        assert len(logs[0]) == len(logs[1]) == cfg.max_iters
+        for a, b in zip(*logs, strict=True):
+            assert a.n == b.n
+            assert _same_bits(a.primal, b.primal)
+            assert _same_bits(np.float64(a.step_residual), np.float64(b.step_residual))
+            assert (a.objective is None) == (b.objective is None)
+            if a.objective is not None:
+                assert _same_bits(np.float64(a.objective), np.float64(b.objective))
+        assert all(_same_bits(u, w) for u, w in zip(logs[0].final.duals, logs[1].final.duals, strict=True))
+        step = VARIANTS[variant].step
+        a, b = (preflight(p, cfg, variant, x0=x0, v0=v0) for p in (grouped, per_term))
+        with np.errstate(over="ignore"):  # as in run, where an overflowing square is rescaled
+            for _ in range(cfg.max_iters):
+                a, b = step(grouped, cfg, errs, a), step(per_term, cfg, errs, b)
+        assert _same_bits(a.x, b.x)
+        assert all(_same_bits(u, w) for u, w in zip(a.v, b.v, strict=True))
+        assert (a.y is None) == (b.y is None)
+        if a.y is not None:
+            assert all(_same_bits(u, w) for u, w in zip(a.y, b.y, strict=True))
+        return logs[0]
+
+    @pytest.mark.parametrize("inexact", [False, True], ids=["exact", "inexact"])
+    @pytest.mark.parametrize("variant", ["dr1", "dr2"])
+    @pytest.mark.parametrize("name", list(HERON_SETUPS))
+    def test_heron_sweeps_as_the_per_term_terms(self, name, variant, inexact):
+        build, x0, _ = HERON_SETUPS[name]
+        spec = build()
+        grouped = heron_build(spec)
+        assert [(g.lo, g.hi) for g in grouped._groups] == [(0, grouped.m)]
+        per_term = self._own_operators(grouped, lambda L: IdentityOp(L.in_dim))
+        assert len(per_term._groups) == per_term.m
+        cfg = heron_step_config(name, grouped, variant, max_iters=60)
+        dims = (grouped.dim, grouped.block_signature)
+        errs = make_power_error_schedule(1.0, 2.0, dims, seed=0) if inexact else None
+        objective = lambda x: heron_objective(spec, x)
+        self._assert_same_trajectories(grouped, per_term, cfg, variant, errs, objective, x0=np.array(x0))
+
+    @staticmethod
+    def _matrix_problem(reduced):
+        """Terms 0-2 share one MatrixOp, term 3 has its own and term 4 reuses
+        term 0's, which is not consecutive: groups [0, 3), [3, 4), [4, 5).
+        In the first group, term 0 has no shift, term 1 a nonzero one and
+        term 2 one of signed zeros; term 3 has a nonzero shift, and there is
+        a tilt."""
+        rng = np.random.default_rng(3)
+        shared = MatrixOp(0.4 * rng.standard_normal((3, 4)))
+        own = MatrixOp(0.4 * rng.standard_normal((3, 4)))
+        slots = [EuclideanNorm(), WeightedL1(0.3), EuclideanNorm(), WeightedL1(0.2), EuclideanNorm()]
+        shifts = [None, np.array([0.3, -0.2, 0.1]), np.array([-0.0, 0.0, -0.0]), np.array([-0.1, 0.0, 0.2]), None]
+        gs = [EuclideanNorm(), WeightedL1(0.5), WeightedL1(0.7), EuclideanNorm(), WeightedL1(0.4)]
+        terms = [
+            (L, g, None if reduced else l, r)
+            for L, g, l, r in zip((shared, shared, shared, own, shared), gs, slots, shifts)
+        ]
+        return make_prox_problem(BoxIndicator(-1.0, 1.0), np.array([0.1, -0.3, 0.0, 0.2]), terms)
+
+    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
+    def test_matrix_groups_sweep_as_the_per_term_terms(self, variant):
+        grouped = self._matrix_problem(reduced=variant == "dr2-reduced")
+        assert [(g.lo, g.hi) for g in grouped._groups] == [(0, 3), (3, 4), (4, 5)]
+        per_term = self._own_operators(grouped, lambda L: MatrixOp(L.a, norm_bound=L.norm_bound))
+        assert len(per_term._groups) == 5
+        tau = 0.2 if variant == "dr1" else 0.04  # inside each budget
+        cfg = StepConfig(tau=tau, sigmas=(0.5, 0.2, 0.4, 0.3, 0.25), lambda_schedule=1.6, max_iters=40)
+        x0 = np.array([-0.0, 0.0, 0.3, -0.2])
+        v0 = [
+            np.array([-0.0, 0.1, 0.0]),
+            np.array([0.2, -0.0, -0.1]),
+            np.zeros(3),
+            np.array([0.0, -0.0, 0.05]),
+            np.array([0.1, 0.0, -0.0]),
+        ]
+        self._assert_same_trajectories(grouped, per_term, cfg, variant, x0=x0, v0=v0)
+
+    def test_identity_groups_sum_their_adjoints_as_the_loop(self):
+        """One reduction from 0.0 over an identity group's rows has the bits of
+        adding the rows one by one, signed zeros included; a group after the
+        first adds its rows to the sum in order."""
+        dim = 2
+        ident = IdentityOp(dim)
+        lone = MatrixOp(np.array([[0.5, -0.0], [0.0, 1.0]]))
+        # added in term order, the second entries give 0.6000000000000001, not 0.6
+        blocks = [np.array([-0.0, 0.1]), np.array([-0.0, 0.2]), np.array([-0.0, 0.3])]
+        for ops in ([ident] * 3, [lone, ident, ident]):
+            grouped = make_prox_problem(
+                BallIndicator(np.zeros(dim), 1.0), None, [(L, EuclideanNorm(), None, None) for L in ops]
+            )
+            per_term = self._own_operators(grouped, lambda L: L if L is lone else _Identity(dim))
+            sums = [_adjoint_sum(p, _stacks(p, blocks)) for p in (grouped, per_term)]
+            assert _same_bits(*sums)
+            assert sums[0][1] == 0.6000000000000001
+
+    @pytest.mark.parametrize("variant", ["dr1", "dr2"])
+    def test_an_overflowing_row_inside_a_group_is_rescaled_in_place(self, variant):
+        """A start row of 1e200 inside heron1's one group: its move's square
+        overflows, so the residual is the rescaled norm, as per term."""
+        build, x0, _ = HERON_SETUPS["heron1"]
+        grouped = heron_build(build())
+        per_term = self._own_operators(grouped, lambda L: IdentityOp(L.in_dim))
+        cfg = heron_step_config("heron1", grouped, variant, max_iters=5)
+        v0 = np.zeros((grouped.m, grouped.dim))
+        v0[3] = 1e200
+        log = self._assert_same_trajectories(grouped, per_term, cfg, variant, x0=np.array(x0), v0=v0)
+        assert 1e199 < log.rows[0].step_residual < math.inf
 
 
 class TestSubgradientMembership:
@@ -1120,14 +1256,17 @@ class TestSweepMemory:
         assert peak <= bound * primal
 
     @staticmethod
-    def _returning_problem(reduced):
+    def _returning_problem(reduced, shared):
         """Maps that return their argument: the big ball's prox (f), IdentityOp,
         EuclideanNorm's conjugate prox inside its ball and the origin
-        PointIndicator's; shifts and a tilt too."""
+        PointIndicator's; shifts and a tilt too. With ``shared``, terms 0 and 1
+        share one IdentityOp, so they are one group whose resolvents return
+        rows of the sweep's stacked argument."""
         dim = 3
+        first = IdentityOp(dim)
         terms = [
-            (IdentityOp(dim), EuclideanNorm(), None if reduced else EuclideanNorm(), np.array([0.1, -0.2, 0.05])),
-            (IdentityOp(dim), PointIndicator(), None if reduced else WeightedL1(0.5), None),
+            (first, EuclideanNorm(), None if reduced else EuclideanNorm(), np.array([0.1, -0.2, 0.05])),
+            (first if shared else IdentityOp(dim), PointIndicator(), None if reduced else WeightedL1(0.5), None),
             (MatrixOp(0.5 * np.eye(dim)), WeightedL1(0.3), None if reduced else PointIndicator(), np.array([0.0, 0.2, -0.1])),
         ]
         return make_prox_problem(BallIndicator(np.zeros(dim), 10.0), np.array([0.05, 0.0, -0.1]), terms)
@@ -1151,11 +1290,11 @@ class TestSweepMemory:
         ]
         return dataclasses.replace(prob, res_a=spy("res_a", prob.res_a), terms=terms)
 
-    @pytest.mark.parametrize("inexact", [False, True], ids=["exact", "inexact"])
-    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
-    def test_a_sweep_writes_only_into_arrays_it_allocated(self, variant, inexact):
+    def _check_writes(self, variant, inexact, shared):
         returned = set()
-        prob = self._spy_returns(self._returning_problem(reduced=variant == "dr2-reduced"), returned)
+        base = self._returning_problem(reduced=variant == "dr2-reduced", shared=shared)
+        assert len(base._groups) == (2 if shared else 3)
+        prob = self._spy_returns(base, returned)
         cfg = StepConfig(tau=0.1, sigmas=(0.1,) * 3, lambda_schedule=1.5, max_iters=10)
         errs = make_power_error_schedule(1e-3, 2.0, (prob.dim, prob.block_signature), seed=1) if inexact else None
         step = VARIANTS[variant].step
@@ -1170,6 +1309,17 @@ class TestSweepMemory:
             state = step(prob, cfg, errs, state)
             assert [a.tobytes() for a in arrays] == before
         assert {"res_a", "res_b_conj 0", "res_b_conj 1"} <= returned
+
+    @pytest.mark.parametrize("inexact", [False, True], ids=["exact", "inexact"])
+    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
+    def test_a_sweep_writes_only_into_arrays_it_allocated(self, variant, inexact):
+        self._check_writes(variant, inexact, shared=False)
+
+    @pytest.mark.parametrize("inexact", [False, True], ids=["exact", "inexact"])
+    @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
+    def test_a_grouped_sweep_writes_only_into_arrays_it_allocated(self, variant, inexact):
+        # terms 0 and 1 are one group: their resolvents return rows of the sweep's stacked argument
+        self._check_writes(variant, inexact, shared=True)
 
 
 class TestHugeUpdates:
