@@ -123,21 +123,29 @@ def log_digest(log) -> str:
     return h.hexdigest()
 
 
-def trajectory(name: str) -> str:
-    """The log digest of trajectory ``name`` of TRAJECTORIES."""
+def setup(name: str):
+    """A fresh build of trajectory ``name`` of TRAJECTORIES: its variant,
+    problem, step configuration, error schedule, objective, start and the
+    experiment spec the objective reads."""
     experiment, variant, c = TRAJECTORIES[name]
     if experiment == "deblur64":
-        dspec = make_deblur_spec()
-        problem = deblur_build(dspec)
+        spec = make_deblur_spec()
+        problem = deblur_build(spec)
         cfg = deblur_step_config(problem, variant, max_iters=DEBLUR_SWEEPS)
-        objective, x0 = (lambda x: deblur_objective(dspec, x)), dspec.observed.ravel()
+        objective, x0 = (lambda x: deblur_objective(spec, x)), spec.observed.ravel()
     else:
         build, x0, _ = HERON_SETUPS[experiment]
-        hspec = build()
-        problem = heron_build(hspec)
+        spec = build()
+        problem = heron_build(spec)
         cfg = heron_step_config(experiment, problem, variant, max_iters=HERON_SWEEPS)
-        objective = lambda x: heron_objective(hspec, x)
+        objective = lambda x: heron_objective(spec, x)
     errs = make_power_error_schedule(c, 2.0, (problem.dim, problem.block_signature), 0)
+    return variant, problem, cfg, errs, objective, x0, spec
+
+
+def trajectory(name: str) -> str:
+    """The log digest of trajectory ``name`` of TRAJECTORIES."""
+    variant, problem, cfg, errs, objective, x0, _ = setup(name)
     return log_digest(run(problem, cfg, errs=errs, variant=variant, log_objective=objective, x0=x0))
 
 
