@@ -545,18 +545,26 @@ def cmd_norms(prepared: PreparedRun) -> int:
     return EXIT_OK
 
 
+def _config_help() -> str:
+    """The schema, one line per key of CONFIG_KEYS: its kind, the experiments that read it, its help."""
+    lines = ["config keys (key: kind; experiments that read it; help):"]
+    for key, (_, kind, readers, text) in CONFIG_KEYS.items():
+        lines.append(f"  {key}: {kind}; {'every experiment' if readers == _EVERY else ', '.join(readers)}; {text}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="proxsplit",
         description="Douglas-Rachford primal-dual experiment runner",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub, epilog = parser.add_subparsers(dest="command", required=True), _config_help()
     for name, helptext in (
         ("run", "execute a configured experiment and write artifacts"),
         ("validate", "make run's checks and take its first sweep, writing nothing"),
         ("norms", "print operator norm estimates vs declared bounds"),
     ):
-        p = sub.add_parser(name, help=helptext)
+        p = sub.add_parser(name, help=helptext, epilog=epilog, formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("config", help="path to a JSON configuration file")
     args = parser.parse_args(argv)
     try:

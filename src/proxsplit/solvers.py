@@ -11,10 +11,13 @@ at zero: the reduced variant is :func:`dr2_step` on a :class:`State` without
 Both sweeps take the terms in groups: a group is a maximal run of consecutive
 terms whose ``L`` is one object, as the location problems' identity terms are.
 A group's dual blocks, and each block-sized intermediate, are the rows of one
-2-D array, so its operator is applied once per pass and the scaling, the sums
-and the relaxed updates run on the whole array; its resolvents and error
-vectors are still called once per term, on the rows. A term with an operator
-of its own is a group of one, whose array is a view of its block.
+2-D array, so its operator is applied once per pass and the scaling, the
+shifts, the sums and the relaxed updates run on the whole array; its
+resolvents and error vectors are still called once per term, on the rows. A
+term with an operator of its own is a group of one, whose array is a view of
+its block. Every sweep checks each stack of resolvent outputs or error vectors
+against the shape of the stack it stands for, and a ValueError names the first
+output not of its block's shape: a scalar, say, could broadcast through a sweep.
 
 Every variant iterates one :class:`State`. Its :class:`Variant` record in
 :data:`VARIANTS` holds what sets it apart; :func:`validate_steps` alone checks
@@ -22,8 +25,9 @@ its budget. Both sweeps tolerate summable additive errors after each resolvent
 evaluation. Every resolvent map is called as ``res(x, gamma)``, the order of
 the ``ProxFn`` methods, which :func:`make_prox_problem` stores as they are.
 
-An absent tilt ``z`` or shift ``r_i`` is None, and the sweeps subtract every
-one that is an array.
+An absent tilt ``z`` or shift ``r_i`` is None. The sweeps subtract a tilt
+that is an array, and a group's shifts as one array in which a term without a
+shift is a row of +0.0, which leaves every float as it is.
 """
 from __future__ import annotations
 
@@ -174,15 +178,17 @@ class ProblemSpec:
         groups = []
         for lo, hi in zip(starts, [*starts[1:], self.m]):
             terms = self.terms[lo:hi]
-            shifts = tuple((j, t.r) for j, t in enumerate(terms) if t.r is not None)
+            shifted = any(t.r is not None for t in terms)
+            r = np.array([np.zeros(t.L.out_dim) if t.r is None else t.r for t in terms]) if shifted else None
             resolvents = zip(*((t.res_b_conj, t.res_d_conj, t.res_d) for t in terms))
-            groups.append(_Group(lo, hi, terms[0].L, shifts, *resolvents))
+            groups.append(_Group(lo, hi, terms[0].L, r, *resolvents))
         return tuple(groups)
 
 
-# The terms lo..hi-1 of a problem, which share the operator L: the (row, shift)
-# of each row counted from lo whose term has a shift, and the terms' resolvents.
-_Group = namedtuple("_Group", "lo hi L shifts res_b_conj res_d_conj res_d")
+# The terms lo..hi-1 of a problem, which share the operator L: their shifts as
+# the rows of one array (+0.0 for a term without one), or None when no term has
+# one, and the terms' resolvents.
+_Group = namedtuple("_Group", "lo hi L r res_b_conj res_d_conj res_d")
 
 
 def make_prox_problem(f: ProxFn, z, terms: Sequence) -> ProblemSpec:
@@ -325,14 +331,39 @@ def _factor(weights, g: _Group):
     return weights[g.lo] if g.hi - g.lo == 1 else np.array(weights[g.lo : g.hi])[:, None]
 
 
-def _resolved(res, weights, args) -> np.ndarray:
-    """The stacked ``res[j](args[j], weights[j])`` of a group's rows."""
-    return _stack([r(a, w) for r, a, w in zip(res, _rows(args), weights)])
+def _shaped(out, shape: tuple, name: str) -> np.ndarray:
+    """``out``, an array of ``shape``; a right-shaped ``out`` that is not an
+    array, a list say, as one. Otherwise a ValueError names it."""
+    if getattr(out, "shape", None) == shape:
+        return out
+    if np.shape(out) != shape:
+        raise ValueError(f"{name} has shape {np.shape(out)}, not its block's {shape}")
+    return np.array(out)
 
 
-def _errors(err, g: _Group, n: int) -> np.ndarray:
-    """The stacked error vectors ``err(i, n)`` of the terms of group ``g``."""
-    return _stack([err(i, n) for i in range(g.lo, g.hi)])
+def _checked(rows: list, shape: tuple, g: _Group, name: str) -> np.ndarray:
+    """The stack of group ``g``'s ``rows``, which must be of ``shape``.
+
+    One comparison checks the stack; only when it fails, or the rows do not
+    stack, are the rows walked, and the first not of its block's shape is
+    named as ``name`` of its term."""
+    try:
+        stack = _stack(rows)
+        if stack.shape == shape:
+            return stack
+    except (TypeError, ValueError):  # a lone non-array; rows of unequal shapes
+        pass
+    return np.array([_shaped(row, shape[1:], f"{name}, term {i}") for i, row in enumerate(rows, g.lo)])
+
+
+def _resolved(g: _Group, res, weights, arg, name: str) -> np.ndarray:
+    """The stacked ``res[j](arg[j], weights[j])`` of group ``g``'s rows, checked as ``name``."""
+    return _checked([r(a, w) for r, a, w in zip(res, _rows(arg), weights)], arg.shape, g, name)
+
+
+def _errors(err, g: _Group, n: int, shape: tuple, name: str) -> np.ndarray:
+    """The stacked error vectors ``err(i, n)`` of the terms of group ``g``, checked as ``name``."""
+    return _checked([err(i, n) for i in range(g.lo, g.hi)], shape, g, name)
 
 
 def _relax(base, lam: float, new, old, sqs: list, big: dict, at: slice) -> np.ndarray:
@@ -354,25 +385,20 @@ def _relax(base, lam: float, new, old, sqs: list, big: dict, at: slice) -> np.nd
     return d
 
 
-def _update_norm(sqs: list, big: list) -> float:
+def _update_norm(sqs: list, big: dict) -> float:
     """The square root of the sum of the block squares ``sqs``, added in order.
 
     Only when that sum overflows is the norm rescaled: it is then the
     ``math.hypot`` of the roots of the finite squares and of the norms in
-    ``big`` of the blocks whose squares overflowed. A NaN square stays NaN.
+    ``big``, taken in block order, of the blocks whose squares overflowed. A
+    NaN square stays NaN.
     """
     total = 0.0
     for s in sqs:
         total += s
     if total != math.inf:
         return math.sqrt(total)
-    return math.hypot(*(math.sqrt(s) for s in sqs if s < math.inf), *big)
-
-
-def _residual(lam: float, sqs: list, big: dict) -> float:
-    """``lam`` times the update norm of the block squares ``sqs``, with the
-    norms in ``big`` taken in block order."""
-    return lam * _update_norm(sqs, [big[pos] for pos in sorted(big)])
+    return math.hypot(*(math.sqrt(s) for s in sqs if s < math.inf), *(big[pos] for pos in sorted(big)))
 
 
 def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], state: State) -> State:
@@ -397,10 +423,10 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     np.subtract(x, arg, out=arg)
     # without a tilt, 0.0 is still added: it turns -0.0 into +0.0 as a zero tilt does
     arg += 0.0 if spec.z is None else tau * spec.z
-    p1 = spec.res_a(arg, tau)
+    p1 = _shaped(spec.res_a(arg, tau), arg.shape, "p1")
     del arg
     if errs is not None:
-        p1 = p1 + errs.a(n)
+        p1 = p1 + _shaped(errs.a(n), p1.shape, "error vector a")
     w1 = 2.0 * p1
     w1 -= x
 
@@ -408,12 +434,12 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     for g, vg in zip(spec._groups, v):
         arg = (_factor(halves, g) * g.L.apply(w1)).reshape(g.hi - g.lo, -1)
         arg += vg
-        for j, r in g.shifts:
-            arg[j] -= sigmas[g.lo + j] * r
-        p2 = _resolved(g.res_b_conj, sigmas[g.lo : g.hi], arg)
+        if g.r is not None:
+            arg -= _factor(sigmas, g) * g.r
+        p2 = _resolved(g, g.res_b_conj, sigmas[g.lo : g.hi], arg, "dual resolvent output")
         del arg
         if errs is not None:
-            p2 = p2 + _errors(errs.b, g, n)
+            p2 = p2 + _errors(errs.b, g, n, p2.shape, "error vector b")
         p2s.append(p2)
         duals += _rows(p2)
         w2 = 2.0 * p2
@@ -437,10 +463,10 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         arg = (_factor(halves, g) * g.L.apply(u)).reshape(g.hi - g.lo, -1)
         arg += w2s[k]
         w2s[k] = None
-        z2 = _resolved(g.res_d_conj, sigmas[g.lo : g.hi], arg)
+        z2 = _resolved(g, g.res_d_conj, sigmas[g.lo : g.hi], arg, "second-pass dual resolvent output")
         del arg
         if errs is not None:
-            z2 = z2 + _errors(errs.d, g, n)
+            z2 = z2 + _errors(errs.d, g, n, z2.shape, "error vector d")
         v_new += _rows(_relax(v[k], lam, z2, p2s[k], sqs, big, slice(1 + g.lo, 1 + g.hi)))
         del z2
 
@@ -450,7 +476,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         n=n + 1,
         p1=p1,
         duals=tuple(duals),
-        residual=_residual(lam, sqs, big),
+        residual=lam * _update_norm(sqs, big),
     )
 
 
@@ -474,10 +500,10 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         arg -= spec.z
     arg *= tau
     np.subtract(x, arg, out=arg)
-    p1 = spec.res_a(arg, tau)
+    p1 = _shaped(spec.res_a(arg, tau), arg.shape, "p1")
     del arg
     if errs is not None:
-        p1 = p1 + errs.a(n)
+        p1 = p1 + _shaped(errs.a(n), p1.shape, "error vector a")
     # the squares of x, then of y_i (if carried) and v_i for each term in turn
     width = 1 if y is None else 2
     sqs, big = [0.0] * (1 + width * spec.m), {}
@@ -492,27 +518,23 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         if y is not None:
             arg = _factor(gammas, g) * v[k]
             arg += y[k]
-            p2 = _resolved(g.res_d, gammas[g.lo : g.hi], arg)
+            p2 = _resolved(g, g.res_d, gammas[g.lo : g.hi], arg, "y resolvent output")
             del arg
             if errs is not None:
-                p2 = p2 + _errors(errs.d, g, n)
+                p2 = p2 + _errors(errs.d, g, n, p2.shape, "error vector d")
             at = slice(width * g.lo + 1, width * g.hi + 1, width)
             y_new += _rows(_relax(y[k], lam, p2, y[k], sqs, big, at))
             target = target - (2.0 * p2 - y[k])
             del p2
+        if g.r is not None:
+            target = target - g.r
         arg = (target * _factor(sigmas, g)).reshape(g.hi - g.lo, -1)
-        if g.shifts:
-            # a shifted row is (target - r) * sigma, the shift subtracted first
-            targets = np.broadcast_to(target, arg.shape)
-            for j, r in g.shifts:
-                np.multiply(targets[j] - r, sigmas[g.lo + j], out=arg[j])
-            del targets
         del target
         arg += v[k]
-        p3 = _resolved(g.res_b_conj, sigmas[g.lo : g.hi], arg)
+        p3 = _resolved(g, g.res_b_conj, sigmas[g.lo : g.hi], arg, "dual resolvent output")
         del arg
         if errs is not None:
-            p3 = p3 + _errors(errs.b, g, n)
+            p3 = p3 + _errors(errs.b, g, n, p3.shape, "error vector b")
         duals += _rows(p3)
         at = slice(width * (g.lo + 1), width * (g.hi + 1), width)
         v_new += _rows(_relax(v[k], lam, p3, v[k], sqs, big, at))
@@ -525,7 +547,7 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         n=n + 1,
         p1=p1,
         duals=tuple(duals),
-        residual=_residual(lam, sqs, big),
+        residual=lam * _update_norm(sqs, big),
     )
 
 
@@ -593,39 +615,6 @@ def _check_state(state: State, k: int, limit: float) -> None:
         raise DivergenceError("residual", k, state.residual)
 
 
-def _shape_checked(spec: ProblemSpec, errs: Optional[ErrorSchedule]) -> tuple:
-    """Copies of ``spec`` and ``errs`` whose resolvents and error vectors raise
-    ValueError, naming the output, when it is not of its block's shape: a
-    scalar, say, could broadcast through a sweep."""
-
-    def check(out, shape: tuple, name: str):
-        if np.shape(out) != shape:
-            raise ValueError(f"{name} has shape {np.shape(out)}, not its block's {shape}")
-        return out
-
-    def resolvent(res: ResolventMap, name: str) -> ResolventMap:
-        return lambda arg, weight: check(res(arg, weight), arg.shape, name)
-
-    terms = tuple(
-        replace(
-            t,
-            res_b_conj=resolvent(t.res_b_conj, f"dual resolvent output, term {i}"),
-            res_d_conj=resolvent(t.res_d_conj, f"second-pass dual resolvent output, term {i}"),
-            res_d=resolvent(t.res_d, f"y resolvent output, term {i}"),
-        )
-        for i, t in enumerate(spec.terms)
-    )
-    if errs is not None:
-        a, b, d = errs.a, errs.b, errs.d
-        blocks = [(dim,) for dim in spec.block_signature]
-        errs = ErrorSchedule(
-            a=lambda n: check(a(n), (spec.dim,), "error vector a"),
-            b=lambda i, n: check(b(i, n), blocks[i], f"error vector b, term {i}"),
-            d=lambda i, n: check(d(i, n), blocks[i], f"error vector d, term {i}"),
-        )
-    return replace(spec, res_a=resolvent(spec.res_a, "p1"), terms=terms), errs
-
-
 def preflight(
     spec: ProblemSpec, cfg: StepConfig, variant: str, log_stride: int = 1, x0=None, v0=None, y0=None
 ) -> State:
@@ -689,7 +678,7 @@ def run(
     run. Before the first sweep, :func:`preflight` checks the budget, the
     relaxation at every iteration the run may take and the starting point.
     A finite ``residual_tol`` stops the run once the update norm drops below
-    it (a non-finite tolerance never stops). The first sweep raises a ValueError
+    it (a non-finite tolerance never stops). Every sweep raises a ValueError
     naming any resolvent output or error vector not of its block's shape. Non-finite
     iterates abort with a :class:`DivergenceError` naming the first offending quantity.
     """
@@ -701,7 +690,6 @@ def run(
     state = preflight(spec, cfg, variant, log_stride, x0, v0, y0)
     step = VARIANTS[variant].step
     tol = residual_tol if residual_tol is not None and math.isfinite(residual_tol) else -math.inf
-    checked, checked_errs = _shape_checked(spec, errs)
     log = IterateLog()
     # A dot that overflows is rescaled (the residual, core._norm) or caught by
     # _check_state, as is every non-finite value; numpy's warnings on the way
@@ -714,7 +702,7 @@ def run(
         limit = math.inf if any(b.dot(b) == math.inf for b in starts) else _SQRT_MAX
         del starts  # so that the start blocks go with the first sweep's input
         for k in range(cfg.max_iters):
-            state = step(checked, cfg, checked_errs, state) if k == 0 else step(spec, cfg, errs, state)
+            state = step(spec, cfg, errs, state)
             _check_state(state, k, limit)
             last = k == cfg.max_iters - 1 or state.residual < tol
             if k % log_stride == 0 or last:

@@ -554,6 +554,15 @@ class TestCsvFormat:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize("command", ["run", "validate", "norms"])
+    def test_help_lists_every_config_key_with_its_help(self, command, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        for key, (_, kind, _, helptext) in cli.CONFIG_KEYS.items():
+            assert f"  {key}: {kind}; " in out and helptext in out
+
     def test_validate_ok(self, tmp_path, capsys):
         path = _write_config(tmp_path, experiment="heron1", algorithm="dr2")
         assert main(["validate", path]) == 0

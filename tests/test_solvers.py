@@ -1100,6 +1100,77 @@ class TestRunSemantics:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run(bad, cfg, errs=errs, variant=variant)
 
+    @staticmethod
+    def _late_setup(problem, variant):
+        """The problem, step configuration, checked term and block length of a
+        late wrong-shape case: heron1's 8-row group, or two terms with distinct
+        MatrixOps, each a one-row group."""
+        if problem == "heron1":
+            prob = heron_build(heron1())
+            return prob, heron_step_config("heron1", prob, variant, max_iters=10), 3, 2
+        rng = np.random.default_rng(4)
+        terms = [(MatrixOp(0.5 * rng.standard_normal((3, 3))), g, None, None) for g in (EuclideanNorm(), WeightedL1(0.5))]
+        prob = make_prox_problem(BallIndicator(np.zeros(3), 2.0), None, terms)
+        return prob, StepConfig(tau=0.2, sigmas=(0.5, 0.5), lambda_schedule=1.5, max_iters=10), 1, 3
+
+    @staticmethod
+    def _from_call(call, right, wrong):
+        """``right`` up to call ``call``, then ``wrong`` from that call on."""
+        calls = itertools.count(1)
+        return lambda *args: wrong(*args) if next(calls) >= call else right(*args)
+
+    def _replaced(self, prob, field, term, out):
+        """``prob`` and an error schedule (None for exact) in which ``field`` of
+        term ``term`` is ``out`` of what it was; the schedule is otherwise zeros."""
+        if field.startswith("errs."):
+            zero = lambda *key: np.zeros(prob.block_signature[0] if key[:-1] else prob.dim)
+            bad = out(zero)
+            replaced = {field.removeprefix("errs."): lambda i, n: bad(i, n) if i == term else zero(i, n)}
+            return prob, dataclasses.replace(ErrorSchedule(a=zero, b=zero, d=zero), **replaced)
+        terms = list(prob.terms)
+        terms[term] = dataclasses.replace(terms[term], **{field: out(getattr(terms[term], field))})
+        return dataclasses.replace(prob, terms=tuple(terms)), None
+
+    @pytest.mark.parametrize("call", [1, 3])
+    @pytest.mark.parametrize(
+        "problem, variant, field, name",
+        [
+            ("heron1", "dr1", "res_b_conj", "dual resolvent output"),
+            ("heron1", "dr1", "errs.d", "error vector d"),
+            ("heron1", "dr2", "res_d", "y resolvent output"),
+            ("matrix", "dr1", "res_d_conj", "second-pass dual resolvent output"),
+            ("matrix", "dr1", "errs.b", "error vector b"),
+            ("matrix", "dr2-reduced", "res_b_conj", "dual resolvent output"),
+            ("matrix", "dr2-reduced", "errs.b", "error vector b"),
+        ],
+    )
+    def test_a_wrong_shape_from_a_later_call_is_named(self, problem, variant, field, name, call):
+        # a 0-d output from the 3rd call used to end a dr2-reduced run silently
+        # and a dr1 run on numpy's broadcast error, and to break heron's stack
+        prob, cfg, term, dim = self._late_setup(problem, variant)
+        bad, errs = self._replaced(prob, field, term, lambda right: self._from_call(call, right, lambda *a: np.float64(0.0)))
+        message = f"{name}, term {term} has shape (), not its block's ({dim},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(bad, cfg, errs=errs, variant=variant)
+
+    @pytest.mark.parametrize(
+        "problem, variant, field",
+        [
+            ("heron1", "dr1", "res_b_conj"),
+            ("matrix", "dr1", "res_b_conj"),
+            ("matrix", "dr1", "errs.d"),
+            ("matrix", "dr2-reduced", "res_b_conj"),
+        ],
+    )
+    def test_a_right_length_list_output_runs_as_its_array(self, problem, variant, field):
+        # a one-row group used to fail on its list from the first call, while heron's group stacked it
+        prob, cfg, term, _ = self._late_setup(problem, variant)
+        as_list = lambda right: (lambda *args: right(*args).tolist())
+        listed, errs = self._replaced(prob, field, term, as_list)
+        same, plain_errs = self._replaced(prob, field, term, lambda right: right)
+        for a, b in zip(run(listed, cfg, errs=errs, variant=variant), run(same, cfg, errs=plain_errs, variant=variant), strict=True):
+            assert _same_bits(a.primal, b.primal) and a.step_residual == b.step_residual
+
     @pytest.mark.parametrize("variant", ["dr1", "dr2", "dr2-reduced"])
     def test_an_infinite_resolvent_output_is_named(self, variant):
         # inf - inf on the way to the check yields NaN; run keeps numpy's
@@ -1328,13 +1399,13 @@ class TestHugeUpdates:
         total = 0.0
         for s in sqs:
             total += s
-        assert _update_norm(sqs, []).hex() == math.sqrt(total).hex()
+        assert _update_norm(sqs, {}).hex() == math.sqrt(total).hex()
         # every square finite, their sum not
-        assert _update_norm([1e308, 1e308, 4.0], []) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
-        # a block whose own square overflowed counts with its norm
-        assert _update_norm([4.0, math.inf, 9.0], [1e160]) == pytest.approx(1e160, rel=1e-15)
-        assert _update_norm([4.0, math.inf], [math.inf]) == math.inf
-        assert math.isnan(_update_norm([math.nan, math.inf], [1e160]))
+        assert _update_norm([1e308, 1e308, 4.0], {}) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+        # a block whose own square overflowed counts with its norm, kept at its position
+        assert _update_norm([4.0, math.inf, 9.0], {1: 1e160}) == pytest.approx(1e160, rel=1e-15)
+        assert _update_norm([4.0, math.inf], {1: math.inf}) == math.inf
+        assert math.isnan(_update_norm([math.nan, math.inf], {1: 1e160}))
 
     @pytest.mark.parametrize("variant", ["dr1", "dr2"])
     @pytest.mark.parametrize("make", [heron1, heron2], ids=["heron1", "heron2"])
