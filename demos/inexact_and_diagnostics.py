@@ -48,7 +48,7 @@ x_lim, v_lim = state.x, state.v
 
 
 def distance_to_limit(state):
-    # the dual iterate is a tuple of blocks, one per term: subtract block by block
+    # the dual iterate is a tuple of stacked blocks, one per group of terms: subtract stack by stack
     dv = [b - b_lim for b, b_lim in zip(state.v, v_lim)]
     return vnorm_dr1(problem, cfg, state.x - x_lim, dv)
 

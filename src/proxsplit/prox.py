@@ -60,7 +60,7 @@ class BoxIndicator(ProxFn):
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        if not np.all(self.lo <= self.hi):
+        if not (self.lo <= self.hi).all():
             # a NaN bound fails the comparison too; name it
             if np.isnan(self.lo).any() or np.isnan(self.hi).any():
                 raise ValueError("box bounds must not be NaN")

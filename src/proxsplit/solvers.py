@@ -10,14 +10,15 @@ at zero: the reduced variant is :func:`dr2_step` on a :class:`State` without
 
 Both sweeps take the terms in groups: a group is a maximal run of consecutive
 terms whose ``L`` is one object, as the location problems' identity terms are.
-A group's dual blocks, and each block-sized intermediate, are the rows of one
-2-D array, so its operator is applied once per pass and the scaling, the
-shifts, the sums and the relaxed updates run on the whole array; its
-resolvents and error vectors are still called once per term, on the rows. A
-term with an operator of its own is a group of one, whose array is a view of
-its block. Every sweep checks each stack of resolvent outputs or error vectors
-against the shape of the stack it stands for, and a ValueError names the first
-output not of its block's shape: a scalar, say, could broadcast through a sweep.
+Each dual block, and each block-sized intermediate, is one 2-D array per
+group, whose row j is term ``lo + j``'s block: a group's operator is applied
+once per pass and the scaling, shifts, sums and relaxed updates run on the
+whole array, while its resolvents and error vectors are called per term, on
+the rows. Per-term blocks exist only where :func:`run` meets its caller, in
+``v0``, ``y0`` and the final ``LogRow.duals``. Every sweep checks each stack
+of resolvent outputs or error vectors against the shape of the stack it
+stands for, and a ValueError names the first output not of its block's
+shape: a scalar, say, could broadcast through a sweep.
 
 Every variant iterates one :class:`State`. Its :class:`Variant` record in
 :data:`VARIANTS` holds what sets it apart; :func:`validate_steps` alone checks
@@ -36,6 +37,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -248,23 +250,16 @@ def validate_steps(spec: ProblemSpec, cfg: StepConfig, variant: str = DR1) -> fl
     return total
 
 
-def _as_block(value, signature) -> tuple:
-    """A start's dual block: one 1-D vector per item of ``value``, so the rows
-    of a 2-D array are blocks too; zeros of ``signature`` for None."""
-    if value is None:
-        return tuple(np.zeros(d) for d in signature)
-    return tuple(map(as_vector, value))
-
-
 @dataclass(frozen=True)
 class State:
     """Iterate of any variant, plus the records of the step that produced it.
 
-    ``x`` is the primal iterate and ``v`` the dual block, a tuple of one 1-D
-    array per term, as ``y`` and ``duals`` are. ``y`` is the extra dual block
-    of the single-pass scheme and ``gammas`` its per-term resolvent weights;
-    both exist only for ``dr2`` and are None for ``dr1`` and for
-    ``dr2-reduced``, which is ``dr2`` with ``y`` held at zero.
+    ``x`` is the primal iterate and ``v`` the dual block, one 2-D array per
+    group of ``spec._groups`` whose row j is term ``lo + j``'s block, as
+    ``y`` and ``duals`` are. ``y`` is the extra dual block of the
+    single-pass scheme and ``gammas`` its per-term resolvent weights; both
+    exist only for ``dr2`` and are None for ``dr1`` and for ``dr2-reduced``,
+    which is ``dr2`` with ``y`` held at zero.
     ``p1``, ``duals`` and ``residual`` describe the step that produced this
     state: the primal resolvent output, the dual resolvent outputs
     (first-pass ones for ``dr1``) and the relaxed update norm in the product
@@ -291,9 +286,11 @@ def _rows(stack) -> tuple:
     return (stack[0],) if len(stack) == 1 else tuple(stack)
 
 
-def _stacks(spec: ProblemSpec, blocks) -> list:
-    """The per-term ``blocks`` stacked per group of ``spec``."""
-    return [_stack(blocks[g.lo : g.hi]) for g in spec._groups]
+def _stacks(spec: ProblemSpec, blocks) -> tuple:
+    """The per-term ``blocks`` stacked per group of ``spec``; zeros for None."""
+    if blocks is None:
+        return tuple(np.zeros((g.hi - g.lo, g.L.out_dim)) for g in spec._groups)
+    return tuple(_stack(blocks[g.lo : g.hi]) for g in spec._groups)
 
 
 def _adjoint_sum(spec: ProblemSpec, stacks) -> np.ndarray:
@@ -411,11 +408,8 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     is the one the plain formula makes, so the sweep keeps its bits. A group
     of terms sharing one operator applies it once per pass.
     """
-    n = state.n
-    tau = cfg.tau
-    lam = cfg.lam(n)
-    x, v = state.x, _stacks(spec, state.v)
-    sigmas = cfg.sigmas
+    n, tau, lam = state.n, cfg.tau, cfg.lam(state.n)
+    x, v, sigmas = state.x, state.v, cfg.sigmas
     halves = [0.5 * s for s in sigmas]
 
     arg = _adjoint_sum(spec, v)
@@ -430,7 +424,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     w1 = 2.0 * p1
     w1 -= x
 
-    p2s, w2s, duals = [], [], []
+    p2s, w2s = [], []
     for g, vg in zip(spec._groups, v):
         arg = (_factor(halves, g) * g.L.apply(w1)).reshape(g.hi - g.lo, -1)
         arg += vg
@@ -441,7 +435,6 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         if errs is not None:
             p2 = p2 + _errors(errs.b, g, n, p2.shape, "error vector b")
         p2s.append(p2)
-        duals += _rows(p2)
         w2 = 2.0 * p2
         w2 -= vg
         w2s.append(w2)
@@ -467,7 +460,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         del arg
         if errs is not None:
             z2 = z2 + _errors(errs.d, g, n, z2.shape, "error vector d")
-        v_new += _rows(_relax(v[k], lam, z2, p2s[k], sqs, big, slice(1 + g.lo, 1 + g.hi)))
+        v_new.append(_relax(v[k], lam, z2, p2s[k], sqs, big, slice(1 + g.lo, 1 + g.hi)))
         del z2
 
     return State(
@@ -475,7 +468,7 @@ def dr1_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         v=tuple(v_new),
         n=n + 1,
         p1=p1,
-        duals=tuple(duals),
+        duals=tuple(p2s),
         residual=lam * _update_norm(sqs, big),
     )
 
@@ -488,11 +481,8 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
     It writes only into arrays it allocated itself, as :func:`dr1_step` does,
     and applies the operator of a group of terms once.
     """
-    n = state.n
-    tau = cfg.tau
-    lam = cfg.lam(n)
-    x, v = state.x, _stacks(spec, state.v)
-    y = None if state.y is None else _stacks(spec, state.y)
+    n, tau, lam = state.n, cfg.tau, cfg.lam(state.n)
+    x, v, y = state.x, state.v, state.y
     sigmas, gammas = cfg.sigmas, state.gammas
 
     arg = _adjoint_sum(spec, v)
@@ -523,7 +513,7 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
             if errs is not None:
                 p2 = p2 + _errors(errs.d, g, n, p2.shape, "error vector d")
             at = slice(width * g.lo + 1, width * g.hi + 1, width)
-            y_new += _rows(_relax(y[k], lam, p2, y[k], sqs, big, at))
+            y_new.append(_relax(y[k], lam, p2, y[k], sqs, big, at))
             target = target - (2.0 * p2 - y[k])
             del p2
         if g.r is not None:
@@ -535,9 +525,9 @@ def dr2_step(spec: ProblemSpec, cfg: StepConfig, errs: Optional[ErrorSchedule], 
         del arg
         if errs is not None:
             p3 = p3 + _errors(errs.b, g, n, p3.shape, "error vector b")
-        duals += _rows(p3)
+        duals.append(p3)
         at = slice(width * (g.lo + 1), width * (g.hi + 1), width)
-        v_new += _rows(_relax(v[k], lam, p3, v[k], sqs, big, at))
+        v_new.append(_relax(v[k], lam, p3, v[k], sqs, big, at))
 
     return State(
         x=x_new,
@@ -586,6 +576,15 @@ def resolved_variant(name: str, spec: ProblemSpec) -> str:
     return name
 
 
+def _check_rows(name: str, stacks, k: int) -> None:
+    """Raise DivergenceError naming ``name`` of the first term whose row of the group ``stacks`` is not finite."""
+    lo = 0
+    for stack in stacks:
+        if not np.isfinite(stack).all():
+            raise DivergenceError(f"{name}, term {lo + int(np.argmin(np.isfinite(stack).all(axis=1)))}", k)
+        lo += len(stack)
+
+
 def _check_state(state: State, k: int, limit: float) -> None:
     """Raise DivergenceError naming the first non-finite quantity of step k.
 
@@ -602,15 +601,11 @@ def _check_state(state: State, k: int, limit: float) -> None:
         return
     if not np.all(np.isfinite(state.p1)):
         raise DivergenceError("p1", k)
-    for i, block in enumerate(state.duals):
-        if not np.all(np.isfinite(block)):
-            raise DivergenceError(f"dual resolvent output, term {i}", k)
+    _check_rows("dual resolvent output", state.duals, k)
     if not np.all(np.isfinite(state.x)):
         raise DivergenceError("x", k)
-    for name, blocks in (("v", state.v), ("y", state.y if state.y is not None else ())):
-        for i, block in enumerate(blocks):
-            if not np.all(np.isfinite(block)):
-                raise DivergenceError(f"{name}, term {i}", k)
+    _check_rows("v", state.v, k)
+    _check_rows("y", state.y or (), k)
     if not state.residual < limit:
         raise DivergenceError("residual", k, state.residual)
 
@@ -625,7 +620,8 @@ def preflight(
     :class:`StepSizeError` or ValueError. The relaxations a run uses depend
     on its length, ``cfg.max_iters`` sweeps, so this is where they are
     checked to lie in (0, 2), as :func:`validate_steps` checks the budget:
-    a constant once, a schedule at each of the run's sweeps.
+    a constant once, a schedule at each of the run's sweeps. ``v0`` and
+    ``y0`` hold one block per term, or are None for zeros.
     """
     total = validate_steps(spec, cfg, variant)
     if log_stride < 1:
@@ -637,18 +633,17 @@ def preflight(
     carries_y = VARIANTS[variant].carries_y
     if y0 is not None and not carries_y:
         raise ValueError(f"y0 is read by dr2 only, not by {variant}")
-    sig = spec.block_signature
     x = np.zeros(spec.dim) if x0 is None else as_vector(x0)
-    v = _as_block(v0, sig)
-    y = _as_block(y0, sig) if carries_y else None
+    v, y = (None if b is None else tuple(map(as_vector, b)) for b in (v0, y0))
     if x.shape[0] != spec.dim or any(
-        tuple(b.shape[0] for b in blocks) != sig for blocks in (v, y) if blocks is not None
+        tuple(b.shape[0] for b in blocks) != spec.block_signature for blocks in (v, y) if blocks is not None
     ):
         raise ValueError("starting point does not match the problem dimensions")
-    if y is None:
+    v = _stacks(spec, v)
+    if not carries_y:
         return State(x=x, v=v)
     # the per-term resolvent weights sigma_i^{-1} * tau * sum_j sigma_j ||L_j||^2
-    return State(x=x, v=v, y=y, gammas=tuple(total / s for s in cfg.sigmas))
+    return State(x=x, v=v, y=_stacks(spec, y), gammas=tuple(total / s for s in cfg.sigmas))
 
 
 def run(
@@ -697,18 +692,18 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         # From a start whose blocks have finite squares, a residual whose square
         # is not finite means divergence; a start beyond that may take updates
-        # as large.
-        starts = (state.x, *state.v, *(state.y if state.y is not None else ()))
-        limit = math.inf if any(b.dot(b) == math.inf for b in starts) else _SQRT_MAX
-        del starts  # so that the start blocks go with the first sweep's input
+        # as large. The squares are taken per term, and no name keeps the
+        # start blocks past the first sweep.
+        huge = any(b.dot(b) == math.inf for b in chain((state.x,), *state.v, *(state.y or ())))
+        limit = math.inf if huge else _SQRT_MAX
         for k in range(cfg.max_iters):
             state = step(spec, cfg, errs, state)
             _check_state(state, k, limit)
             last = k == cfg.max_iters - 1 or state.residual < tol
             if k % log_stride == 0 or last:
                 obj = float(log_objective(state.p1)) if log_objective is not None else None
-                # the last row alone keeps the dual blocks
-                duals = state.duals if last else None
+                # the last row alone keeps the dual blocks, one per term
+                duals = tuple(row for stack in state.duals for row in _rows(stack)) if last else None
                 log.append(LogRow(n=k, primal=state.p1, duals=duals, objective=obj, step_residual=state.residual))
             if last:
                 break
@@ -719,17 +714,18 @@ def run(
 
 def metric_apply_dr1(spec: ProblemSpec, cfg: StepConfig, x, v):
     """Apply the self-adjoint metric operator of the two-pass scheme; ``v`` and
-    the dual part returned hold one block per term."""
+    the dual part returned are laid out as :attr:`State.v` is."""
     x = as_vector(x)
-    out_x = x / cfg.tau - 0.5 * _adjoint_sum(spec, _stacks(spec, v))
-    out_v = [v[i] / cfg.sigmas[i] - 0.5 * term.L.apply(x) for i, term in enumerate(spec.terms)]
+    out_x = x / cfg.tau - 0.5 * _adjoint_sum(spec, v)
+    out_v = [vg / _factor(cfg.sigmas, g) - 0.5 * g.L.apply(x) for g, vg in zip(spec._groups, v, strict=True)]
     return out_x, tuple(out_v)
 
 
 def vnorm_dr1(spec: ProblemSpec, cfg: StepConfig, x, v) -> float:
-    """Norm induced by the two-pass scheme's metric operator."""
+    """Norm induced by the two-pass scheme's metric operator, at ``v`` laid out as :attr:`State.v` is."""
     mx, mv = metric_apply_dr1(spec, cfg, x, v)
-    q = float(np.dot(as_vector(x), mx)) + float(sum(np.dot(a, b) for a, b in zip(v, mv, strict=True)))
+    dots = (np.dot(a, b) for vg, mg in zip(v, mv, strict=True) for a, b in zip(vg, mg, strict=True))
+    q = float(np.dot(as_vector(x), mx)) + float(sum(dots))
     return math.sqrt(max(q, 0.0))
 
 

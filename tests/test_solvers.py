@@ -40,7 +40,6 @@ from proxsplit.solvers import (
     VARIANTS,
     DivergenceError,
     ProblemSpec,
-    State,
     Term,
     _adjoint_sum,
     _stacks,
@@ -66,9 +65,14 @@ def _point_norm_problem(dim=2):
     )
 
 
+def _per_term(stacks) -> tuple:
+    """The per-term blocks of a state's group stacks: their rows, in term order."""
+    return tuple(row for stack in stacks for row in stack)
+
+
 def _block_dot(a, b) -> float:
-    """The product-space inner product: the sum of the per-block ones."""
-    return sum(float(np.dot(u, w)) for u, w in zip(a, b, strict=True))
+    """The product-space inner product of two duals laid out as ``State.v``: the sum of the per-term ones."""
+    return sum(float(np.dot(u, w)) for u, w in zip(_per_term(a), _per_term(b), strict=True))
 
 
 def _assert_same_blocks(a, b):
@@ -89,7 +93,7 @@ def _assert_same_runs(spec_a, spec_b, cfg, variant, x0=None):
     a, b = (preflight(p, cfg, variant, x0=x0) for p in (spec_a, spec_b))
     for _ in range(cfg.max_iters):
         a, b = step(spec_a, cfg, None, a), step(spec_b, cfg, None, b)
-        _assert_same_blocks(a.duals, b.duals)
+        _assert_same_blocks(_per_term(a.duals), _per_term(b.duals))
 
 
 class TestProblemSpec:
@@ -335,8 +339,8 @@ class TestStartBlocks:
         rows = np.arange(16.0).reshape(8, 2)
         for start in (rows, (row for row in rows)):
             state = preflight(prob, cfg, "dr2", **{which: start})
-            blocks = getattr(state, which[0])
-            assert type(blocks) is tuple and len(blocks) == 8
+            blocks = _per_term(getattr(state, which[0]))
+            assert len(blocks) == 8
             assert all(np.array_equal(b, row) for b, row in zip(blocks, rows, strict=True))
             state = dr2_step(prob, cfg, None, state)
             assert all(type(blocks) is tuple for blocks in (state.v, state.y, state.duals))
@@ -366,20 +370,20 @@ class TestFixedPoints:
         cfg = StepConfig(tau=tau, sigmas=(sigma,), lambda_schedule=1.3, max_iters=5)
         v = np.array([0.5, 0.0])
         x = tau * v / (tau * sigma - 2.0)
-        state = State(x=x, v=(v,))
+        state = preflight(prob, cfg, "dr1", x0=x, v0=(v,))
         new = dr1_step(prob, cfg, None, state)
         assert np.abs(new.x - x).max() <= 1e-12
-        assert np.abs(new.v[0] - v).max() <= 1e-12
+        assert np.abs(_per_term(new.v)[0] - v).max() <= 1e-12
         assert new.residual <= 1e-12
 
     def test_dr2_fixed_point_invariant(self):
         prob = _point_norm_problem(2)
         cfg = StepConfig(tau=0.2, sigmas=(0.5,), lambda_schedule=1.3, max_iters=5)
         v = (np.array([0.5, 0.0]),)
-        state = dataclasses.replace(preflight(prob, cfg, "dr2"), v=v)
+        state = preflight(prob, cfg, "dr2", v0=v)
         new = dr2_step(prob, cfg, None, state)
         assert np.abs(new.x).max() <= 1e-12
-        assert np.abs(new.v[0] - v[0]).max() <= 1e-12
+        assert np.abs(_per_term(new.v)[0] - v[0]).max() <= 1e-12
         assert new.residual <= 1e-12
 
 
@@ -527,7 +531,7 @@ def _reference_adjoint_sum(spec, blocks):
 def _reference_dr1(spec, cfg, state):
     """The two-pass sweep with every shift subtracted and the adjoint sums
     started from zeros."""
-    tau, lam, x, v = cfg.tau, cfg.lam(state.n), state.x, state.v
+    tau, lam, x, v = cfg.tau, cfg.lam(state.n), state.x, _per_term(state.v)
     p1 = spec.res_a(x - 0.5 * tau * _reference_adjoint_sum(spec, v) + tau * _or_zeros(spec.z, spec.dim), tau)
     w1 = 2.0 * p1 - x
     p2s = [
@@ -549,7 +553,8 @@ def _reference_dr1(spec, cfg, state):
 def _reference_dr2(spec, cfg, state):
     """The single-pass sweep (the reduced one without y) with every shift
     subtracted and the adjoint sum started from zeros."""
-    tau, lam, x, y, v = cfg.tau, cfg.lam(state.n), state.x, state.y, state.v
+    tau, lam, x, v = cfg.tau, cfg.lam(state.n), state.x, _per_term(state.v)
+    y = None if state.y is None else _per_term(state.y)
     p1 = spec.res_a(x - tau * (_reference_adjoint_sum(spec, v) - _or_zeros(spec.z, spec.dim)), tau)
     u = 2.0 * p1 - x
     res_sq = float((p1 - x).dot(p1 - x))
@@ -614,11 +619,11 @@ class TestShifts:
             x, v, y, p1, duals, residual = reference(prob, cfg, state)
             state = step(prob, cfg, None, state)
             assert _same_bits(state.x, x) and _same_bits(state.p1, p1)
-            assert all(_same_bits(a, b) for a, b in zip(state.v, v, strict=True))
-            assert all(_same_bits(a, b) for a, b in zip(state.duals, duals, strict=True))
+            assert all(_same_bits(a, b) for a, b in zip(_per_term(state.v), v, strict=True))
+            assert all(_same_bits(a, b) for a, b in zip(_per_term(state.duals), duals, strict=True))
             assert (state.y is None) == (y is None)
             if y is not None:
-                assert all(_same_bits(a, b) for a, b in zip(state.y, y, strict=True))
+                assert all(_same_bits(a, b) for a, b in zip(_per_term(state.y), y, strict=True))
             assert state.residual == residual
 
     @pytest.mark.parametrize(
@@ -694,10 +699,10 @@ class TestGroupedSweeps:
             for _ in range(cfg.max_iters):
                 a, b = step(grouped, cfg, errs, a), step(per_term, cfg, errs, b)
         assert _same_bits(a.x, b.x)
-        assert all(_same_bits(u, w) for u, w in zip(a.v, b.v, strict=True))
+        assert all(_same_bits(u, w) for u, w in zip(_per_term(a.v), _per_term(b.v), strict=True))
         assert (a.y is None) == (b.y is None)
         if a.y is not None:
-            assert all(_same_bits(u, w) for u, w in zip(a.y, b.y, strict=True))
+            assert all(_same_bits(u, w) for u, w in zip(_per_term(a.y), _per_term(b.y), strict=True))
         return logs[0]
 
     @pytest.mark.parametrize("inexact", [False, True], ids=["exact", "inexact"])
@@ -770,6 +775,31 @@ class TestGroupedSweeps:
             sums = [_adjoint_sum(p, _stacks(p, blocks)) for p in (grouped, per_term)]
             assert _same_bits(*sums)
             assert sums[0][1] == 0.6000000000000001
+
+    @pytest.mark.parametrize("variant", ["dr1", "dr2"])
+    def test_the_state_holds_one_stack_per_group(self, variant):
+        """heron1's eight terms are one group: its start and a sweep's v, y and
+        duals are one (8, 2) array each, whose rows are the blocks of the same
+        terms with operators of their own; a run's final duals are eight
+        1-D blocks."""
+        build, x0, _ = HERON_SETUPS["heron1"]
+        grouped = heron_build(build())
+        per_term = self._own_operators(grouped, lambda L: IdentityOp(L.in_dim))
+        cfg = heron_step_config("heron1", grouped, variant, max_iters=5)
+        v0 = np.arange(16.0).reshape(8, 2) / 16.0
+        a, b = (preflight(p, cfg, variant, x0=np.array(x0), v0=v0) for p in (grouped, per_term))
+        assert _same_bits(a.v[0], v0)
+        step = VARIANTS[variant].step
+        for _ in range(2):
+            for name in ("v", "y", "duals"):
+                stacks, reference = getattr(a, name), getattr(b, name)
+                if stacks is not None:
+                    assert len(stacks) == 1 and stacks[0].shape == (8, 2)
+                    assert [r.shape for r in reference] == [(1, 2)] * 8
+                    assert all(_same_bits(u, w) for u, w in zip(stacks[0], _per_term(reference), strict=True))
+            a, b = step(grouped, cfg, None, a), step(per_term, cfg, None, b)
+        duals = run(grouped, cfg, variant=variant, x0=np.array(x0)).final.duals
+        assert len(duals) == 8 and all(d.shape == (2,) for d in duals)
 
     @pytest.mark.parametrize("variant", ["dr1", "dr2"])
     def test_an_overflowing_row_inside_a_group_is_rescaled_in_place(self, variant):
@@ -853,6 +883,18 @@ class TestDifferentialOracle:
 
 
 _WRONG_OUTPUTS = {"scalar": 0.0, "length3": np.zeros(3), "row": np.zeros((1, 2))}
+
+
+class _KeepFirst(LinOp):
+    """(a, b) -> (a, 0), its own adjoint: a second coordinate never reaches x."""
+
+    def __init__(self):
+        super().__init__(2, 2, 1.0)
+
+    def apply(self, x):
+        return np.array([x[0], 0.0])
+
+    adjoint = apply
 
 
 class TestRunSemantics:
@@ -1013,29 +1055,35 @@ class TestRunSemantics:
             run(bad, cfg, variant="dr1", n_iters=5)
         assert "p1" in str(err.value)
 
+    @staticmethod
+    def _clipped(ops) -> ProblemSpec:
+        """One term per operator of ``ops``, every resolvent a clip to [-1, 1]."""
+        clip = lambda y, s: np.clip(y, -1.0, 1.0)
+        terms = (Term(L=L, res_b_conj=clip, res_d_conj=clip, res_d=clip, r=np.zeros(2)) for L in ops)
+        return ProblemSpec(res_a=clip, z=np.zeros(2), terms=terms)
+
     def test_nonfinite_start_named_at_first_step(self):
         # L^* ignores the second dual coordinate and every resolvent clips,
         # so the first update norm is finite while v keeps the infinity
-        class KeepFirst(LinOp):
-            def __init__(self):
-                super().__init__(2, 2, 1.0)
-
-            def apply(self, x):
-                return np.array([x[0], 0.0])
-
-            def adjoint(self, y):
-                return np.array([y[0], 0.0])
-
-        clip = lambda y, s: np.clip(y, -1.0, 1.0)
-        bad = ProblemSpec(
-            res_a=clip,
-            z=np.zeros(2),
-            terms=(Term(L=KeepFirst(), res_b_conj=clip, res_d_conj=clip, res_d=clip, r=np.zeros(2)),),
-        )
+        bad = self._clipped([_KeepFirst()])
         cfg = StepConfig(tau=0.1, sigmas=(0.1,), lambda_schedule=1.0, max_iters=5)
         with pytest.raises(DivergenceError) as err:
             run(bad, cfg, variant="dr1", n_iters=5, v0=[np.array([0.0, np.inf])])
         assert (err.value.quantity, err.value.iteration) == ("v, term 0", 0)
+
+    @pytest.mark.parametrize("variant, which", [("dr1", "v0"), ("dr2", "v0"), ("dr2", "y0")])
+    def test_a_nonfinite_start_row_is_named_by_its_term(self, variant, which):
+        """Terms 0-2 share one operator, which ignores the second coordinate,
+        and term 3 has its own: an infinity in term 2's start block, a row of
+        the first group's stack, is named by its term."""
+        shared = _KeepFirst()
+        bad = self._clipped([shared, shared, shared, _KeepFirst()])
+        assert [(g.lo, g.hi) for g in bad._groups] == [(0, 3), (3, 4)]
+        cfg = StepConfig(tau=0.1, sigmas=(0.1,) * 4, lambda_schedule=1.0, max_iters=5)
+        start = [np.zeros(2), np.zeros(2), np.array([0.0, np.inf]), np.zeros(2)]
+        with pytest.raises(DivergenceError) as err:
+            run(bad, cfg, variant=variant, n_iters=5, **{which: start})
+        assert (err.value.quantity, err.value.iteration) == (f"{which[0]}, term 2", 0)
 
     def test_divergence_in_y_names_quantity(self):
         # only the extra dual block of the single-pass scheme goes non-finite
@@ -1422,7 +1470,7 @@ class TestHugeUpdates:
         assert len(log) == 400
         assert all(math.isfinite(row.step_residual) and np.all(np.isfinite(row.primal)) for row in log)
         # the first residual is the norm of the first relaxed update; v and y start at zero
-        moved = [first.x - x0, *first.v, *(first.y or ())]
+        moved = [first.x - x0, *_per_term(first.v), *_per_term(first.y or ())]
         assert log.rows[0].step_residual == pytest.approx(math.hypot(*np.concatenate(moved)), rel=1e-12)
         assert log.rows[0].step_residual > 1e159
 
@@ -1597,13 +1645,13 @@ class TestMetric:
 
     def test_zero_vector(self):
         prob, cfg = self._setup()
-        assert vnorm_dr1(prob, cfg, np.zeros(2), np.zeros((8, 2))) == 0.0
+        assert vnorm_dr1(prob, cfg, np.zeros(2), (np.zeros((8, 2)),)) == 0.0
 
     def test_self_adjoint(self, rng):
         prob, cfg = self._setup()
         for _ in range(50):
-            x1, v1 = rng.standard_normal(2), rng.standard_normal((8, 2))
-            x2, v2 = rng.standard_normal(2), rng.standard_normal((8, 2))
+            x1, v1 = rng.standard_normal(2), (rng.standard_normal((8, 2)),)
+            x2, v2 = rng.standard_normal(2), (rng.standard_normal((8, 2)),)
             m1x, m1v = metric_apply_dr1(prob, cfg, x1, v1)
             m2x, m2v = metric_apply_dr1(prob, cfg, x2, v2)
             lhs = float(np.dot(x1, m2x)) + _block_dot(v1, m2v)
@@ -1625,7 +1673,7 @@ class TestMetric:
         assert rho > 0.0
         for _ in range(1000):
             x = rng.standard_normal(2) * 3.0
-            v = rng.standard_normal((8, 2)) * 3.0
+            v = (rng.standard_normal((8, 2)) * 3.0,)
             sq = vnorm_dr1(prob, cfg, x, v) ** 2
             norm_sq = float(np.dot(x, x)) + _block_dot(v, v)
             assert sq >= rho * norm_sq - 1e-10 * (1 + norm_sq)
